@@ -12,15 +12,13 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
-from . import coinv
 from .coinv import AnalysisReport, analyze, expected_epsilon_order, predicted_group
 from .gf import PrimePower, prime_power
 from .plane import PlaneContext, build_plane
 from .presentation import (
+    DEFAULT_BACKTRACK_BUDGET,
     ParseError,
     TrianglePresentation,
-    backtrack_budget,
-    find_m_subset,
     gen_t0,
     gen_t0_dual,
     is_s_invariant,
@@ -132,23 +130,12 @@ def cmd_validate(args) -> int:
             print(f"{k}: {'PASS' if v.ok else 'FAIL'}{suffix}")
         print(f"size: {report.size} (expected {report.expected_size})")
     if not report.ok:
-        witness = next((v.witness for v in lines.values() if not v.ok), None)
-        raise UsageError(f"presentation invalid, witness {witness}")
+        raise UsageError(f"presentation invalid, witness {report.witness}")
     return EXIT_OK
 
 
 def cmd_analyze(args) -> int:
-    T = _load_presentation(args)
-    vreport = validate(T)
-    if not vreport.ok:
-        bad = next(
-            v.witness
-            for v in (vreport.axiom_i, vreport.axiom_ii, vreport.axiom_iii)
-            if not v.ok
-        )
-        raise UsageError(f"presentation failed triangle axioms, witness {bad}")
-    schemes = coinv.SCHEMES if args.scheme == "both" else (args.scheme,)
-    report = analyze(T, schemes=schemes, m_budget=args.budget)
+    report = analyze(_load_presentation(args), m_budget=args.budget)
     _print_report(report, args.output)
     return EXIT_OK if report.all_checks_pass else EXIT_CHECK_FAILED
 
@@ -291,8 +278,8 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--budget",
             type=int,
-            default=None,
-            help="M-subset backtracking node budget (default from A2K_BACKTRACK_BUDGET)",
+            default=DEFAULT_BACKTRACK_BUDGET,
+            help="M-subset backtracking node budget (default %(default)s)",
         )
 
     p = sub.add_parser("gen", help="generate a presentation file")
@@ -308,7 +295,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="compute A_T, its quotient and ord(eps)")
     add_common(p)
-    p.add_argument("--scheme", choices=("acb", "bcd", "both"), default="both")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("table", help="reproduce the published table over a q range")

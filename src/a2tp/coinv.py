@@ -8,6 +8,10 @@ relation schemes:
        x + y + z = eps; the all-points sum = eps.
   bcd: triple rows and the all-points row, plus for each x the row
        x + sum over y on lambda(x) of y = eps.
+
+`analyze` reduces the bcd lattice only (q+2 nonzeros per x-row against
+N-q-1 for acb) and proves the two lattices equal row by row with
+`schemes_agree`.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from math import gcd
 from typing import Optional
 
 from .presentation import (
+    DEFAULT_BACKTRACK_BUDGET,
     TrianglePresentation,
     find_m_subset,
     m_subset_occurrences,
@@ -133,70 +138,84 @@ def expected_epsilon_order(q: int) -> int:
     return (q - 1) // gcd(q - 1, 3)
 
 
-def group_of(T: TrianglePresentation, scheme: str) -> FpAbelianGroup:
-    return FpAbelianGroup(T.N + 1, relation_matrix(T, scheme))
-
-
 def check_lemma_q2(q: int, epsilon_order: Optional[int]) -> bool:
     """(q^2 - 1) * eps = 0, i.e. ord(eps) divides q^2 - 1."""
     return epsilon_order is not None and (q * q - 1) % epsilon_order == 0
 
 
-def check_lower_bound(T: TrianglePresentation, epsilon_order: Optional[int]) -> bool:
+def check_lower_bound(q: int, relations: IntMatrix, epsilon_order: Optional[int]) -> bool:
     """ord(eps) >= (q-1)/(q-1,3), plus the mod-(q^2-1) row annihilation test.
 
-    The witnessing map sends every point to q+1 and eps to 3(q+1); it must
-    kill every acb relation row mod q^2 - 1.
+    The witnessing map sends every point to q+1 and eps (the last column) to
+    3(q+1); it must kill every row of `relations` mod q^2 - 1.
     """
-    q, N = T.q, T.N
     modulus = q * q - 1
-    f = [q + 1] * N + [3 * (q + 1)]
-    for row in relation_matrix(T, "acb").rows:
+    f = [q + 1] * (relations.n_cols - 1) + [3 * (q + 1)]
+    for row in relations.rows:
         if sum(v * f[c] for c, v in row) % modulus:
             return False
     bound = expected_epsilon_order(q)
     return epsilon_order is None or epsilon_order >= bound
 
 
+def schemes_agree(acb: IntMatrix, bcd: IntMatrix) -> bool:
+    """True when the acb and bcd rows of one presentation span the same lattice.
+
+    Exact and elimination-free: the triple rows and the all-points row must
+    be equal in both schemes, and acb_x + bcd_x must equal the all-points
+    row for every x.  Then each x-row of one scheme is the all-points row
+    minus an x-row of the other, so each lattice contains the other.
+    """
+    n_points = acb.n_cols - 1
+    shared = acb.rows[n_points:]
+    if (
+        bcd.n_cols != acb.n_cols
+        or len(bcd.rows) != len(acb.rows)
+        or bcd.rows[: len(shared)] != shared
+    ):
+        return False
+    all_points = dict(shared[-1])
+    for a_row, b_row in zip(acb.rows[:n_points], bcd.rows[len(shared) :]):
+        total = dict(a_row)
+        for c, v in b_row:
+            total[c] = total.get(c, 0) + v
+        if {c: v for c, v in total.items() if v} != all_points:
+            return False
+    return True
+
+
 def analyze(
-    T: TrianglePresentation,
-    schemes: tuple[str, ...] = SCHEMES,
-    m_budget: Optional[int] = None,
-    with_gamma_ab: bool = True,
+    T: TrianglePresentation, m_budget: int = DEFAULT_BACKTRACK_BUDGET
 ) -> AnalysisReport:
     report = validate(T)
     if not report.ok:
-        raise ValueError("presentation failed triangle-axiom validation")
+        raise ValueError(
+            f"presentation failed triangle axioms, witness {report.witness}, "
+            f"{report.size} triples (expected {report.expected_size})"
+        )
 
     q, N = T.q, T.N
     eps_vec = [0] * N + [1]
     flags: list[str] = []
 
-    per_scheme = {}
-    for scheme in schemes:
-        grp = group_of(T, scheme)
-        factors = grp.invariants()
-        free_rank = grp.free_rank
-        if free_rank == 0:
-            order = grp.element_order(eps_vec, "quotient")
-            if q <= 8:
-                # Independent algorithm guarding the headline number.
-                alt = grp.element_order(eps_vec, "transform")
-                if alt != order:
-                    raise AssertionError(
-                        f"element-order methods disagree: {order} vs {alt}"
-                    )
-        else:
-            order = grp.element_order(eps_vec, "transform")
-            flags.append("InfiniteGroupUnexpected")
-        quot = grp.quotient_by(eps_vec)
-        per_scheme[scheme] = (factors, free_rank, order, quot.invariants(), quot.order())
-
-    first = per_scheme[schemes[0]]
-    scheme_agreement = all(
-        per_scheme[s][:3] == first[:3] and per_scheme[s][3] == first[3] for s in schemes
-    )
-    factors, free_rank, epsilon_order, quot_factors, quot_order = first
+    bcd = relation_matrix(T, "bcd")
+    grp = FpAbelianGroup(N + 1, bcd)
+    factors = grp.invariants()
+    free_rank = grp.free_rank
+    if free_rank == 0:
+        epsilon_order = grp.element_order(eps_vec, "quotient")
+        if q <= 8:
+            # Independent algorithm guarding the headline number.
+            alt = grp.element_order(eps_vec, "transform")
+            if alt != epsilon_order:
+                raise AssertionError(
+                    f"element-order methods disagree: {epsilon_order} vs {alt}"
+                )
+    else:
+        epsilon_order = grp.element_order(eps_vec, "transform")
+        flags.append("InfiniteGroupUnexpected")
+    quot = grp.quotient_by(eps_vec)
+    quot_factors, quot_order = quot.invariants(), quot.order()
 
     m_result = find_m_subset(T, m_budget)
     m_size = len(m_result.subset) if m_result.found else None
@@ -213,22 +232,20 @@ def analyze(
 
     checks = {
         "lemma_q2": check_lemma_q2(q, epsilon_order),
-        "lower_bound": check_lower_bound(T, epsilon_order),
+        "lower_bound": check_lower_bound(q, bcd, epsilon_order),
         "m_subset_found": m_found,
         "q_minus_1_kills_epsilon": kills,
-        "scheme_agreement": scheme_agreement,
+        "scheme_agreement": schemes_agree(relation_matrix(T, "acb"), bcd),
     }
 
-    if with_gamma_ab:
-        gamma = FpAbelianGroup(N, gamma_ab_matrix(T))
-        gamma_order = gamma.order()
-        if gamma_order is None:
-            flags.append("GammaAbInfinite")
-            checks["gamma_ab_divisibility"] = True  # vacuous
-        else:
-            checks["gamma_ab_divisibility"] = (
-                quot_order is not None and gamma_order % quot_order == 0
-            )
+    gamma_order = FpAbelianGroup(N, gamma_ab_matrix(T)).order()
+    if gamma_order is None:
+        flags.append("GammaAbInfinite")
+        checks["gamma_ab_divisibility"] = True  # vacuous
+    else:
+        checks["gamma_ab_divisibility"] = (
+            quot_order is not None and gamma_order % quot_order == 0
+        )
 
     conjecture = epsilon_order == expected_epsilon_order(q)
     return AnalysisReport(

@@ -153,9 +153,6 @@ class FieldContext:
     def zeta(self) -> int:
         return self.exp[1]
 
-    def coeffs(self, a: int) -> list[int]:
-        return _digits(a, self.p, 3 * self.pp.r)
-
     def add(self, a: int, b: int) -> int:
         p = self.p
         if p == 2:
@@ -166,18 +163,6 @@ class FieldContext:
             out += ((a + b) % p) * shift
             a //= p
             b //= p
-            shift *= p
-        return out
-
-    def neg(self, a: int) -> int:
-        p = self.p
-        if p == 2:
-            return a
-        out = 0
-        shift = 1
-        while a:
-            out += (-a % p) * shift
-            a //= p
             shift *= p
         return out
 
@@ -254,11 +239,3 @@ def build_field(pp: PrimePower) -> FieldContext:
             for i in range(d):
                 cur[i] = (cur[i] - top * modulus[i]) % p
     return FieldContext(pp=pp, modulus=tuple(modulus), exp=tuple(exp), dlog=tuple(dlog))
-
-
-def trace(ctx: FieldContext, a: int) -> int:
-    return ctx.trace(a)
-
-
-def frobenius_q(ctx: FieldContext, a: int) -> int:
-    return ctx.frobenius(a)

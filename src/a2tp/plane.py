@@ -108,15 +108,6 @@ def build_plane(pp: PrimePower | int) -> PlaneContext:
     return ctx
 
 
-def incident(ctx: PlaneContext, y: Point, x: Point) -> bool:
-    """True iff y lies on the line lambda_0(x)."""
-    return (y - x) % ctx.N in ctx.tz_set
-
-
-def singer_shift(ctx: PlaneContext, x: Point, k: int) -> Point:
-    return (x + k) % ctx.N
-
-
 def frobenius_collineation(ctx: PlaneContext, x: Point) -> Point:
     return (ctx.q * x) % ctx.N
 

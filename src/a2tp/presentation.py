@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -72,6 +71,12 @@ class ValidationReport:
             and self.axiom_iii.ok
             and self.size == self.expected_size
         )
+
+    @property
+    def witness(self) -> Optional[tuple]:
+        """Witness of the first failing axiom; None when no axiom fails."""
+        axioms = (self.axiom_i, self.axiom_ii, self.axiom_iii)
+        return next((a.witness for a in axioms if not a.ok), None)
 
 
 def _lambda0(plane: PlaneContext) -> tuple[tuple[Point, ...], ...]:
@@ -210,12 +215,9 @@ def m_subset_occurrences(T: TrianglePresentation, subset: Iterable[Triple]) -> l
     return counts
 
 
-def backtrack_budget() -> int:
-    raw = os.environ.get("A2K_BACKTRACK_BUDGET")
-    return int(raw) if raw else DEFAULT_BACKTRACK_BUDGET
-
-
-def find_m_subset(T: TrianglePresentation, budget: Optional[int] = None) -> MSubsetResult:
+def find_m_subset(
+    T: TrianglePresentation, budget: int = DEFAULT_BACKTRACK_BUDGET
+) -> MSubsetResult:
     """Find M subset of T in which every point occurs exactly 3 times.
 
     Uses the Singer orbit for S-invariant presentations, the twisted image of
@@ -233,7 +235,7 @@ def find_m_subset(T: TrianglePresentation, budget: Optional[int] = None) -> MSub
         m = frozenset((x, perm[y], perm2[z]) for (x, y, z) in m0)
         if m <= T.triples and all(c == 3 for c in m_subset_occurrences(T, m)):
             return MSubsetResult(m)
-    return _backtrack_m_subset(T, budget if budget is not None else backtrack_budget())
+    return _backtrack_m_subset(T, budget)
 
 
 def _backtrack_m_subset(T: TrianglePresentation, budget: int) -> MSubsetResult:
@@ -343,7 +345,7 @@ def read_presentation(path) -> TrianglePresentation:
         if toks[0] == "lambda":
             if len(lam) >= N:
                 raise InconsistentHeader(f"more than {N} lambda lines", no)
-            if not toks[1].endswith(":"):
+            if len(toks) < 2 or not toks[1].endswith(":"):
                 raise ParseError("expected 'lambda <x>:'", no)
             try:
                 x = int(toks[1][:-1])

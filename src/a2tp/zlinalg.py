@@ -139,10 +139,6 @@ class HnfBasis:
             if qq:
                 row[j2:] = [x - qq * y for x, y in zip(row[j2:], piv[j2:])]
 
-    def extend(self, rows) -> None:
-        for row in rows:
-            self.add(row)
-
     def rows(self) -> list[list[int]]:
         """Canonical HNF rows, sorted by pivot column, off-pivot reduced."""
         cols = sorted(self._pivots)
@@ -182,7 +178,8 @@ class HnfBasis:
 def hnf_accumulate(n_cols: int, rows: Iterable) -> list[list[int]]:
     """Canonical row HNF of the lattice generated by the given rows."""
     basis = HnfBasis(n_cols)
-    basis.extend(rows)
+    for row in rows:
+        basis.add(row)
     return basis.rows()
 
 
@@ -406,11 +403,3 @@ class FpAbelianGroup:
                 order = lcm(order, d // gcd(d, c % d))
             return order
         raise ValueError(f"unknown method {method!r}")
-
-
-def group_invariants(g: FpAbelianGroup) -> SnfResult:
-    return g.snf
-
-
-def element_order(g: FpAbelianGroup, element: Sequence[int], method: str = "auto") -> Optional[int]:
-    return g.element_order(element, method)

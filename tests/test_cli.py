@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from a2tp.cli import main, prime_powers_in
 
 
@@ -83,6 +85,29 @@ def test_analyze_corrupted_file(tmp_path, capsys):
     assert "witness" in err
 
 
+def test_analyze_rejects_a_file_short_of_triples(tmp_path, capsys):
+    # Every axiom holds, but one triple orbit is missing and its three lambda
+    # lines repeat a point to keep q+1 entries: only the size check fails.
+    from a2tp.plane import build_plane
+    from a2tp.presentation import gen_t0
+
+    T = gen_t0(build_plane(2))
+    a, b, c = next(t for t in sorted(T.triples) if len(set(t)) == 3)
+    dropped = {a: b, b: c, c: a}
+    lines = ["a2tp q=2 n=7"]
+    for x, line in enumerate(T.lam):
+        pts = [y for y in line if y != dropped.get(x)]
+        pts += pts[: len(line) - len(pts)]
+        lines.append(f"lambda {x}: " + " ".join(map(str, pts)))
+    for t in sorted(T.triples - {(a, b, c), (b, c, a), (c, a, b)}):
+        lines.append("t %d %d %d" % t)
+    out = tmp_path / "t.a2tp"
+    out.write_text("\n".join(lines) + "\n")
+    code, _, err = run(capsys, "analyze", "--file", str(out))
+    assert code == 2
+    assert "18 triples (expected 21)" in err
+
+
 def test_analyze_file_roundtrip(tmp_path, capsys):
     out = tmp_path / "t.a2tp"
     run(capsys, "gen", "--q", "3", "--variant", "t0dual", "--out", str(out))
@@ -92,10 +117,19 @@ def test_analyze_file_roundtrip(tmp_path, capsys):
     assert doc["invariant_factors"] == ["3", "3", "6"]
 
 
-def test_analyze_single_scheme(capsys):
-    code, stdout, _ = run(capsys, "analyze", "--q", "2", "--scheme", "acb", "--output", "json")
+def test_analyze_reports_scheme_agreement(capsys):
+    code, stdout, _ = run(capsys, "analyze", "--q", "2", "--output", "json")
     assert code == 0
     assert json.loads(stdout)["checks"]["scheme_agreement"] is True
+
+
+@pytest.mark.parametrize("second_line", ["lambda", "t"])
+def test_analyze_truncated_line_is_a_parse_error(tmp_path, capsys, second_line):
+    out = tmp_path / "t.a2tp"
+    out.write_text(f"a2tp q=2 n=7\n{second_line}\n")
+    code, _, err = run(capsys, "analyze", "--file", str(out))
+    assert code == 2
+    assert "line 2" in err
 
 
 def test_table_small_range(capsys):

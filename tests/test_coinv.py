@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from a2tp import coinv
 from a2tp.coinv import (
     AnalysisReport,
     analyze,
@@ -12,10 +13,11 @@ from a2tp.coinv import (
     gamma_ab_matrix,
     predicted_group,
     relation_matrix,
+    schemes_agree,
 )
 from a2tp.plane import build_plane
 from a2tp.presentation import gen_t0, gen_t0_dual, twist_by_name
-from a2tp.zlinalg import FpAbelianGroup
+from a2tp.zlinalg import FpAbelianGroup, IntMatrix
 
 
 @pytest.fixture(scope="module")
@@ -110,14 +112,61 @@ def test_all_checks_pass(reports):
         assert not rep.flags
 
 
+def _scheme_groups(T):
+    return tuple(FpAbelianGroup(T.N + 1, relation_matrix(T, s)) for s in ("acb", "bcd"))
+
+
 def test_schemes_agree(planes):
     for q, pl in planes.items():
         T = gen_t0(pl)
-        a = analyze(T, schemes=("acb",))
-        b = analyze(T, schemes=("bcd",))
-        assert a.invariant_factors == b.invariant_factors
-        assert a.epsilon_order == b.epsilon_order
-        assert a.quotient_invariant_factors == b.quotient_invariant_factors
+        eps = [0] * T.N + [1]
+        a, b = _scheme_groups(T)
+        assert a.invariants() == b.invariants()
+        assert a.element_order(eps) == b.element_order(eps)
+        assert a.quotient_by(eps).invariants() == b.quotient_by(eps).invariants()
+
+
+def test_scheme_lattices_equal_on_every_variant(planes):
+    # equal canonical HNFs: the lattice equality that schemes_agree proves row by row
+    for q in (2, 3, 4):
+        pl = planes[q]
+        variants = [gen_t0(pl), gen_t0_dual(pl)] + [
+            twist_by_name(pl, gen_t0(pl), name)
+            for name in ("frob1", "frob2") + (("omega",) if q % 3 == 1 else ())
+        ]
+        for T in variants:
+            a, b = _scheme_groups(T)
+            assert a.hnf.rows() == b.hnf.rows(), T.origin
+            assert a.invariants() == b.invariants(), T.origin
+            assert schemes_agree(relation_matrix(T, "acb"), relation_matrix(T, "bcd"))
+
+
+def _doubled(m, i):
+    rows = list(m.rows)
+    rows[i] = tuple((c, 2 * v) for c, v in rows[i])
+    return IntMatrix(m.n_cols, tuple(rows))
+
+
+def test_schemes_agree_rejects_corrupted_rows(planes):
+    T = gen_t0(planes[3])
+    acb, bcd = relation_matrix(T, "acb"), relation_matrix(T, "bcd")
+    n_shared = len(T.triples) + 1
+    assert schemes_agree(acb, bcd)
+    assert not schemes_agree(acb, _doubled(bcd, n_shared))  # first bcd x-row
+    assert not schemes_agree(acb, _doubled(bcd, -1))  # last bcd x-row
+    assert not schemes_agree(acb, _doubled(bcd, 0))  # a shared triple row
+    assert not schemes_agree(acb, _doubled(bcd, n_shared - 1))  # the all-points row
+    assert not schemes_agree(_doubled(acb, 0), bcd)  # an acb x-row
+    assert not schemes_agree(acb, IntMatrix(bcd.n_cols, bcd.rows[:-1]))  # an x-row missing
+
+
+def test_analyze_reports_corrupted_scheme(planes, monkeypatch):
+    T = gen_t0(planes[3])
+    real = coinv.relation_matrix
+    monkeypatch.setattr(
+        coinv, "relation_matrix", lambda T, s: _doubled(real(T, s), -1) if s == "bcd" else real(T, s)
+    )
+    assert not analyze(T).checks["scheme_agreement"]
 
 
 def test_twisted_analysis(planes):
@@ -140,7 +189,8 @@ def test_lemma_q2():
 def test_lower_bound_row_annihilation(planes):
     for q, pl in planes.items():
         T = gen_t0(pl)
-        assert check_lower_bound(T, expected_epsilon_order(q))
+        for scheme in ("acb", "bcd"):
+            assert check_lower_bound(q, relation_matrix(T, scheme), expected_epsilon_order(q))
 
 
 def test_lower_bound_3c_row_arithmetic():

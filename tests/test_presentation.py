@@ -1,9 +1,11 @@
+import json
 import random
 
 import pytest
 
-from a2tp.plane import build_plane, frobenius_collineation, singer_shift
+from a2tp.plane import build_plane, frobenius_collineation
 from a2tp.presentation import (
+    DEFAULT_BACKTRACK_BUDGET,
     InconsistentHeader,
     MSubsetResult,
     ParseError,
@@ -130,7 +132,7 @@ def test_twist_rejects_wrong_order(planes):
     pl = planes[2]
     T = gen_t0(pl)
     with pytest.raises(PhiNotOrder3):
-        twist(T, lambda x: singer_shift(pl, x, 1), "shift")
+        twist(T, lambda x: (x + 1) % pl.N, "shift")
 
 
 def test_twist_rejects_phi_not_fixing_t(planes):
@@ -138,9 +140,16 @@ def test_twist_rejects_phi_not_fixing_t(planes):
     T = gen_t0(pl)
     # Relabel the points by a permutation that is not Frobenius-equivariant;
     # the result is still a valid presentation but no longer Frobenius-fixed.
-    perm = list(range(pl.N))
-    random.Random(0).shuffle(perm)
-    relabeled = TrianglePresentation(
+    relabeled = _relabeled(T, 0)
+    assert validate(relabeled).ok
+    with pytest.raises(PhiDoesNotFixT):
+        twist(relabeled, lambda x: frobenius_collineation(pl, x), "frob1")
+
+
+def _relabeled(T, seed):
+    perm = list(range(T.N))
+    random.Random(seed).shuffle(perm)
+    return TrianglePresentation(
         q=T.q,
         N=T.N,
         lam=tuple(
@@ -149,9 +158,6 @@ def test_twist_rejects_phi_not_fixing_t(planes):
         triples=frozenset((perm[x], perm[y], perm[z]) for (x, y, z) in T.triples),
         origin="relabeled",
     )
-    assert validate(relabeled).ok
-    with pytest.raises(PhiDoesNotFixT):
-        twist(relabeled, lambda x: frobenius_collineation(pl, x), "frob1")
 
 
 def _inverse_order(perm, n):
@@ -227,11 +233,21 @@ def test_m_subset_budget_exhaustion(planes):
     assert not result.proven_absent  # ran out of budget, not of search space
 
 
-def test_m_subset_env_budget(planes, monkeypatch):
-    monkeypatch.setenv("A2K_BACKTRACK_BUDGET", "123")
-    from a2tp.presentation import backtrack_budget
+def test_m_subset_budget_option(planes, tmp_path, capsys):
+    from a2tp.cli import main, make_parser
+    from a2tp.coinv import analyze
 
-    assert backtrack_budget() == 123
+    assert make_parser().parse_args(["analyze", "--q", "2"]).budget == DEFAULT_BACKTRACK_BUDGET
+    # not S-invariant and no twist base, so only the backtracker can find an M-subset
+    T = _relabeled(gen_t0(planes[2]), 1)
+    assert not is_s_invariant(T)
+    assert not analyze(T, m_budget=1).checks["m_subset_found"]
+    assert analyze(T).checks["m_subset_found"]
+    path = tmp_path / "relabeled.a2tp"
+    write_presentation(T, path)
+    assert main(["analyze", "--file", str(path), "--output", "json", "--budget", "1"]) == 1
+    assert json.loads(capsys.readouterr().out)["checks"]["m_subset_found"] is False
+    assert main(["analyze", "--file", str(path), "--output", "json"]) == 0
 
 
 def test_roundtrip(tmp_path, planes):
