@@ -15,7 +15,7 @@ from .presentation import (
     validate,
     write_presentation,
 )
-from .zlinalg import FpAbelianGroup, IntMatrix, SnfResult, hnf_accumulate, snf
+from .zlinalg import FpAbelianGroup, IntMatrix, SnfResult, snf
 
 __all__ = [
     "AnalysisReport",
@@ -33,7 +33,6 @@ __all__ = [
     "find_m_subset",
     "gen_t0",
     "gen_t0_dual",
-    "hnf_accumulate",
     "is_s_invariant",
     "prime_power",
     "read_presentation",

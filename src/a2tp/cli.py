@@ -14,7 +14,7 @@ from typing import Optional
 
 from .coinv import AnalysisReport, analyze, expected_epsilon_order, predicted_group
 from .gf import PrimePower, prime_power
-from .plane import PlaneContext, build_plane
+from .plane import PlaneContext, build_plane, lines_form_plane
 from .presentation import (
     DEFAULT_BACKTRACK_BUDGET,
     ParseError,
@@ -200,10 +200,10 @@ def cmd_verify(args) -> int:
     T = _load_presentation(args)
 
     if from_file:
-        plane_ok = _verify_lambda_plane(T)
+        plane_ok = lines_form_plane(T.lam, T.q)
         diff_ok = plane_ok  # the lambda table is the only line structure given
     else:
-        # build_plane verifies the axioms and difference set eagerly.
+        # build_plane verifies the difference set, which implies the axioms.
         plane_ok = diff_ok = True
     results.append(("plane-axioms", plane_ok))
     results.append(("difference-set", diff_ok))
@@ -241,25 +241,6 @@ def cmd_verify(args) -> int:
         + ("CONJECTURE-HOLDS" if report.conjecture_holds else "CONJECTURE-FAILS")
     )
     return EXIT_CHECK_FAILED if gating_failure else EXIT_OK
-
-
-def _verify_lambda_plane(T: TrianglePresentation) -> bool:
-    """Plane axioms for a user-supplied lambda table."""
-    N, q = T.N, T.q
-    lines = [frozenset(l) for l in T.lam]
-    if len(set(lines)) != N:
-        return False
-    if any(len(l) != q + 1 for l in lines):
-        return False
-    pair_count: dict[tuple[int, int], int] = {}
-    for line in lines:
-        pts = sorted(line)
-        for i, a in enumerate(pts):
-            for b in pts[i + 1 :]:
-                pair_count[(a, b)] = pair_count.get((a, b), 0) + 1
-    if len(pair_count) != N * (N - 1) // 2 or any(c != 1 for c in pair_count.values()):
-        return False
-    return True
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -202,20 +202,14 @@ def analyze(
     grp = FpAbelianGroup(N + 1, bcd)
     factors = grp.invariants()
     free_rank = grp.free_rank
-    if free_rank == 0:
-        epsilon_order = grp.element_order(eps_vec, "quotient")
-        if q <= 8:
-            # Independent algorithm guarding the headline number.
-            alt = grp.element_order(eps_vec, "transform")
-            if alt != epsilon_order:
-                raise AssertionError(
-                    f"element-order methods disagree: {epsilon_order} vs {alt}"
-                )
-    else:
-        epsilon_order = grp.element_order(eps_vec, "transform")
-        flags.append("InfiniteGroupUnexpected")
+    epsilon_order = grp.element_order(eps_vec, "membership")
     quot = grp.quotient_by(eps_vec)
     quot_factors, quot_order = quot.invariants(), quot.order()
+    if free_rank:
+        flags.append("InfiniteGroupUnexpected")
+    elif (ratio := grp.order() // quot_order) != epsilon_order:
+        # Independent algorithm guarding the headline number, at every q.
+        raise AssertionError(f"element-order methods disagree: {epsilon_order} vs {ratio}")
 
     m_result = find_m_subset(T, m_budget)
     m_size = len(m_result.subset) if m_result.found else None

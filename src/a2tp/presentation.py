@@ -358,6 +358,8 @@ def read_presentation(path) -> TrianglePresentation:
                 raise InconsistentHeader(f"lambda line has {len(pts)} points, expected {q + 1}", no)
             if any(not 0 <= p < N for p in pts):
                 raise ParseError("point out of range", no)
+            if len(set(pts)) != len(pts):
+                raise ParseError("lambda line repeats a point", no)
             lam.append(tuple(sorted(pts)))
         elif toks[0] == "t":
             if len(toks) != 4:

@@ -1,15 +1,20 @@
 """Exact integer linear algebra over Z.
 
-Incremental row-style Hermite normal form, Smith normal form with the
-smallest-pivot rule, and element orders in finitely presented abelian
-groups.  Everything runs on Python's arbitrary-precision integers.
+`FpAbelianGroup` is the one reduction path: its relation rows go into an
+incremental row-style Hermite normal form (`HnfBasis`), and the Smith
+normal form is diagonalized from the HNF rows with the smallest-pivot rule;
+`snf(m)` is that path for a bare matrix.  Element orders come from HNF
+lattice membership or from the order ratio |A| / |A/<e>|.  Everything runs
+on Python's arbitrary-precision integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm, prod
+from math import gcd, prod
 from typing import Iterable, Optional, Sequence
+
+from .gf import factorize
 
 SparseRow = tuple[tuple[int, int], ...]  # sorted (col, coeff), no zero coeffs
 
@@ -55,22 +60,8 @@ class IntMatrix:
             packed.append(tuple(sorted((c, v) for c, v in items if v)))
         return IntMatrix(n_cols, tuple(packed))
 
-    def dense_rows(self) -> list[list[int]]:
-        out = []
-        for row in self.rows:
-            dense = [0] * self.n_cols
-            for c, v in row:
-                dense[c] = v
-            out.append(dense)
-        return out
-
 
 def _to_dense(n_cols: int, row) -> list[int]:
-    if isinstance(row, dict):
-        dense = [0] * n_cols
-        for c, v in row.items():
-            dense[c] = v
-        return dense
     if isinstance(row, tuple) and all(isinstance(x, tuple) for x in row):
         dense = [0] * n_cols
         for c, v in row:
@@ -175,26 +166,14 @@ class HnfBasis:
         return len(self._pivots)
 
 
-def hnf_accumulate(n_cols: int, rows: Iterable) -> list[list[int]]:
-    """Canonical row HNF of the lattice generated by the given rows."""
-    basis = HnfBasis(n_cols)
-    for row in rows:
-        basis.add(row)
-    return basis.rows()
-
-
-def _diagonalize(
-    rows: list[list[int]], n_cols: int, want_transform: bool = False
-) -> tuple[list[int], Optional[list[list[int]]]]:
+def _diagonalize(rows: list[list[int]], n_cols: int) -> list[int]:
     """Diagonalize by unimodular row/column ops; smallest-|entry| pivot rule.
 
-    Returns the positive diagonal entries (rank many, in elimination order,
-    not necessarily a divisibility chain) and, on request, the accumulated
-    column transform V with (row ops) * M * V diagonal.
+    Returns the positive diagonal entries: rank many, in elimination order,
+    not necessarily a divisibility chain.
     """
     m = [row[:] for row in rows]
     nr = len(m)
-    V = [[1 if i == j else 0 for j in range(n_cols)] for i in range(n_cols)] if want_transform else None
     diag: list[int] = []
     t = 0
     while t < nr and t < n_cols:
@@ -220,9 +199,6 @@ def _diagonalize(
         if bj != t:
             for row in m:
                 row[t], row[bj] = row[bj], row[t]
-            if V is not None:
-                for row in V:
-                    row[t], row[bj] = row[bj], row[t]
         if m[t][t] < 0:
             m[t] = [-x for x in m[t]]
 
@@ -251,16 +227,9 @@ def _diagonalize(
                     for row in m:
                         if row[t]:
                             row[j] -= qq * row[t]
-                    if V is not None:
-                        for row in V:
-                            if row[t]:
-                                row[j] -= qq * row[t]
                 if m[t][j]:
                     for row in m:
                         row[t], row[j] = row[j], row[t]
-                    if V is not None:
-                        for row in V:
-                            row[t], row[j] = row[j], row[t]
                     if m[t][t] < 0:
                         m[t] = [-x for x in m[t]]
                     swapped = True
@@ -269,7 +238,7 @@ def _diagonalize(
                 break
         diag.append(m[t][t])
         t += 1
-    return diag, V
+    return diag
 
 
 def _chain(diag: Sequence[int]) -> list[int]:
@@ -306,15 +275,7 @@ class SnfResult:
 
 def snf(m: IntMatrix) -> SnfResult:
     """Smith normal form invariant factors of the row lattice of m."""
-    diag, _ = _diagonalize(m.dense_rows(), m.n_cols)
-    factors = _chain(diag)
-    return SnfResult(tuple(factors), rank=len(factors), free_rank=m.n_cols - len(factors))
-
-
-def snf_of_rows(n_cols: int, rows: list[list[int]]) -> SnfResult:
-    diag, _ = _diagonalize(rows, n_cols)
-    factors = _chain(diag)
-    return SnfResult(tuple(factors), rank=len(factors), free_rank=n_cols - len(factors))
+    return FpAbelianGroup(m.n_cols, m).snf
 
 
 class FpAbelianGroup:
@@ -330,7 +291,6 @@ class FpAbelianGroup:
             self.relations = IntMatrix.from_rows(n_gens, relations)
         self._hnf: Optional[HnfBasis] = None
         self._snf: Optional[SnfResult] = None
-        self._transform: Optional[tuple[list[int], list[list[int]]]] = None
 
     @property
     def hnf(self) -> HnfBasis:
@@ -343,8 +303,12 @@ class FpAbelianGroup:
 
     @property
     def snf(self) -> SnfResult:
+        """Invariant factors, diagonalized from the HNF rows."""
         if self._snf is None:
-            self._snf = snf_of_rows(self.n_gens, self.hnf.rows())
+            factors = _chain(_diagonalize(self.hnf.rows(), self.n_gens))
+            self._snf = SnfResult(
+                tuple(factors), rank=len(factors), free_rank=self.n_gens - len(factors)
+            )
         return self._snf
 
     def invariants(self) -> tuple[int, ...]:
@@ -368,38 +332,24 @@ class FpAbelianGroup:
         quot._hnf = basis
         return quot
 
-    def _snf_transform(self) -> tuple[list[int], list[list[int]]]:
-        if self._transform is None:
-            diag, V = _diagonalize(self.hnf.rows(), self.n_gens, want_transform=True)
-            assert V is not None
-            self._transform = (diag, V)
-        return self._transform
-
-    def element_order(self, element: Sequence[int], method: str = "auto") -> Optional[int]:
+    def element_order(self, element: Sequence[int], method: str) -> Optional[int]:
         """Least k > 0 with k*element in the relation lattice; None if infinite.
 
         method 'quotient' computes |A| / |A/<e>| (finite groups only);
-        method 'transform' reads the order off the SNF column transform.
+        method 'membership' starts from the exponent of the torsion subgroup
+        and divides out each prime p while the multiple stays in the lattice.
         """
-        if method == "auto":
-            method = "quotient" if self.free_rank == 0 else "transform"
         if method == "quotient":
             total = self.order()
             if total is None:
                 raise ValueError("quotient method requires a finite group")
-            sub = self.quotient_by(element).order()
-            assert sub is not None and total % sub == 0
-            return total // sub
-        if method == "transform":
-            diag, V = self._snf_transform()
-            coords = [
-                sum(element[j] * V[j][i] for j in range(self.n_gens) if element[j])
-                for i in range(self.n_gens)
-            ]
-            if any(coords[i] for i in range(len(diag), self.n_gens)):
-                return None
-            order = 1
-            for d, c in zip(diag, coords):
-                order = lcm(order, d // gcd(d, c % d))
-            return order
+            return total // self.quotient_by(element).order()
+        if method == "membership":
+            k = max(self.snf.invariant_factors, default=1)
+            if not self.hnf.contains([k * x for x in element]):
+                return None  # not torsion, since k kills the torsion subgroup
+            for p in factorize(k):
+                while k % p == 0 and self.hnf.contains([k // p * x for x in element]):
+                    k //= p
+            return k
         raise ValueError(f"unknown method {method!r}")

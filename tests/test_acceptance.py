@@ -206,7 +206,7 @@ def test_criterion_6_element_order_cross_validation(presentations):
             continue
         grp = FpAbelianGroup(T.N + 1, relation_matrix(T, "acb"))
         eps = [0] * T.N + [1]
-        if grp.element_order(eps, "quotient") != grp.element_order(eps, "transform"):
+        if grp.element_order(eps, "quotient") != grp.element_order(eps, "membership"):
             ok = False
         eps_checked += 1
     assert eps_checked == len([q for q in QS if q <= 8]) * 2
@@ -221,13 +221,13 @@ def test_criterion_6_element_order_cross_validation(presentations):
         g = FpAbelianGroup(n, rows)
         e = [rng.randrange(d) for d in factors]
         qo = g.element_order(e, "quotient")
-        to = g.element_order(e, "transform")
+        mo = g.element_order(e, "membership")
         brute = next(
             k
             for k in range(1, math.prod(factors) + 1)
             if all((k * c) % d == 0 for d, c in zip(factors, e))
         )
-        if not (qo == to == brute):
+        if not (qo == mo == brute):
             ok = False
     _report("6 element-order-cross-validation", ok)
 

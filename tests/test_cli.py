@@ -86,8 +86,8 @@ def test_analyze_corrupted_file(tmp_path, capsys):
 
 
 def test_analyze_rejects_a_file_short_of_triples(tmp_path, capsys):
-    # Every axiom holds, but one triple orbit is missing and its three lambda
-    # lines repeat a point to keep q+1 entries: only the size check fails.
+    # One triple orbit is missing and its three lambda lines repeat a point to
+    # keep q+1 entries; the parser rejects the first such lambda line.
     from a2tp.plane import build_plane
     from a2tp.presentation import gen_t0
 
@@ -105,7 +105,15 @@ def test_analyze_rejects_a_file_short_of_triples(tmp_path, capsys):
     out.write_text("\n".join(lines) + "\n")
     code, _, err = run(capsys, "analyze", "--file", str(out))
     assert code == 2
-    assert "18 triples (expected 21)" in err
+    assert f"line {2 + min(a, b, c)}: lambda line repeats a point" in err
+
+
+def test_analyze_rejects_a_lambda_line_that_repeats_a_point(tmp_path, capsys):
+    out = tmp_path / "t.a2tp"
+    out.write_text("a2tp q=2 n=7\nlambda 0: 2 4 2\n")
+    code, _, err = run(capsys, "analyze", "--file", str(out))
+    assert code == 2
+    assert "line 2" in err
 
 
 def test_analyze_file_roundtrip(tmp_path, capsys):
@@ -168,6 +176,18 @@ def test_verify_user_file(tmp_path, capsys):
     assert code == 0
     assert "s-invariance: FALSE" in stdout
     assert "lemma_q2: PASS" in stdout
+
+
+def test_verify_file_with_equal_lambda_lines_fails_plane_axioms(tmp_path, capsys):
+    out = tmp_path / "t.a2tp"
+    run(capsys, "gen", "--q", "2", "--out", str(out))
+    lines = out.read_text().splitlines()
+    first = next(i for i, l in enumerate(lines) if l.startswith("lambda 0:"))
+    lines[first + 1] = "lambda 1:" + lines[first].split(":", 1)[1]
+    out.write_text("\n".join(lines) + "\n")
+    code, stdout, _ = run(capsys, "verify", "--file", str(out))
+    assert code == 1
+    assert "plane-axioms: FAIL" in stdout
 
 
 def test_verify_requires_source(capsys):

@@ -122,7 +122,7 @@ def test_schemes_agree(planes):
         eps = [0] * T.N + [1]
         a, b = _scheme_groups(T)
         assert a.invariants() == b.invariants()
-        assert a.element_order(eps) == b.element_order(eps)
+        assert a.element_order(eps, "membership") == b.element_order(eps, "membership")
         assert a.quotient_by(eps).invariants() == b.quotient_by(eps).invariants()
 
 
@@ -167,6 +167,14 @@ def test_analyze_reports_corrupted_scheme(planes, monkeypatch):
         coinv, "relation_matrix", lambda T, s: _doubled(real(T, s), -1) if s == "bcd" else real(T, s)
     )
     assert not analyze(T).checks["scheme_agreement"]
+
+
+def test_analyze_cross_checks_epsilon_order_above_q8(monkeypatch):
+    # ord(eps) is checked against |A_T| / |A_T/<eps>| at every q, not only q <= 8.
+    T = gen_t0(build_plane(9))
+    monkeypatch.setattr(FpAbelianGroup, "element_order", lambda self, element, method: 4)
+    with pytest.raises(AssertionError, match="element-order methods disagree: 4 vs 8"):
+        analyze(T)
 
 
 def test_twisted_analysis(planes):

@@ -6,15 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from a2tp.zlinalg import (
-    FpAbelianGroup,
-    HnfBasis,
-    IntMatrix,
-    SnfResult,
-    hnf_accumulate,
-    snf,
-    snf_of_rows,
-)
+from a2tp.zlinalg import FpAbelianGroup, HnfBasis, IntMatrix, SnfResult, snf
 
 
 # --- independent oracles -----------------------------------------------------
@@ -63,23 +55,31 @@ def brute_force_order(basis: HnfBasis, element, limit):
 # --- HNF ----------------------------------------------------------------------
 
 
+def hnf_rows(n_cols, rows):
+    """Canonical HNF of the rows, inserted into an HnfBasis in the given order."""
+    basis = HnfBasis(n_cols)
+    for row in rows:
+        basis.add(row)
+    return basis.rows()
+
+
 def test_hnf_already_reduced():
-    assert hnf_accumulate(2, [[2, 0], [0, 3]]) == [[2, 0], [0, 3]]
+    assert hnf_rows(2, [[2, 0], [0, 3]]) == [[2, 0], [0, 3]]
 
 
 def test_hnf_redundant_row():
-    assert hnf_accumulate(2, [[1, 1], [0, 2], [1, 3]]) == [[1, 1], [0, 2]]
+    assert hnf_rows(2, [[1, 1], [0, 2], [1, 3]]) == [[1, 1], [0, 2]]
 
 
 def test_hnf_empty():
-    assert hnf_accumulate(3, []) == []
+    assert hnf_rows(3, []) == []
 
 
 def test_hnf_insertion_order_independent():
     rows = [[2, 4, 4], [-6, 6, 12], [10, 4, 16], [1, 1, 1]]
-    expected = hnf_accumulate(3, rows)
+    expected = hnf_rows(3, rows)
     for perm in itertools.permutations(rows):
-        assert hnf_accumulate(3, list(perm)) == expected
+        assert hnf_rows(3, list(perm)) == expected
 
 
 def test_hnf_canonical_shape():
@@ -87,7 +87,7 @@ def test_hnf_canonical_shape():
     for _ in range(50):
         nc = rng.randint(1, 5)
         rows = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(rng.randint(1, 6))]
-        out = hnf_accumulate(nc, rows)
+        out = hnf_rows(nc, rows)
         pivots = []
         for row in out:
             j = next(i for i, v in enumerate(row) if v)
@@ -149,16 +149,6 @@ def test_snf_matches_oracle_property(rows):
     assert result.invariant_factors == minor_gcd_snf(rows, 3)
 
 
-def test_hnf_then_snf_equals_direct():
-    rng = random.Random(3)
-    for _ in range(100):
-        nc = rng.randint(1, 5)
-        rows = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(rng.randint(1, 6))]
-        direct = snf(IntMatrix.from_rows(nc, rows)).invariant_factors
-        via_hnf = snf_of_rows(nc, hnf_accumulate(nc, rows)).invariant_factors
-        assert direct == via_hnf
-
-
 def test_determinant_preservation():
     rng = random.Random(9)
     done = 0
@@ -198,9 +188,17 @@ def test_group_z2_cubed():
 
 def test_element_order_worked_examples():
     g = FpAbelianGroup(2, [[2, 0], [0, 3]])
-    assert g.element_order([1, 1]) == 6
-    assert g.element_order([0, 0]) == 1
-    assert FpAbelianGroup(1, []).element_order([1]) is None
+    for method in ("quotient", "membership"):
+        assert g.element_order([1, 1], method) == 6
+        assert g.element_order([0, 0], method) == 1
+    assert FpAbelianGroup(1, []).element_order([1], "membership") is None
+
+
+def test_element_order_rejects_bad_requests():
+    with pytest.raises(ValueError, match="finite group"):
+        FpAbelianGroup(1, []).element_order([1], "quotient")
+    with pytest.raises(ValueError, match="unknown method"):
+        FpAbelianGroup(1, [[2]]).element_order([1], "transform")
 
 
 def test_element_order_methods_agree():
@@ -220,15 +218,15 @@ def test_element_order_methods_agree():
             continue
         e = [rng.randint(-6, 6) for _ in range(n)]
         a = g.element_order(e, "quotient")
-        b = g.element_order(e, "transform")
+        b = g.element_order(e, "membership")
         assert a == b
         assert brute_force_order(g.hnf, e, a) == a
 
 
 def test_element_order_infinite_component():
     g = FpAbelianGroup(2, [[2, 0]])
-    assert g.element_order([0, 1], "transform") is None
-    assert g.element_order([1, 0], "transform") == 2
+    assert g.element_order([0, 1], "membership") is None
+    assert g.element_order([1, 0], "membership") == 2
 
 
 def test_element_order_brute_force_synthetic():
@@ -248,7 +246,7 @@ def test_element_order_brute_force_synthetic():
         e = [rng.randrange(d) for d in factors]
         expected = math.lcm(*[d // math.gcd(d, c) for d, c in zip(factors, e)])
         assert g.element_order(e, "quotient") == expected
-        assert g.element_order(e, "transform") == expected
+        assert g.element_order(e, "membership") == expected
         assert brute_force_order(g.hnf, e, expected) == expected
 
 
@@ -256,7 +254,7 @@ def test_quotient_by():
     g = FpAbelianGroup(2, [[4, 0], [0, 4]])
     q = g.quotient_by([2, 2])
     assert q.order() == 8
-    assert g.element_order([2, 2]) == 2
+    assert g.element_order([2, 2], "quotient") == 2
 
 
 def test_intmatrix_validation():
