@@ -34,13 +34,6 @@ class PlaneContext:
     def q(self) -> int:
         return self.pp.q
 
-    @property
-    def tz_set(self) -> frozenset[int]:
-        return self._tz_set  # type: ignore[attr-defined]
-
-    def __post_init__(self):
-        object.__setattr__(self, "_tz_set", frozenset(self.tz))
-
     def line(self, x: Point) -> list[Point]:
         """The line lambda_0(x), as a sorted list of point logs."""
         return sorted((x + d) % self.N for d in self.tz)

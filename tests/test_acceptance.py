@@ -83,7 +83,7 @@ def test_criterion_2_q4_golden_example(planes, reports):
         rep.invariant_factors == (3, 3)
         and rep.epsilon_order == 1
         and len(pl.tz) == 5
-        and {7, 14} <= pl.tz_set
+        and {7, 14} <= set(pl.tz)
     )
     assert time.time() - start < 1.0
     _report("2 q4-golden-example", ok)

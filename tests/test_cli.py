@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from a2tp import cli
 from a2tp.cli import main, prime_powers_in
 
 
@@ -155,10 +156,48 @@ def test_table_text_q13(capsys):
     assert any("t0 " in l and "Z3+Z12" in l and "MATCH" in l for l in lines)
 
 
+def test_table_jobs_capped_at_cpu_count(monkeypatch, capsys):
+    # a serial stand-in for the pool: records max_workers and starts no process
+    pools = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    table = lambda *jobs: run(capsys, "table", "--q-min", "2", "--q-max", "3", "--output", "json", *jobs)
+    serial = table()
+    assert serial[0] == 0 and pools == []
+    assert table("--jobs", "64") == serial
+    assert pools == [2]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)  # unknown: run serially
+    assert table("--jobs", "8") == serial
+    assert pools == [2]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_table_rejects_jobs_below_one(capsys, jobs):
+    code, stdout, err = run(capsys, "table", "--q-min", "2", "--q-max", "2", "--jobs", jobs)
+    assert code == 2
+    assert stdout == ""
+    assert f"--jobs must be at least 1, got {jobs}" in err
+
+
 def test_verify_q4(capsys):
     code, stdout, _ = run(capsys, "verify", "--q", "4", "--variant", "t0")
     assert code == 0
     assert "lemma_q2: PASS" in stdout
+    assert "difference-set: PASS" in stdout
     assert "CONJECTURE-HOLDS" in stdout
 
 
@@ -176,6 +215,8 @@ def test_verify_user_file(tmp_path, capsys):
     assert code == 0
     assert "s-invariance: FALSE" in stdout
     assert "lemma_q2: PASS" in stdout
+    assert "plane-axioms: PASS" in stdout
+    assert "difference-set" not in stdout  # a file has no difference set to check
 
 
 def test_verify_file_with_equal_lambda_lines_fails_plane_axioms(tmp_path, capsys):

@@ -127,7 +127,7 @@ def test_schemes_agree(planes):
 
 
 def test_scheme_lattices_equal_on_every_variant(planes):
-    # equal canonical HNFs: the lattice equality that schemes_agree proves row by row
+    # mutual containment: the lattice equality that schemes_agree proves row by row
     for q in (2, 3, 4):
         pl = planes[q]
         variants = [gen_t0(pl), gen_t0_dual(pl)] + [
@@ -136,7 +136,9 @@ def test_scheme_lattices_equal_on_every_variant(planes):
         ]
         for T in variants:
             a, b = _scheme_groups(T)
-            assert a.hnf.rows() == b.hnf.rows(), T.origin
+            for g, h in ((a, b), (b, a)):
+                dense = ([dict(row).get(c, 0) for c in range(g.n_gens)] for row in g.relations.rows)
+                assert all(map(h.contains, dense)), T.origin
             assert a.invariants() == b.invariants(), T.origin
             assert schemes_agree(relation_matrix(T, "acb"), relation_matrix(T, "bcd"))
 

@@ -1,8 +1,8 @@
 """Refactor gate: `analyze --output json` is byte-identical to a stored run.
 
-`golden/analyze_q8.json` holds the stdout, stderr and exit code of
+`golden/analyze_q16.json` holds the stdout, stderr and exit code of
 `a2tp analyze --q Q --variant V --output json` for every prime power
-Q <= 8 and every variant that applies to it (26 runs).  A change that moves
+Q <= 16 and every variant that applies to it (44 runs).  A change that moves
 any byte of a report must regenerate the file and say why.
 """
 
@@ -13,14 +13,14 @@ import pytest
 
 from a2tp.cli import main
 
-GOLDEN = json.loads((Path(__file__).parent / "golden" / "analyze_q8.json").read_text())
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "analyze_q16.json").read_text())
 
 
-def test_golden_covers_every_prime_power_and_variant_up_to_8():
+def test_golden_covers_every_prime_power_and_variant_up_to_16():
     keys = [(e["q"], e["variant"]) for e in GOLDEN]
-    assert len(keys) == len(set(keys)) == 26
-    assert {q for q, _ in keys} == {2, 3, 4, 5, 7, 8}
-    assert {q for q, v in keys if v == "omega"} == {4, 7}
+    assert len(keys) == len(set(keys)) == 44
+    assert {q for q, _ in keys} == {2, 3, 4, 5, 7, 8, 9, 11, 13, 16}
+    assert {q for q, v in keys if v == "omega"} == {4, 7, 13, 16}
 
 
 @pytest.mark.parametrize("entry", GOLDEN, ids=lambda e: f"q{e['q']}-{e['variant']}")

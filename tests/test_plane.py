@@ -33,7 +33,7 @@ def test_q4_contains_order3_subgroup():
     ctx = build_plane(4)
     assert ctx.N == 21
     assert len(ctx.tz) == 5
-    assert 7 in ctx.tz_set and 14 in ctx.tz_set
+    assert {7, 14} <= set(ctx.tz)
 
 
 def test_perfect_difference_set(planes):

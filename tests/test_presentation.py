@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from a2tp.plane import build_plane, frobenius_collineation
 from a2tp.presentation import (
@@ -288,6 +290,46 @@ def test_read_reports_line_number(tmp_path, planes):
     with pytest.raises(ParseError) as err:
         read_presentation(path)
     assert err.value.line_no == 1 + T.N + len(T.triples) + 1
+
+
+TOKEN = st.one_of(
+    st.integers(-2, 9).map(str),
+    st.sampled_from(["", "x", ":", "0:", "1.5", "+1", "-0", "1_0", "\u0663", "#", "lambda", "t", "q=2", "n=7"]),
+    st.text(max_size=4),
+)
+TOKENS = st.lists(TOKEN, max_size=5).map(" ".join)
+LINE = st.one_of(
+    st.builds("a2tp q={} n={}".format, st.integers(-2, 4), st.integers(-2, 22)),
+    st.builds("lambda {}: {}".format, st.integers(-1, 8), TOKENS),
+    TOKENS.map("lambda {}".format),
+    TOKENS.map("t {}".format),
+    st.builds("t {} {} {}".format, *[st.integers(-1, 7)] * 3),
+    TOKENS.map("# {}".format),
+    TOKENS,
+    st.text(max_size=20),
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.booleans(),
+    st.lists(st.tuples(st.integers(0, 29), st.booleans(), LINE), max_size=3),
+    st.lists(LINE, max_size=3),
+)
+def test_read_presentation_is_total(tmp_path, planes, from_valid, edits, extra):
+    # any text is either a presentation or a ParseError, never another exception;
+    # edits of a valid q=2 file reach the later stages of the parser
+    path = tmp_path / "fuzz.a2tp"
+    write_presentation(gen_t0(planes[2]), path)
+    lines = path.read_text().splitlines() if from_valid else []
+    for i, insert, line in edits:
+        lines[i : i + (not insert)] = [line]
+    path.write_text("\n".join(lines + extra), encoding="utf-8")
+    try:
+        T = read_presentation(path)
+    except ParseError:
+        return
+    assert isinstance(T, TrianglePresentation)
 
 
 def test_duplicate_triples_idempotent(tmp_path, planes):

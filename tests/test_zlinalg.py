@@ -45,9 +45,10 @@ def minor_gcd_snf(rows, n_cols):
     return tuple(factors)
 
 
-def brute_force_order(basis: HnfBasis, element, limit):
+def brute_force_order(lattice, element, limit):
+    """Least k <= limit with k*element in `lattice` (an HnfBasis or a group)."""
     for k in range(1, limit + 1):
-        if basis.contains([k * x for x in element]):
+        if lattice.contains([k * x for x in element]):
             return k
     return None
 
@@ -199,6 +200,8 @@ def test_element_order_rejects_bad_requests():
         FpAbelianGroup(1, []).element_order([1], "quotient")
     with pytest.raises(ValueError, match="unknown method"):
         FpAbelianGroup(1, [[2]]).element_order([1], "transform")
+    with pytest.raises(ValueError, match="element width"):
+        FpAbelianGroup(2, [[2, 0]]).contains([1])
 
 
 def test_element_order_methods_agree():
@@ -220,7 +223,7 @@ def test_element_order_methods_agree():
         a = g.element_order(e, "quotient")
         b = g.element_order(e, "membership")
         assert a == b
-        assert brute_force_order(g.hnf, e, a) == a
+        assert brute_force_order(g, e, a) == a
 
 
 def test_element_order_infinite_component():
@@ -247,7 +250,40 @@ def test_element_order_brute_force_synthetic():
         expected = math.lcm(*[d // math.gcd(d, c) for d, c in zip(factors, e)])
         assert g.element_order(e, "quotient") == expected
         assert g.element_order(e, "membership") == expected
-        assert brute_force_order(g.hnf, e, expected) == expected
+        assert brute_force_order(g, e, expected) == expected
+
+
+UNIT_RICH = st.sampled_from([0, 0, 1, 1, -1, -1, 2, -2, 3, -4])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(UNIT_RICH, min_size=n, max_size=n), max_size=5),
+            st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+            st.lists(st.integers(-2, 2), min_size=5, max_size=5),
+        )
+    )
+)
+def test_unit_elimination_against_full_width_hnf(data):
+    # the substitution map is checked against an HNF of all columns, and orders by k-scanning
+    rows, e, coeffs = data
+    n = len(e)
+    g = FpAbelianGroup(n, rows)
+    full = HnfBasis(n)
+    for row in rows:
+        full.add(row)
+    in_lattice = [sum(k * row[j] for k, row in zip(coeffs, rows)) for j in range(n)]
+    assert g.contains(in_lattice) and full.contains(in_lattice)
+    for v in (e, [x + y for x, y in zip(e, in_lattice)], [2 * x for x in e]):
+        assert g.contains(v) == full.contains(v)
+    torsion = math.prod(minor_gcd_snf(rows, n))
+    expected = brute_force_order(full, e, torsion)
+    assert g.element_order(e, "membership") == expected
+    if g.free_rank == 0:
+        assert g.element_order(e, "quotient") == expected
+        assert g.quotient_by(e).order() == torsion // expected
 
 
 def test_quotient_by():
