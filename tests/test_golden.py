@@ -2,8 +2,13 @@
 
 `golden/analyze_q16.json` holds the stdout, stderr and exit code of
 `a2tp analyze --q Q --variant V --output json` for every prime power
-Q <= 16 and every variant that applies to it (44 runs).  A change that moves
-any byte of a report must regenerate the file and say why.
+Q <= 16 and every variant that applies to it (44 runs).  Generated inputs
+never reach the M-subset backtracker, so `golden/analyze_files.json` holds the
+same for `a2tp analyze --file F --output json --budget 200` on the seeded
+relabellings of t0/t0dual in `golden/files/` (q = 4, 5; each (q, variant) has
+one input whose search finds an M-subset within the budget and one whose
+search runs out of it).  A change that moves any byte of a report must
+regenerate the file and say why.
 """
 
 import json
@@ -13,7 +18,9 @@ import pytest
 
 from a2tp.cli import main
 
-GOLDEN = json.loads((Path(__file__).parent / "golden" / "analyze_q16.json").read_text())
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN = json.loads((GOLDEN_DIR / "analyze_q16.json").read_text())
+GOLDEN_FILES = json.loads((GOLDEN_DIR / "analyze_files.json").read_text())
 
 
 def test_golden_covers_every_prime_power_and_variant_up_to_16():
@@ -26,6 +33,27 @@ def test_golden_covers_every_prime_power_and_variant_up_to_16():
 @pytest.mark.parametrize("entry", GOLDEN, ids=lambda e: f"q{e['q']}-{e['variant']}")
 def test_analyze_json_is_byte_identical(entry, capsys):
     code = main(["analyze", "--q", str(entry["q"]), "--variant", entry["variant"], "--output", "json"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        entry["exit_code"], entry["stdout"], entry["stderr"]
+    )
+
+
+def test_golden_files_cover_found_and_out_of_budget():
+    outcomes = {
+        (e["file"].split("_s")[0], json.loads(e["stdout"])["checks"]["m_subset_found"])
+        for e in GOLDEN_FILES
+    }
+    assert outcomes == {
+        (f"{v}_q{q}", found) for v in ("t0", "t0dual") for q in (4, 5) for found in (True, False)
+    }
+
+
+@pytest.mark.parametrize("entry", GOLDEN_FILES, ids=lambda e: e["file"])
+def test_analyze_file_json_is_byte_identical(entry, capsys, monkeypatch):
+    # The report's origin is the path as given, so run from the directory.
+    monkeypatch.chdir(GOLDEN_DIR / "files")
+    code = main(["analyze", "--file", entry["file"], "--output", "json", "--budget", "200"])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (
         entry["exit_code"], entry["stdout"], entry["stderr"]
