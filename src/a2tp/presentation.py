@@ -239,61 +239,69 @@ def find_m_subset(
 
 
 def _backtrack_m_subset(T: TrianglePresentation, budget: int) -> MSubsetResult:
+    """Bounded exact-cover search for an M subset, with incremental counts.
+
+    A triple is usable when it is not chosen and each of its points still needs
+    at least the triple's multiplicity there; blocked[t] counts the reasons t is
+    not usable, and free[p] the usable triples through p.  Each node takes the
+    lowest-index point with need > 0 and the fewest usable triples (none: a dead
+    end) and branches on those triples in ascending order.  Choosing or
+    un-choosing a triple updates only the triples through its points; the path
+    is an explicit stack of [options, next position], so depth is not bounded by
+    the recursion limit.  Every node entered, the root included, counts against
+    `budget`; the subset is proven absent only when the whole tree is exhausted.
+    """
     N = T.N
     triples = sorted(T.triples)
-    containing: list[list[int]] = [[] for _ in range(N)]
-    for idx, (x, y, z) in enumerate(triples):
-        for pt in {x, y, z}:
-            containing[pt].append(idx)
-
+    spread = [{p: t.count(p) for p in t} for t in triples]  # point -> multiplicity
+    through: list[list[tuple[int, int]]] = [[] for _ in range(N)]
+    for idx, mult in enumerate(spread):
+        for pt, m in mult.items():
+            through[pt].append((idx, m))
     need = [3] * N
-    chosen: list[int] = []
+    blocked = [0] * len(triples)
+    free = [len(ts) for ts in through]
+
+    def block(idx: int, d: int) -> None:
+        before = blocked[idx]
+        blocked[idx] = before + d
+        if not before or not blocked[idx]:  # usable before or after, not both
+            for pt in spread[idx]:
+                free[pt] -= d
+
+    def toggle(idx: int, d: int) -> None:  # d = 1 chooses triple idx, -1 un-chooses it
+        block(idx, d)
+        for pt, m in spread[idx].items():
+            old = need[pt]
+            need[pt] = new = old - d * m
+            lo, hi = min(old, new), max(old, new)
+            for t, mt in through[pt]:
+                if lo < mt <= hi:
+                    block(t, d)
+
+    stack: list[list] = []  # [options, next position] per node on the path
     nodes = 0
-    exhausted = True
-
-    def fits(idx: int) -> bool:
-        x, y, z = triples[idx]
-        use = {x: 0, y: 0, z: 0}
-        for pt in (x, y, z):
-            use[pt] += 1
-        return all(need[pt] >= c for pt, c in use.items())
-
-    def solve() -> bool:
-        nonlocal nodes, exhausted
+    while True:
         nodes += 1
         if nodes > budget:
-            exhausted = False
-            return False
-        # Pick the unfinished point with fewest usable triples.
-        best_pt, best_opts = -1, None
-        chosen_set = set(chosen)
-        for pt in range(N):
-            if need[pt] == 0:
-                continue
-            opts = [i for i in containing[pt] if i not in chosen_set and fits(i)]
-            if best_opts is None or len(opts) < len(best_opts):
-                best_pt, best_opts = pt, opts
-                if not opts:
-                    return False
-        if best_opts is None:
-            return True  # every point satisfied
-        for i in best_opts:
-            x, y, z = triples[i]
-            for pt in (x, y, z):
-                need[pt] -= 1
-            chosen.append(i)
-            if solve():
-                return True
-            chosen.pop()
-            for pt in (x, y, z):
-                need[pt] += 1
-            if not exhausted:
-                return False
-        return False
-
-    if solve():
-        return MSubsetResult(frozenset(triples[i] for i in chosen))
-    return MSubsetResult(None, proven_absent=exhausted)
+            return MSubsetResult(None)
+        pick = min(((free[pt], pt) for pt in range(N) if need[pt]), default=None)
+        if pick is None:  # every point satisfied
+            return MSubsetResult(frozenset(triples[opts[pos - 1]] for opts, pos in stack))
+        if pick[0]:
+            stack.append([[t for t, _ in through[pick[1]] if not blocked[t]], 0])
+        while stack:  # advance the deepest node with an untried option
+            top = stack[-1]
+            opts, pos = top
+            if pos:
+                toggle(opts[pos - 1], -1)
+            if pos < len(opts):
+                top[1] = pos + 1
+                toggle(opts[pos], 1)
+                break
+            stack.pop()
+        else:
+            return MSubsetResult(None, proven_absent=True)
 
 
 # --- file format -----------------------------------------------------------

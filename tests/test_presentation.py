@@ -1,8 +1,10 @@
 import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from a2tp.plane import build_plane, frobenius_collineation
@@ -233,6 +235,149 @@ def test_m_subset_budget_exhaustion(planes):
     result = _backtrack_m_subset(T, 1)
     assert not result.found
     assert not result.proven_absent  # ran out of budget, not of search space
+
+
+def reference_backtrack(T: TrianglePresentation, budget: int) -> MSubsetResult:
+    """The recursive search `_backtrack_m_subset` replaced, kept as its oracle.
+
+    It recounts every point's usable triples at every node.  The search tree,
+    the node count and the result must be the same.
+    """
+    N = T.N
+    triples = sorted(T.triples)
+    containing: list[list[int]] = [[] for _ in range(N)]
+    for idx, (x, y, z) in enumerate(triples):
+        for pt in {x, y, z}:
+            containing[pt].append(idx)
+
+    need = [3] * N
+    chosen: list[int] = []
+    nodes = 0
+    exhausted = True
+
+    def fits(idx: int) -> bool:
+        x, y, z = triples[idx]
+        use = {x: 0, y: 0, z: 0}
+        for pt in (x, y, z):
+            use[pt] += 1
+        return all(need[pt] >= c for pt, c in use.items())
+
+    def solve() -> bool:
+        nonlocal nodes, exhausted
+        nodes += 1
+        if nodes > budget:
+            exhausted = False
+            return False
+        # Pick the unfinished point with fewest usable triples.
+        best_pt, best_opts = -1, None
+        chosen_set = set(chosen)
+        for pt in range(N):
+            if need[pt] == 0:
+                continue
+            opts = [i for i in containing[pt] if i not in chosen_set and fits(i)]
+            if best_opts is None or len(opts) < len(best_opts):
+                best_pt, best_opts = pt, opts
+                if not opts:
+                    return False
+        if best_opts is None:
+            return True  # every point satisfied
+        for i in best_opts:
+            x, y, z = triples[i]
+            for pt in (x, y, z):
+                need[pt] -= 1
+            chosen.append(i)
+            if solve():
+                return True
+            chosen.pop()
+            for pt in (x, y, z):
+                need[pt] += 1
+            if not exhausted:
+                return False
+        return False
+
+    if solve():
+        return MSubsetResult(frozenset(triples[i] for i in chosen))
+    return MSubsetResult(None, proven_absent=exhausted)
+
+
+ORACLE_BUDGETS = range(1, 61)
+
+
+def _agrees_with_reference(T) -> list[MSubsetResult]:
+    # Equal results at every budget pin the node count as well as the tree.
+    results = [_backtrack_m_subset(T, b) for b in ORACLE_BUDGETS]
+    assert results == [reference_backtrack(T, b) for b in ORACLE_BUDGETS]
+    return results
+
+
+@pytest.mark.parametrize("variant", ["t0", "t0dual"])
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_backtrack_matches_reference_on_relabellings(planes, q, variant):
+    T = {"t0": gen_t0, "t0dual": gen_t0_dual}[variant](planes[q])
+    results = _agrees_with_reference(_relabeled(T, q))
+    assert not results[0].found and not results[0].proven_absent
+    if q <= 3:  # found within 60 nodes; at q = 4, 5 every budget runs out
+        assert results[-1].found
+
+
+def _bare_presentation(N, triples):
+    # The search reads only N and the triples; lam is not consulted.
+    return TrianglePresentation(
+        q={7: 2, 13: 3}[N], N=N, lam=((),) * N, triples=frozenset(triples), origin="random"
+    )
+
+
+@st.composite
+def triple_sets(draw):
+    N = draw(st.sampled_from([7, 13]))
+    point = st.integers(0, N - 1)
+    triples = set(draw(st.lists(st.tuples(point, point, point), max_size=2 * N)))
+    if draw(st.booleans()):  # plant a shift orbit: every point then occurs 3 times
+        x, y, z = draw(st.tuples(point, point, point))
+        triples |= {((x + k) % N, (y + k) % N, (z + k) % N) for k in range(N)}
+    return _bare_presentation(N, triples)
+
+
+# Repeated points, M subset found at budget 60 (budget 1 runs out at the root).
+FOUND_WITH_REPEATS = _bare_presentation(7, {(k, k, (k + 1) % 7) for k in range(7)})
+# Point 0 lies in one triple only, so it cannot occur 3 times: no M subset.
+NO_M_SUBSET = _bare_presentation(7, {(0, 1, 2), (3, 3, 3), (4, 5, 6)})
+
+
+@settings(max_examples=60, deadline=None)
+@example(FOUND_WITH_REPEATS)
+@example(NO_M_SUBSET)
+@given(triple_sets())
+def test_backtrack_matches_reference_on_random_triples(T):
+    _agrees_with_reference(T)
+
+
+def test_random_triple_examples_reach_every_outcome():
+    assert _backtrack_m_subset(FOUND_WITH_REPEATS, 1) == MSubsetResult(None)
+    assert _backtrack_m_subset(FOUND_WITH_REPEATS, 60).found
+    assert _backtrack_m_subset(NO_M_SUBSET, 60) == MSubsetResult(None, proven_absent=True)
+
+
+def _frame_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_backtrack_depth_is_not_bounded_by_recursion_limit():
+    # A relabelled q = 5 t0 whose search finds an M subset of N = 31 triples
+    # within 200 nodes, so the path is 31 deep; a recursive search needs a
+    # frame per level and would raise RecursionError here.
+    T = read_presentation(Path(__file__).parent / "golden" / "files" / "t0_q5_s35.a2tp")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 20)
+    try:
+        result = _backtrack_m_subset(T, 200)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result.found and len(result.subset) == T.N
+    assert all(c == 3 for c in m_subset_occurrences(T, result.subset))
 
 
 def test_m_subset_budget_option(planes, tmp_path, capsys):
