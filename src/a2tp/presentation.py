@@ -239,21 +239,20 @@ def find_m_subset(
 
 
 def _backtrack_m_subset(T: TrianglePresentation, budget: int) -> MSubsetResult:
-    """Bounded exact-cover search for an M subset, with incremental counts.
+    """Bounded exact-cover search for an M subset.
 
-    A triple is usable when it is not chosen and each of its points still needs
-    at least the triple's multiplicity there; blocked[t] counts the reasons t is
-    not usable, and free[p] the usable triples through p.  Each node takes the
-    lowest-index point with need > 0 and the fewest usable triples (none: a dead
-    end) and branches on those triples in ascending order.  Choosing or
-    un-choosing a triple updates only the triples through its points; the path
-    is an explicit stack of [options, next position], so depth is not bounded by
-    the recursion limit.  Every node entered, the root included, counts against
-    `budget`; the subset is proven absent only when the whole tree is exhausted.
+    Each node branches, in sorted order, on the usable triples through the
+    lowest-index unfinished point with the fewest of them.  blocked[t] counts
+    why triple t is not usable (it is chosen, or one of its points needs less
+    than t's multiplicity there) and free[p] the usable triples through p; a
+    move updates them only for the triples through the moved triple's points.
+    The path is an explicit stack, so its depth is not bounded by the
+    recursion limit.  Every node entered, the root included, counts against
+    `budget`; the subset is proven absent only when the tree is exhausted.
     """
     N = T.N
     triples = sorted(T.triples)
-    spread = [{p: t.count(p) for p in t} for t in triples]  # point -> multiplicity
+    spread = [{pt: t.count(pt) for pt in t} for t in triples]  # point -> multiplicity
     through: list[list[tuple[int, int]]] = [[] for _ in range(N)]
     for idx, mult in enumerate(spread):
         for pt, m in mult.items():
