@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: gen, validate, analyze, table, verify.
-Exit codes: 0 success, 1 mathematical check failure, 2 usage/input error.
+Exit codes: 0 success, 1 mathematical check failure, 2 usage/input error,
+3 internal error (two independent computations disagree: a bug).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
-from .coinv import AnalysisReport, analyze, expected_epsilon_order, predicted_group
+from .coinv import AnalysisReport, InternalError, analyze, expected_epsilon_order, predicted_group
 from .gf import PrimePower, prime_power
 from .plane import PlaneContext, build_plane, lines_form_plane
 from .presentation import (
@@ -32,6 +33,7 @@ from .presentation import (
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 VARIANTS = ("t0", "t0dual", "frob1", "frob2", "omega")
 
@@ -308,6 +310,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ParseError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

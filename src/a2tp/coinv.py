@@ -11,7 +11,8 @@ relation schemes:
 
 `analyze` reduces the bcd lattice only (q+2 nonzeros per x-row against
 N-q-1 for acb) and proves the two lattices equal row by row with
-`schemes_agree`.
+`schemes_agree`, which reads each acb x-row from lambda(x) and never builds
+the acb matrix.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import gcd
-from typing import Optional
+from typing import Iterable, Optional
 
 from .presentation import (
     DEFAULT_BACKTRACK_BUDGET,
@@ -28,9 +29,28 @@ from .presentation import (
     m_subset_occurrences,
     validate,
 )
-from .zlinalg import FpAbelianGroup, IntMatrix
+from .zlinalg import FpAbelianGroup, IntMatrix, SparseRow
 
 SCHEMES = ("acb", "bcd")
+
+
+class InternalError(RuntimeError):
+    """Two independent computations of one number disagree: a bug, not bad input."""
+
+
+def _point_row(points: Iterable[int], tail: SparseRow = ()) -> SparseRow:
+    """The canonical row of a multiset of points, followed by `tail`."""
+    counts: dict[int, int] = {}
+    for pt in points:
+        counts[pt] = counts.get(pt, 0) + 1
+    return tuple(sorted(counts.items())) + tail
+
+
+def _shared_rows(T: TrianglePresentation) -> tuple[SparseRow, ...]:
+    """The rows both schemes share: each triple, then the all-points row."""
+    minus_eps = ((T.N, -1),)
+    triples = tuple(_point_row(t, minus_eps) for t in sorted(T.triples))
+    return triples + (tuple((y, 1) for y in range(T.N)) + minus_eps,)
 
 
 def relation_matrix(T: TrianglePresentation, scheme: str) -> IntMatrix:
@@ -38,46 +58,19 @@ def relation_matrix(T: TrianglePresentation, scheme: str) -> IntMatrix:
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     N = T.N
-    eps = N
-    rows: list[dict[int, int]] = []
-
+    rows: list[SparseRow] = []
     if scheme == "acb":
-        for x in range(N):
-            row: dict[int, int] = {}
-            on_line = T.lam_sets[x]
-            for y in range(N):
-                if y not in on_line:
-                    row[y] = row.get(y, 0) + 1
-            row[x] = row.get(x, 0) - 1
-            rows.append(row)
-    for (x, y, z) in sorted(T.triples):
-        row = {}
-        for pt in (x, y, z):
-            row[pt] = row.get(pt, 0) + 1
-        row[eps] = -1
-        rows.append(row)
-    allpts = {y: 1 for y in range(N)}
-    allpts[eps] = -1
-    rows.append(allpts)
+        for x, on_line in enumerate(T.lam_sets):  # +1 off lambda(x), -1 at x
+            rows.append(tuple((y, v) for y in range(N) if (v := (y not in on_line) - (y == x))))
+    rows += _shared_rows(T)
     if scheme == "bcd":
-        for x in range(N):
-            row = {x: 1}
-            for y in T.lam[x]:
-                row[y] = row.get(y, 0) + 1
-            row[eps] = -1
-            rows.append(row)
-    return IntMatrix.from_rows(N + 1, rows)
+        rows += (_point_row((x, *line), ((N, -1),)) for x, line in enumerate(T.lam))
+    return IntMatrix._trusted(N + 1, tuple(rows))
 
 
 def gamma_ab_matrix(T: TrianglePresentation) -> IntMatrix:
     """Relations of the abelianized triangle group: x + y + z = 0 per triple."""
-    rows = []
-    for (x, y, z) in sorted(T.triples):
-        row: dict[int, int] = {}
-        for pt in (x, y, z):
-            row[pt] = row.get(pt, 0) + 1
-        rows.append(row)
-    return IntMatrix.from_rows(T.N, rows)
+    return IntMatrix._trusted(T.N, tuple(_point_row(t) for t in sorted(T.triples)))
 
 
 @dataclass(frozen=True)
@@ -108,23 +101,6 @@ class AnalysisReport:
             "conjecture_holds": self.conjecture_holds,
             "flags": list(self.flags),
         }
-
-    @staticmethod
-    def from_dict(d: dict) -> "AnalysisReport":
-        eps = d["epsilon_order"]
-        return AnalysisReport(
-            q=d["q"],
-            N=d["n"],
-            origin=d["origin"],
-            invariant_factors=tuple(int(x) for x in d["invariant_factors"]),
-            free_rank=d["free_rank"],
-            quotient_invariant_factors=tuple(int(x) for x in d["quotient_invariant_factors"]),
-            epsilon_order=None if eps == "infinite" else int(eps),
-            checks=dict(d["checks"]),
-            m_subset_size=d["m_subset_size"],
-            conjecture_holds=d["conjecture_holds"],
-            flags=tuple(d["flags"]),
-        )
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -158,28 +134,30 @@ def check_lower_bound(q: int, relations: IntMatrix, epsilon_order: Optional[int]
     return epsilon_order is None or epsilon_order >= bound
 
 
-def schemes_agree(acb: IntMatrix, bcd: IntMatrix) -> bool:
-    """True when the acb and bcd rows of one presentation span the same lattice.
+def schemes_agree(T: TrianglePresentation, bcd: IntMatrix) -> bool:
+    """True when the acb rows of T and the bcd rows `bcd` span the same lattice.
 
-    Exact and elimination-free: the triple rows and the all-points row must
-    be equal in both schemes, and acb_x + bcd_x must equal the all-points
-    row for every x.  Then each x-row of one scheme is the all-points row
-    minus an x-row of the other, so each lattice contains the other.
+    Exact and elimination-free, and no acb matrix is built: the triple rows
+    and the all-points row of `bcd` must be those of T, which both schemes
+    share, and acb_x + bcd_x must equal the all-points row for every x.
+    acb_x is 1 off lambda(x) minus e_x, so that reads
+    bcd_x = e_x + 1_{lambda(x) as a set} - e_eps, checked one x at a time.
+    Then each x-row of one scheme is the all-points row minus an x-row of
+    the other, so each lattice contains the other.
     """
-    n_points = acb.n_cols - 1
-    shared = acb.rows[n_points:]
+    N = T.N
+    shared = _shared_rows(T)
     if (
-        bcd.n_cols != acb.n_cols
-        or len(bcd.rows) != len(acb.rows)
+        bcd.n_cols != N + 1
+        or len(bcd.rows) != len(shared) + N
         or bcd.rows[: len(shared)] != shared
     ):
         return False
-    all_points = dict(shared[-1])
-    for a_row, b_row in zip(acb.rows[:n_points], bcd.rows[len(shared) :]):
-        total = dict(a_row)
-        for c, v in b_row:
-            total[c] = total.get(c, 0) + v
-        if {c: v for c, v in total.items() if v} != all_points:
+    for x, row in enumerate(bcd.rows[len(shared) :]):
+        expected = dict.fromkeys(T.lam_sets[x], 1)
+        expected[x] = expected.get(x, 0) + 1
+        expected[N] = -1
+        if dict(row) != expected:
             return False
     return True
 
@@ -209,7 +187,7 @@ def analyze(
         flags.append("InfiniteGroupUnexpected")
     elif (ratio := grp.order() // quot_order) != epsilon_order:
         # Independent algorithm guarding the headline number, at every q.
-        raise AssertionError(f"element-order methods disagree: {epsilon_order} vs {ratio}")
+        raise InternalError(f"element-order methods disagree: {epsilon_order} vs {ratio}")
 
     m_result = find_m_subset(T, m_budget)
     m_size = len(m_result.subset) if m_result.found else None
@@ -229,7 +207,7 @@ def analyze(
         "lower_bound": check_lower_bound(q, bcd, epsilon_order),
         "m_subset_found": m_found,
         "q_minus_1_kills_epsilon": kills,
-        "scheme_agreement": schemes_agree(relation_matrix(T, "acb"), bcd),
+        "scheme_agreement": schemes_agree(T, bcd),
     }
 
     gamma_order = FpAbelianGroup(N, gamma_ab_matrix(T)).order()

@@ -166,11 +166,6 @@ class FieldContext:
             shift *= p
         return out
 
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self.exp[(self.dlog[a] + self.dlog[b]) % self.mult_order]
-
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             if e <= 0:
@@ -184,10 +179,6 @@ class FieldContext:
     def trace(self, a: int) -> int:
         aq = self.frobenius(a)
         return self.add(self.add(a, aq), self.frobenius(aq))
-
-    def in_subfield(self, a: int) -> bool:
-        """Membership in the intermediate field F_q = {x : x^q = x}."""
-        return self.frobenius(a) == a
 
 
 def build_field(pp: PrimePower) -> FieldContext:

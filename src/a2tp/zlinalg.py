@@ -67,6 +67,14 @@ class IntMatrix:
             packed.append(tuple(sorted((c, v) for c, v in items if v)))
         return IntMatrix(n_cols, tuple(packed))
 
+    @classmethod
+    def _trusted(cls, n_cols: int, rows: tuple[SparseRow, ...]) -> "IntMatrix":
+        """A matrix of rows the program built in canonical form; they are not checked again."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "n_cols", n_cols)
+        object.__setattr__(m, "rows", rows)
+        return m
+
 
 def _to_dense(n_cols: int, row) -> list[int]:
     if isinstance(row, tuple) and all(isinstance(x, tuple) for x in row):
@@ -421,12 +429,13 @@ class FpAbelianGroup:
 
     def quotient_by(self, element: Sequence[int]) -> "FpAbelianGroup":
         """The quotient by the cyclic subgroup generated by `element`."""
-        extra = tuple(sorted((c, v) for c, v in enumerate(element) if v))
+        core_element = self._to_core(element)  # checks the width first
+        extra = tuple((c, v) for c, v in enumerate(element) if v)
         quot = FpAbelianGroup(
-            self.n_gens, IntMatrix(self.n_gens, self.relations.rows + (extra,))
+            self.n_gens, IntMatrix._trusted(self.n_gens, self.relations.rows + (extra,))
         )
         basis = self.hnf.copy()
-        basis.add(self._to_core(element))
+        basis.add(core_element)
         quot._hnf, quot._subst, quot._core = basis, self._subst, self._core
         return quot
 

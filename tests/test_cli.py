@@ -4,6 +4,7 @@ import pytest
 
 from a2tp import cli
 from a2tp.cli import main, prime_powers_in
+from helpers import report_from_dict
 
 
 def run(capsys, *argv):
@@ -231,18 +232,27 @@ def test_verify_file_with_equal_lambda_lines_fails_plane_axioms(tmp_path, capsys
     assert "plane-axioms: FAIL" in stdout
 
 
+def test_analyze_internal_error_exits_3(capsys, monkeypatch):
+    from a2tp.zlinalg import FpAbelianGroup
+
+    monkeypatch.setattr(FpAbelianGroup, "element_order", lambda self, element, method: 4)
+    code, stdout, err = run(capsys, "analyze", "--q", "9")
+    assert code == 3
+    assert stdout == ""
+    assert err == "internal error: element-order methods disagree: 4 vs 8\n"
+
+
 def test_verify_requires_source(capsys):
     code, _, err = run(capsys, "verify")
     assert code == 2
 
 
 def test_json_report_roundtrip(capsys):
-    from a2tp.coinv import AnalysisReport
     from a2tp.plane import build_plane
     from a2tp.presentation import gen_t0
     from a2tp.coinv import analyze
 
     code, stdout, _ = run(capsys, "analyze", "--q", "5", "--variant", "t0", "--output", "json")
-    parsed = AnalysisReport.from_dict(json.loads(stdout))
+    parsed = report_from_dict(json.loads(stdout))
     direct = analyze(gen_t0(build_plane(5)))
     assert parsed == direct

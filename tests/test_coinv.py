@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import pytest
 
 from a2tp import coinv
 from a2tp.coinv import (
-    AnalysisReport,
+    InternalError,
     analyze,
     check_lemma_q2,
     check_lower_bound,
@@ -18,6 +19,7 @@ from a2tp.coinv import (
 from a2tp.plane import build_plane
 from a2tp.presentation import gen_t0, gen_t0_dual, twist_by_name
 from a2tp.zlinalg import FpAbelianGroup, IntMatrix
+from helpers import report_from_dict
 
 
 @pytest.fixture(scope="module")
@@ -126,9 +128,29 @@ def test_schemes_agree(planes):
         assert a.quotient_by(eps).invariants() == b.quotient_by(eps).invariants()
 
 
+def _rowwise_agree(acb, bcd):
+    """The reference for `schemes_agree`: the same predicate on a materialised acb matrix."""
+    n_points = acb.n_cols - 1
+    shared = acb.rows[n_points:]
+    if (
+        bcd.n_cols != acb.n_cols
+        or len(bcd.rows) != len(acb.rows)
+        or bcd.rows[: len(shared)] != shared
+    ):
+        return False
+    all_points = dict(shared[-1])
+    for a_row, b_row in zip(acb.rows[:n_points], bcd.rows[len(shared) :]):
+        total = dict(a_row)
+        for c, v in b_row:
+            total[c] = total.get(c, 0) + v
+        if {c: v for c, v in total.items() if v} != all_points:
+            return False
+    return True
+
+
 def test_scheme_lattices_equal_on_every_variant(planes):
     # mutual containment: the lattice equality that schemes_agree proves row by row
-    for q in (2, 3, 4):
+    for q in (2, 3, 4, 5):
         pl = planes[q]
         variants = [gen_t0(pl), gen_t0_dual(pl)] + [
             twist_by_name(pl, gen_t0(pl), name)
@@ -140,7 +162,8 @@ def test_scheme_lattices_equal_on_every_variant(planes):
                 dense = ([dict(row).get(c, 0) for c in range(g.n_gens)] for row in g.relations.rows)
                 assert all(map(h.contains, dense)), T.origin
             assert a.invariants() == b.invariants(), T.origin
-            assert schemes_agree(relation_matrix(T, "acb"), relation_matrix(T, "bcd"))
+            acb, bcd = relation_matrix(T, "acb"), relation_matrix(T, "bcd")
+            assert schemes_agree(T, bcd) is _rowwise_agree(acb, bcd) is True, T.origin
 
 
 def _doubled(m, i):
@@ -153,13 +176,23 @@ def test_schemes_agree_rejects_corrupted_rows(planes):
     T = gen_t0(planes[3])
     acb, bcd = relation_matrix(T, "acb"), relation_matrix(T, "bcd")
     n_shared = len(T.triples) + 1
-    assert schemes_agree(acb, bcd)
-    assert not schemes_agree(acb, _doubled(bcd, n_shared))  # first bcd x-row
-    assert not schemes_agree(acb, _doubled(bcd, -1))  # last bcd x-row
-    assert not schemes_agree(acb, _doubled(bcd, 0))  # a shared triple row
-    assert not schemes_agree(acb, _doubled(bcd, n_shared - 1))  # the all-points row
-    assert not schemes_agree(_doubled(acb, 0), bcd)  # an acb x-row
-    assert not schemes_agree(acb, IntMatrix(bcd.n_cols, bcd.rows[:-1]))  # an x-row missing
+    assert schemes_agree(T, bcd) and _rowwise_agree(acb, bcd)
+    corrupted = [
+        _doubled(bcd, n_shared),  # first bcd x-row
+        _doubled(bcd, -1),  # last bcd x-row
+        _doubled(bcd, 0),  # a shared triple row
+        _doubled(bcd, n_shared - 1),  # the all-points row
+        IntMatrix(bcd.n_cols, bcd.rows[:-1]),  # an x-row missing
+    ]
+    for bad in corrupted:
+        assert not schemes_agree(T, bad)
+        assert not _rowwise_agree(acb, bad)
+    assert not _rowwise_agree(_doubled(acb, 0), bcd)  # an acb x-row
+    # lambda(0) repeats a point: bcd counts it twice, acb reads lambda(0) as a set
+    line = T.lam[0]
+    R = replace(T, lam=((line[0],) + line[:-1],) + T.lam[1:])
+    assert not schemes_agree(R, relation_matrix(R, "bcd"))
+    assert not _rowwise_agree(relation_matrix(R, "acb"), relation_matrix(R, "bcd"))
 
 
 def test_analyze_reports_corrupted_scheme(planes, monkeypatch):
@@ -171,11 +204,26 @@ def test_analyze_reports_corrupted_scheme(planes, monkeypatch):
     assert not analyze(T).checks["scheme_agreement"]
 
 
+def test_analyze_never_builds_the_acb_matrix(planes, monkeypatch):
+    real = coinv.relation_matrix
+
+    def bcd_only(T, scheme):
+        if scheme == "acb":
+            raise AssertionError("analyze built the acb matrix")
+        return real(T, scheme)
+
+    monkeypatch.setattr(coinv, "relation_matrix", bcd_only)
+    for pl in planes.values():
+        for T in (gen_t0(pl), gen_t0_dual(pl)):
+            rep = analyze(T)
+            assert rep.all_checks_pass and rep.checks["scheme_agreement"], T.origin
+
+
 def test_analyze_cross_checks_epsilon_order_above_q8(monkeypatch):
     # ord(eps) is checked against |A_T| / |A_T/<eps>| at every q, not only q <= 8.
     T = gen_t0(build_plane(9))
     monkeypatch.setattr(FpAbelianGroup, "element_order", lambda self, element, method: 4)
-    with pytest.raises(AssertionError, match="element-order methods disagree: 4 vs 8"):
+    with pytest.raises(InternalError, match="element-order methods disagree: 4 vs 8"):
         analyze(T)
 
 
@@ -271,7 +319,7 @@ def test_report_json_roundtrip(reports):
     import json
 
     for rep in reports.values():
-        back = AnalysisReport.from_dict(json.loads(rep.to_json()))
+        back = report_from_dict(json.loads(rep.to_json()))
         assert back == rep
 
 

@@ -16,6 +16,17 @@ from a2tp.gf import (
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9]
 
 
+def _mul(ctx: FieldContext, a: int, b: int) -> int:
+    if a == 0 or b == 0:
+        return 0
+    return ctx.exp[(ctx.dlog[a] + ctx.dlog[b]) % ctx.mult_order]
+
+
+def _in_subfield(ctx: FieldContext, a: int) -> bool:
+    """Membership in the intermediate field F_q = {x : x^q = x}."""
+    return ctx.frobenius(a) == a
+
+
 @pytest.fixture(scope="module")
 def fields():
     return {q: build_field(prime_power(q)) for q in SMALL_Q}
@@ -68,7 +79,7 @@ def test_exp_dlog_inverse(fields):
 
 def test_subfield_size(fields):
     for q, ctx in fields.items():
-        assert sum(1 for a in range(ctx.order) if ctx.in_subfield(a)) == q
+        assert sum(1 for a in range(ctx.order) if _in_subfield(ctx, a)) == q
 
 
 def test_trace_zero():
@@ -91,12 +102,12 @@ def test_trace_lands_in_subfield(fields):
         rng = random.Random(q)
         sample = range(ctx.order) if ctx.order <= 512 else rng.sample(range(ctx.order), 512)
         for a in sample:
-            assert ctx.in_subfield(ctx.trace(a))
+            assert _in_subfield(ctx, ctx.trace(a))
 
 
 def test_trace_linearity(fields):
     for q, ctx in fields.items():
-        subfield = [a for a in range(ctx.order) if ctx.in_subfield(a)]
+        subfield = [a for a in range(ctx.order) if _in_subfield(ctx, a)]
         rng = random.Random(q)
         if q <= 8:
             pairs = [(a, b) for a in range(ctx.order) for b in (0, 1, ctx.zeta)]
@@ -104,8 +115,8 @@ def test_trace_linearity(fields):
             pairs = [(rng.randrange(ctx.order), rng.randrange(ctx.order)) for _ in range(64)]
         for a, b in pairs:
             for c in subfield:
-                lhs = ctx.trace(ctx.add(ctx.mul(c, a), b))
-                rhs = ctx.add(ctx.mul(c, ctx.trace(a)), ctx.trace(b))
+                lhs = ctx.trace(ctx.add(_mul(ctx, c, a), b))
+                rhs = ctx.add(_mul(ctx, c, ctx.trace(a)), ctx.trace(b))
                 assert lhs == rhs
 
 

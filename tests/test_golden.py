@@ -58,3 +58,17 @@ def test_analyze_file_json_is_byte_identical(entry, capsys, monkeypatch):
     assert (code, captured.out, captured.err) == (
         entry["exit_code"], entry["stdout"], entry["stderr"]
     )
+
+
+@pytest.mark.parametrize(
+    "variant, factors, quotient, eps",
+    [("frob1", ["3", "2286"], ["3", "381"], 6), ("omega", ["54"], ["3"], 18)],
+)
+def test_analyze_q19_twists_give_the_pinned_groups(variant, factors, quotient, eps, capsys):
+    # The twists benchmark's inputs; no closed form is known for them.
+    code = main(["analyze", "--q", "19", "--variant", variant, "--output", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and all(report["checks"].values())
+    assert (report["invariant_factors"], report["free_rank"]) == (factors, 0)
+    assert report["quotient_invariant_factors"] == quotient
+    assert report["epsilon_order"] == eps

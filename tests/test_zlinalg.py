@@ -291,6 +291,9 @@ def test_quotient_by():
     q = g.quotient_by([2, 2])
     assert q.order() == 8
     assert g.element_order([2, 2], "quotient") == 2
+    for wrong in ([2], [2, 2, 2]):
+        with pytest.raises(ValueError, match="element width"):
+            g.quotient_by(wrong)
 
 
 def test_intmatrix_validation():
