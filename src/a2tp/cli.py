@@ -2,7 +2,8 @@
 
 Subcommands: gen, validate, analyze, table, verify.
 Exit codes: 0 success, 1 mathematical check failure, 2 usage/input error,
-3 internal error (two independent computations disagree: a bug).
+3 internal error (a bug: two independent computations disagree, or the
+field or plane construction broke its own invariants).
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
 from .coinv import AnalysisReport, InternalError, analyze, expected_epsilon_order, predicted_group
-from .gf import PrimePower, prime_power
-from .plane import PlaneContext, build_plane, lines_form_plane
+from .gf import NoPrimitivePolynomial, PrimePower, prime_power
+from .plane import PlaneAxiomViolation, PlaneContext, build_plane, lines_form_plane
 from .presentation import (
     DEFAULT_BACKTRACK_BUDGET,
     ParseError,
@@ -310,7 +311,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ParseError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InternalError as exc:
+    except (InternalError, NoPrimitivePolynomial, PlaneAxiomViolation) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -12,7 +12,10 @@ relation schemes:
 `analyze` reduces the bcd lattice only (q+2 nonzeros per x-row against
 N-q-1 for acb) and proves the two lattices equal row by row with
 `schemes_agree`, which reads each acb x-row from lambda(x) and never builds
-the acb matrix.
+the acb matrix.  One unit-pivot elimination runs, on the triple lattice
+tri = Z^(N+1) / <x+y+z-eps>; every group is a quotient of it: A_T by the
+all-points row and the x-rows, A_T/<eps> by eps on top, and the abelianized
+triangle group Gamma_ab = Z^N / <x+y+z> as tri/<eps>.
 """
 
 from __future__ import annotations
@@ -66,11 +69,6 @@ def relation_matrix(T: TrianglePresentation, scheme: str) -> IntMatrix:
     if scheme == "bcd":
         rows += (_point_row((x, *line), ((N, -1),)) for x, line in enumerate(T.lam))
     return IntMatrix._trusted(N + 1, tuple(rows))
-
-
-def gamma_ab_matrix(T: TrianglePresentation) -> IntMatrix:
-    """Relations of the abelianized triangle group: x + y + z = 0 per triple."""
-    return IntMatrix._trusted(T.N, tuple(_point_row(t) for t in sorted(T.triples)))
 
 
 @dataclass(frozen=True)
@@ -177,11 +175,13 @@ def analyze(
     flags: list[str] = []
 
     bcd = relation_matrix(T, "bcd")
-    grp = FpAbelianGroup(N + 1, bcd)
+    n_tri = len(bcd.rows) - N - 1  # the triple rows come first
+    tri = FpAbelianGroup(N + 1, IntMatrix._trusted(N + 1, bcd.rows[:n_tri]))
+    grp = tri.quotient_by(*bcd.rows[n_tri:])  # A_T: the all-points row and the x-rows
     factors = grp.invariants()
     free_rank = grp.free_rank
     epsilon_order = grp.element_order(eps_vec, "membership")
-    quot = grp.quotient_by(eps_vec)
+    quot = grp.quotient_by(((N, 1),))
     quot_factors, quot_order = quot.invariants(), quot.order()
     if free_rank:
         flags.append("InfiniteGroupUnexpected")
@@ -190,17 +190,14 @@ def analyze(
         raise InternalError(f"element-order methods disagree: {epsilon_order} vs {ratio}")
 
     m_result = find_m_subset(T, m_budget)
-    m_size = len(m_result.subset) if m_result.found else None
     m_found = m_result.found
-    if m_found:
-        occurrences_ok = all(c == 3 for c in m_subset_occurrences(T, m_result.subset))
-        kills = (
-            occurrences_ok
-            and epsilon_order is not None
-            and (q - 1) % epsilon_order == 0
-        )
-    else:
-        kills = False
+    m_size = len(m_result.subset) if m_found else None
+    kills = (
+        m_found
+        and all(c == 3 for c in m_subset_occurrences(T, m_result.subset))
+        and epsilon_order is not None
+        and (q - 1) % epsilon_order == 0
+    )
 
     checks = {
         "lemma_q2": check_lemma_q2(q, epsilon_order),
@@ -210,7 +207,7 @@ def analyze(
         "scheme_agreement": schemes_agree(T, bcd),
     }
 
-    gamma_order = FpAbelianGroup(N, gamma_ab_matrix(T)).order()
+    gamma_order = tri.quotient_by(((N, 1),)).order()  # Z^N / <x+y+z> = tri / <eps>
     if gamma_order is None:
         flags.append("GammaAbInfinite")
         checks["gamma_ab_divisibility"] = True  # vacuous

@@ -8,9 +8,13 @@ from the others (Havas-Holt-Rees, Linear Algebra Appl. 192, 1993).  The few
 columns left, the core, go into an incremental row-style Hermite normal
 form (`HnfBasis`), and the Smith normal form is diagonalized from its rows
 with the smallest-pivot rule; `snf(m)` is that path for a bare matrix.
-Element orders come from lattice membership, mapped through the recorded
-substitutions, or from the order ratio |A| / |A/<e>|.  Everything runs on
-Python's arbitrary-precision integers.
+The substitutions are folded once, in reverse elimination order, into the
+value of every column over the core columns, so mapping a row to the core
+is one pass over its support.  `quotient_by` adds the core images of more
+rows to a copy of the core HNF: a quotient is never eliminated again.
+Element orders come from lattice membership in the core, or from the order
+ratio |A| / |A/<e>|.  Everything runs on Python's arbitrary-precision
+integers.
 """
 
 from __future__ import annotations
@@ -312,28 +316,34 @@ def _eliminate_units(rows: Iterable[SparseRow]) -> tuple[list[Substitution], set
         ids = occ.get(c)
         if ids is None or len(ids) != n:
             continue
-        units = (i for i in ids if work[i][c] in (1, -1))
-        p = min(units, key=lambda i: len(work[i]), default=None)
+        p, best = None, None
+        for i in ids:  # the shortest row with a unit in column c
+            row = work[i]
+            if (best is None or len(row) < best) and row[c] in (1, -1):
+                p, best = i, len(row)
         if p is None:
             continue  # requeued when one of its rows changes
         pivot = work.pop(p)
         unit = pivot.pop(c)
         del occ[c]
         ids.discard(p)
-        for j in pivot:
-            occ[j].discard(p)
+        items = [(j, v, occ[j]) for j, v in pivot.items()]
+        for _, _, col in items:
+            col.discard(p)
         for i in ids:
             row = work[i]
             f = row.pop(c) * unit
-            for j, v in pivot.items():
-                x = row.get(j, 0) - f * v
-                if x:
-                    if j not in row:
-                        occ[j].add(i)
-                    row[j] = x
-                else:
+            for j, v, col in items:
+                x = row.get(j)
+                fv = f * v
+                if x is None:
+                    row[j] = -fv
+                    col.add(i)
+                elif x == fv:
                     del row[j]
-                    occ[j].discard(i)
+                    col.discard(i)
+                else:
+                    row[j] = x - fv
             if not row:
                 del work[i]
         for j in pivot:
@@ -363,21 +373,28 @@ class FpAbelianGroup:
             self.relations = IntMatrix.from_rows(n_gens, relations)
         self._hnf: Optional[HnfBasis] = None
         self._snf: Optional[SnfResult] = None
-        self._subst: list[Substitution] = []
-        self._core: dict[int, int] = {}  # surviving column -> its core column
+        self._image: dict[int, SparseRow] = {}  # column -> its value over the core columns
 
     @property
     def hnf(self) -> HnfBasis:
         """Hermite basis of the core lattice left by the unit-pivot elimination."""
         if self._hnf is None:
             # duplicates carry no information
-            self._subst, rows = _eliminate_units(set(self.relations.rows))
-            gone = {c for c, _, _ in self._subst}
+            subst, rows = _eliminate_units(set(self.relations.rows))
+            gone = {c for c, _, _ in subst}
             kept = [c for c in range(self.n_gens) if c not in gone]
-            self._core = {c: i for i, c in enumerate(kept)}
+            image = {c: ((i, 1),) for i, c in enumerate(kept)}
+            # x_c = -unit * rest, and rest holds only columns eliminated later or kept
+            for c, unit, rest in reversed(subst):
+                val: dict[int, int] = {}
+                for j, v in rest:
+                    for k, w in image[j]:
+                        val[k] = val.get(k, 0) - unit * v * w
+                image[c] = tuple((k, x) for k, x in val.items() if x)
+            self._image = image
             basis = HnfBasis(len(kept))
             for row in rows:
-                basis.add(tuple((self._core[c], v) for c, v in row))
+                basis.add(self._to_core(row))
             self._hnf = basis
         return self._hnf
 
@@ -386,7 +403,8 @@ class FpAbelianGroup:
         """Invariant factors: a 1 per eliminated generator, then the core's."""
         if self._snf is None:
             core = self.hnf
-            factors = [1] * len(self._subst) + _chain(_diagonalize(core.rows(), core.n_cols))
+            factors = [1] * (self.n_gens - core.n_cols)
+            factors += _chain(_diagonalize(core.rows(), core.n_cols))
             self._snf = SnfResult(
                 tuple(factors), rank=len(factors), free_rank=self.n_gens - len(factors)
             )
@@ -402,41 +420,34 @@ class FpAbelianGroup:
     def order(self) -> Optional[int]:
         return self.snf.group_order
 
-    def _to_core(self, element: Sequence[int]) -> list[int]:
-        """The dense core vector congruent to `element` modulo the relations."""
+    def _sparse(self, element: Sequence[int]) -> SparseRow:
         if len(element) != self.n_gens:
             raise ValueError("element width does not match generator count")
-        core = self.hnf
-        vec = {c: x for c, x in enumerate(element) if x}
-        for c, unit, rest in self._subst:
-            a = vec.pop(c, 0)
-            if a:
-                f = a * unit
-                for j, v in rest:
-                    x = vec.get(j, 0) - f * v
-                    if x:
-                        vec[j] = x
-                    else:
-                        del vec[j]
-        dense = [0] * core.n_cols
-        for c, x in vec.items():
-            dense[self._core[c]] = x
-        return dense
+        return tuple((c, x) for c, x in enumerate(element) if x)
+
+    def _to_core(self, row: SparseRow) -> SparseRow:
+        """The core vector congruent to the sparse `row` modulo the relations."""
+        vec: dict[int, int] = {}
+        for c, x in row:
+            for k, v in self._image[c]:
+                vec[k] = vec.get(k, 0) + x * v
+        return tuple(vec.items())
 
     def contains(self, element: Sequence[int]) -> bool:
         """Whether `element` is in the relation lattice, i.e. is 0 in the group."""
-        return self.hnf.contains(self._to_core(element))
+        row = self._sparse(element)
+        return self.hnf.contains(self._to_core(row))  # hnf, evaluated first, sets _image
 
-    def quotient_by(self, element: Sequence[int]) -> "FpAbelianGroup":
-        """The quotient by the cyclic subgroup generated by `element`."""
-        core_element = self._to_core(element)  # checks the width first
-        extra = tuple((c, v) for c, v in enumerate(element) if v)
-        quot = FpAbelianGroup(
-            self.n_gens, IntMatrix._trusted(self.n_gens, self.relations.rows + (extra,))
-        )
+    def quotient_by(self, *rows: SparseRow) -> "FpAbelianGroup":
+        """The quotient by the subgroup generated by the sparse `rows`."""
+        extra = IntMatrix(self.n_gens, rows)  # checked like any caller's rows
         basis = self.hnf.copy()
-        basis.add(core_element)
-        quot._hnf, quot._subst, quot._core = basis, self._subst, self._core
+        for row in extra.rows:
+            basis.add(self._to_core(row))
+        quot = FpAbelianGroup(
+            self.n_gens, IntMatrix._trusted(self.n_gens, self.relations.rows + extra.rows)
+        )
+        quot._hnf, quot._image = basis, self._image
         return quot
 
     def element_order(self, element: Sequence[int], method: str) -> Optional[int]:
@@ -450,7 +461,7 @@ class FpAbelianGroup:
             total = self.order()
             if total is None:
                 raise ValueError("quotient method requires a finite group")
-            return total // self.quotient_by(element).order()
+            return total // self.quotient_by(self._sparse(element)).order()
         if method == "membership":
             k = max(self.snf.invariant_factors, default=1)
             if not self.contains([k * x for x in element]):

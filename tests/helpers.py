@@ -1,6 +1,7 @@
 """Helpers shared by several test modules; the program itself never needs them."""
 
 from a2tp.coinv import AnalysisReport
+from a2tp.zlinalg import IntMatrix
 
 
 def report_from_dict(d: dict) -> AnalysisReport:
@@ -19,3 +20,18 @@ def report_from_dict(d: dict) -> AnalysisReport:
         conjecture_holds=d["conjecture_holds"],
         flags=tuple(d["flags"]),
     )
+
+
+def gamma_ab_matrix(T) -> IntMatrix:
+    """Relations of the abelianized triangle group Γ_ab: x + y + z = 0 per triple.
+
+    Built from the triples alone, over the N point columns, so that Γ_ab
+    reduced from it is independent of the program's shared triple lattice.
+    """
+    rows = []
+    for t in sorted(T.triples):
+        counts: dict[int, int] = {}
+        for pt in t:
+            counts[pt] = counts.get(pt, 0) + 1
+        rows.append(tuple(sorted(counts.items())))
+    return IntMatrix(T.N, tuple(rows))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from a2tp import cli
+from a2tp import cli, gf, plane
 from a2tp.cli import main, prime_powers_in
 from helpers import report_from_dict
 
@@ -240,6 +240,24 @@ def test_analyze_internal_error_exits_3(capsys, monkeypatch):
     assert code == 3
     assert stdout == ""
     assert err == "internal error: element-order methods disagree: 4 vs 8\n"
+
+
+@pytest.mark.parametrize(
+    "target, error",
+    [
+        ("build_field", gf.NoPrimitivePolynomial("no primitive modulus for p=2, degree 6")),
+        ("_verify_difference_set", plane.PlaneAxiomViolation("not a perfect difference set")),
+    ],
+)
+def test_construction_bugs_exit_3(capsys, monkeypatch, target, error):
+    def broken(*args):
+        raise error
+
+    monkeypatch.setattr(plane, target, broken)
+    code, stdout, err = run(capsys, "analyze", "--q", "2")
+    assert code == 3
+    assert stdout == ""
+    assert err == f"internal error: {error}\n"
 
 
 def test_verify_requires_source(capsys):

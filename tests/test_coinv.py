@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from a2tp import coinv
+from a2tp import coinv, zlinalg
 from a2tp.coinv import (
     InternalError,
     analyze,
@@ -11,7 +11,6 @@ from a2tp.coinv import (
     check_lower_bound,
     cyclics_to_invariant_factors,
     expected_epsilon_order,
-    gamma_ab_matrix,
     predicted_group,
     relation_matrix,
     schemes_agree,
@@ -19,7 +18,7 @@ from a2tp.coinv import (
 from a2tp.plane import build_plane
 from a2tp.presentation import gen_t0, gen_t0_dual, twist_by_name
 from a2tp.zlinalg import FpAbelianGroup, IntMatrix
-from helpers import report_from_dict
+from helpers import gamma_ab_matrix, report_from_dict
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +124,8 @@ def test_schemes_agree(planes):
         a, b = _scheme_groups(T)
         assert a.invariants() == b.invariants()
         assert a.element_order(eps, "membership") == b.element_order(eps, "membership")
-        assert a.quotient_by(eps).invariants() == b.quotient_by(eps).invariants()
+        e_eps = ((T.N, 1),)
+        assert a.quotient_by(e_eps).invariants() == b.quotient_by(e_eps).invariants()
 
 
 def _rowwise_agree(acb, bcd):
@@ -217,6 +217,20 @@ def test_analyze_never_builds_the_acb_matrix(planes, monkeypatch):
         for T in (gen_t0(pl), gen_t0_dual(pl)):
             rep = analyze(T)
             assert rep.all_checks_pass and rep.checks["scheme_agreement"], T.origin
+
+
+def test_analyze_runs_one_unit_pivot_elimination(planes, monkeypatch):
+    # A_T, A_T/<eps> and Γ_ab are all quotients of the one triple lattice.
+    calls = []
+    real = zlinalg._eliminate_units
+
+    def counted(rows):
+        calls.append(1)
+        return real(rows)
+
+    monkeypatch.setattr(zlinalg, "_eliminate_units", counted)
+    assert analyze(gen_t0(planes[7])).all_checks_pass
+    assert len(calls) == 1
 
 
 def test_analyze_cross_checks_epsilon_order_above_q8(monkeypatch):

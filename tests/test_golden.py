@@ -9,14 +9,25 @@ relabellings of t0/t0dual in `golden/files/` (q = 4, 5; each (q, variant) has
 one input whose search finds an M-subset within the budget and one whose
 search runs out of it).  A change that moves any byte of a report must
 regenerate the file and say why.
+
+`analyze` reads Γ_ab from the triple lattice it shares with A_T, so
+`test_gamma_ab_oracle` reduces Γ_ab on its own, for the golden inputs with
+q <= 13, q = 16 t0/t0dual and the q = 19 twists.
 """
 
+import functools
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from a2tp.cli import main
+from a2tp.coinv import relation_matrix
+from a2tp.plane import build_plane
+from a2tp.presentation import gen_t0, gen_t0_dual, twist_by_name
+from a2tp.zlinalg import FpAbelianGroup, IntMatrix
+from helpers import gamma_ab_matrix
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = json.loads((GOLDEN_DIR / "analyze_q16.json").read_text())
@@ -60,10 +71,10 @@ def test_analyze_file_json_is_byte_identical(entry, capsys, monkeypatch):
     )
 
 
-@pytest.mark.parametrize(
-    "variant, factors, quotient, eps",
-    [("frob1", ["3", "2286"], ["3", "381"], 6), ("omega", ["54"], ["3"], 18)],
-)
+Q19_TWISTS = [("frob1", ["3", "2286"], ["3", "381"], 6), ("omega", ["54"], ["3"], 18)]
+
+
+@pytest.mark.parametrize("variant, factors, quotient, eps", Q19_TWISTS)
 def test_analyze_q19_twists_give_the_pinned_groups(variant, factors, quotient, eps, capsys):
     # The twists benchmark's inputs; no closed form is known for them.
     code = main(["analyze", "--q", "19", "--variant", variant, "--output", "json"])
@@ -72,3 +83,37 @@ def test_analyze_q19_twists_give_the_pinned_groups(variant, factors, quotient, e
     assert (report["invariant_factors"], report["free_rank"]) == (factors, 0)
     assert report["quotient_invariant_factors"] == quotient
     assert report["epsilon_order"] == eps
+
+
+GAMMA_CASES = [
+    (e["q"], e["variant"], json.loads(e["stdout"])["quotient_invariant_factors"])
+    for e in GOLDEN
+    if e["q"] <= 13 or (e["q"] == 16 and e["variant"] in ("t0", "t0dual"))
+] + [(19, variant, quotient) for variant, _, quotient, _ in Q19_TWISTS]
+
+
+@functools.cache
+def _plane(q):
+    return build_plane(q)
+
+
+@pytest.mark.parametrize(
+    "q, variant, quotient", GAMMA_CASES, ids=[f"q{q}-{v}" for q, v, _ in GAMMA_CASES]
+)
+def test_gamma_ab_oracle(q, variant, quotient):
+    # `analyze` reads |Γ_ab| as tri/<eps>, tri the triple lattice it shares with A_T;
+    # here Γ_ab = Z^N / <x+y+z> is reduced on its own, from the bare triple rows.
+    plane = _plane(q)
+    if variant == "t0dual":
+        T = gen_t0_dual(plane)
+    else:
+        T = gen_t0(plane)
+        if variant != "t0":
+            T = twist_by_name(plane, T, variant)
+    N = T.N
+    bcd = relation_matrix(T, "bcd")  # tri as `analyze` builds it: the triple rows come first
+    tri = FpAbelianGroup(N + 1, IntMatrix(N + 1, bcd.rows[: len(bcd.rows) - N - 1]))
+    gamma_order = FpAbelianGroup(N, gamma_ab_matrix(T)).order()
+    assert gamma_order is not None
+    assert gamma_order == tri.quotient_by(((N, 1),)).order()
+    assert gamma_order % math.prod(int(d) for d in quotient) == 0

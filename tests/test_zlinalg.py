@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from a2tp.zlinalg import FpAbelianGroup, HnfBasis, IntMatrix, SnfResult, snf
@@ -253,6 +253,10 @@ def test_element_order_brute_force_synthetic():
         assert brute_force_order(g, e, expected) == expected
 
 
+def _sparse(row):
+    return tuple((c, v) for c, v in enumerate(row) if v)
+
+
 UNIT_RICH = st.sampled_from([0, 0, 1, 1, -1, -1, 2, -2, 3, -4])
 
 
@@ -283,17 +287,51 @@ def test_unit_elimination_against_full_width_hnf(data):
     assert g.element_order(e, "membership") == expected
     if g.free_rank == 0:
         assert g.element_order(e, "quotient") == expected
-        assert g.quotient_by(e).order() == torsion // expected
+        assert g.quotient_by(_sparse(e)).order() == torsion // expected
 
 
 def test_quotient_by():
     g = FpAbelianGroup(2, [[4, 0], [0, 4]])
-    q = g.quotient_by([2, 2])
+    q = g.quotient_by(((0, 2), (1, 2)))
     assert q.order() == 8
     assert g.element_order([2, 2], "quotient") == 2
     for wrong in ([2], [2, 2, 2]):
         with pytest.raises(ValueError, match="element width"):
-            g.quotient_by(wrong)
+            g.element_order(wrong, "quotient")
+    for bad in (((2, 2),), ((-1, 2),)):  # rows are checked like any caller's
+        with pytest.raises(ValueError, match="column index out of range"):
+            g.quotient_by(((0, 2),), bad)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(UNIT_RICH, min_size=n, max_size=n), max_size=4),
+            st.lists(st.lists(UNIT_RICH, min_size=n, max_size=n), max_size=3),
+            st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+        )
+    )
+)
+@example(([[1, 2, 0], [0, 3, 1]], [[5, 0, 0], [0, 0, 2]], [1, 1, 1]))  # extra rows on eliminated columns
+@example(([[2, 1], [0, 4]], [], [1, 0]))  # no extra rows
+def test_quotient_by_equals_the_group_built_from_scratch(data):
+    rows, extra, e = data
+    n = len(e)
+    g = FpAbelianGroup(n, rows)
+    quot = g.quotient_by(*(_sparse(row) for row in extra))
+    whole = FpAbelianGroup(n, rows + extra)
+    oracle = minor_gcd_snf(rows + extra, n)
+    assert quot.snf == whole.snf
+    assert quot.snf.invariant_factors == oracle
+    assert quot.order() == whole.order()
+    full = HnfBasis(n)
+    for row in rows + extra:
+        full.add(row)
+    for v in (e, [2 * x for x in e], *extra):
+        assert quot.contains(v) == whole.contains(v) == full.contains(v)
+    expected = brute_force_order(full, e, math.prod(oracle))
+    assert quot.element_order(e, "membership") == whole.element_order(e, "membership") == expected
 
 
 def test_intmatrix_validation():
