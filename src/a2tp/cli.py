@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
 from .coinv import AnalysisReport, InternalError, analyze, expected_epsilon_order, predicted_group
-from .gf import NoPrimitivePolynomial, PrimePower, prime_power
+from .gf import MAX_Q, NoPrimitivePolynomial, PrimePower, prime_power
 from .plane import PlaneAxiomViolation, PlaneContext, build_plane, lines_form_plane
 from .presentation import (
     DEFAULT_BACKTRACK_BUDGET,
@@ -83,6 +83,12 @@ def _load_presentation(args) -> TrianglePresentation:
     return build_variant(args.q, args.variant)[1]
 
 
+def _budget(args) -> int:
+    if args.budget < 0:
+        raise UsageError(f"--budget must be at least 0, got {args.budget}")
+    return args.budget
+
+
 def _print_report(report: AnalysisReport, output: str) -> None:
     if output == "json":
         print(report.to_json())
@@ -139,7 +145,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    report = analyze(_load_presentation(args), m_budget=args.budget)
+    budget = _budget(args)
+    report = analyze(_load_presentation(args), m_budget=budget)
     _print_report(report, args.output)
     return EXIT_OK if report.all_checks_pass else EXIT_CHECK_FAILED
 
@@ -176,6 +183,9 @@ def cmd_table(args) -> int:
     qs = prime_powers_in(args.q_min, q_max)
     if not qs:
         raise UsageError(f"no prime powers in range {args.q_min}..{q_max}")
+    too_big = [q for q in qs if q > MAX_Q]
+    if too_big:  # rejected before any q is computed
+        raise UsageError(f"q = {too_big[0]} exceeds the supported maximum {MAX_Q}")
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     jobs = min(args.jobs, os.cpu_count() or 1)
@@ -202,6 +212,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    budget = _budget(args)
     results: list[tuple[str, bool]] = []
     from_file = bool(getattr(args, "file", None))
     T = _load_presentation(args)
@@ -221,7 +232,7 @@ def cmd_verify(args) -> int:
         return EXIT_CHECK_FAILED
 
     s_inv = is_s_invariant(T)
-    report = analyze(T, m_budget=args.budget)
+    report = analyze(T, m_budget=budget)
     results.append(("s-invariance", s_inv))
     m_found = report.checks["m_subset_found"]
     results.append(("m-subset", not m_found or report.checks["q_minus_1_kills_epsilon"]))

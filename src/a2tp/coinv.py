@@ -23,11 +23,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Optional
+from typing import Optional
 
 from .presentation import (
     DEFAULT_BACKTRACK_BUDGET,
     TrianglePresentation,
+    _point_row,
     find_m_subset,
     m_subset_occurrences,
     validate,
@@ -41,19 +42,9 @@ class InternalError(RuntimeError):
     """Two independent computations of one number disagree: a bug, not bad input."""
 
 
-def _point_row(points: Iterable[int], tail: SparseRow = ()) -> SparseRow:
-    """The canonical row of a multiset of points, followed by `tail`."""
-    counts: dict[int, int] = {}
-    for pt in points:
-        counts[pt] = counts.get(pt, 0) + 1
-    return tuple(sorted(counts.items())) + tail
-
-
 def _shared_rows(T: TrianglePresentation) -> tuple[SparseRow, ...]:
     """The rows both schemes share: each triple, then the all-points row."""
-    minus_eps = ((T.N, -1),)
-    triples = tuple(_point_row(t, minus_eps) for t in sorted(T.triples))
-    return triples + (tuple((y, 1) for y in range(T.N)) + minus_eps,)
+    return T.triple_rows + (tuple((y, 1) for y in range(T.N)) + ((T.N, -1),),)
 
 
 def relation_matrix(T: TrianglePresentation, scheme: str) -> IntMatrix:

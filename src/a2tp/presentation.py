@@ -3,13 +3,23 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 from .plane import PlaneContext, Point, frobenius_collineation, mult_by_omega
+from .zlinalg import SparseRow
 
 Triple = tuple[Point, Point, Point]
 
 DEFAULT_BACKTRACK_BUDGET = 10**7
+
+
+def _point_row(points: Iterable[Point], tail: SparseRow = ()) -> SparseRow:
+    """The relation row of a multiset of points, followed by `tail`."""
+    counts: dict[int, int] = {}
+    for pt in points:
+        counts[pt] = counts.get(pt, 0) + 1
+    return tuple(sorted(counts.items())) + tail
 
 
 class PhiNotOrder3(ValueError):
@@ -47,6 +57,16 @@ class TrianglePresentation:
 
     def __post_init__(self):
         object.__setattr__(self, "_lam_sets", tuple(frozenset(l) for l in self.lam))
+
+    @cached_property
+    def triple_rows(self) -> tuple[SparseRow, ...]:
+        """Each triple, in sorted order, as the relation row x + y + z - eps.
+
+        Points are columns 0..N-1 and eps is column N.  Built once per
+        presentation, for every relation lattice and check that reads it.
+        """
+        minus_eps = ((self.N, -1),)
+        return tuple(_point_row(t, minus_eps) for t in sorted(self.triples))
 
 
 @dataclass(frozen=True)

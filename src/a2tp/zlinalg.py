@@ -1,33 +1,30 @@
 """Exact integer linear algebra over Z.
 
-`FpAbelianGroup` is the one reduction path, in two stages.  A sparse
-unit-pivot elimination first substitutes out every generator it can: while
-some column has a +-1 entry, it takes the column with the fewest nonzeros
-and the shortest row with a unit there, and subtracts multiples of that row
-from the others (Havas-Holt-Rees, Linear Algebra Appl. 192, 1993).  The few
-columns left, the core, go into an incremental row-style Hermite normal
-form (`HnfBasis`), and the Smith normal form is diagonalized from its rows
-with the smallest-pivot rule; `snf(m)` is that path for a bare matrix.
-The substitutions are folded once, in reverse elimination order, into the
-value of every column over the core columns, so mapping a row to the core
-is one pass over its support.  `quotient_by` adds the core images of more
-rows to a copy of the core HNF: a quotient is never eliminated again.
-Element orders come from lattice membership in the core, or from the order
-ratio |A| / |A/<e>|.  Everything runs on Python's arbitrary-precision
-integers.
+`FpAbelianGroup` is the one reduction path, in two stages.  Peeling first
+gives every generator its value over a few core columns without writing to
+any row: a row with one unresolved column and a +-1 coefficient there
+determines that column, and when no such row is left one column is
+inactivated and becomes the next core column (structured Gaussian
+elimination; inactivation decoding).  The values are dense lists over the
+core, so mapping a row to the core is a column-wise sum of them.  The
+images of the rows not used as pivots go into an incremental row-style
+Hermite normal form (`HnfBasis`), and the Smith normal form is diagonalized
+from its rows with the smallest-pivot rule; `snf(m)` is that path for a
+bare matrix.  `quotient_by` adds the core images of more rows to a copy of
+the core HNF: a quotient is never eliminated again.  Element orders come
+from lattice membership in the core.  Everything runs on Python's
+arbitrary-precision integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 from math import gcd, prod
 from typing import Iterable, Optional, Sequence
 
 from .gf import factorize
 
 SparseRow = tuple[tuple[int, int], ...]  # sorted (col, coeff), no zero coeffs
-Substitution = tuple[int, int, SparseRow]  # (col, +-1 pivot, rest of the pivot row)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -80,15 +77,6 @@ class IntMatrix:
         return m
 
 
-def _to_dense(n_cols: int, row) -> list[int]:
-    if isinstance(row, tuple) and all(isinstance(x, tuple) for x in row):
-        dense = [0] * n_cols
-        for c, v in row:
-            dense[c] = v
-        return dense
-    return list(row)
-
-
 class HnfBasis:
     """Incremental row Hermite basis of an integer row lattice.
 
@@ -105,8 +93,8 @@ class HnfBasis:
         other._pivots = {j: row[:] for j, row in self._pivots.items()}
         return other
 
-    def add(self, row) -> None:
-        work = _to_dense(self.n_cols, row)
+    def add(self, row: Sequence[int]) -> None:
+        work = list(row)
         n = self.n_cols
         j = 0
         while j < n:
@@ -164,9 +152,9 @@ class HnfBasis:
                     other[j:] = [x - qq * y for x, y in zip(other[j:], piv[j:])]
         return [self._pivots[j][:] for j in cols]
 
-    def contains(self, row) -> bool:
+    def contains(self, row: Sequence[int]) -> bool:
         """Lattice membership test; does not modify the basis."""
-        work = _to_dense(self.n_cols, row)
+        work = list(row)
         for j in range(self.n_cols):
             v = work[j]
             if v == 0:
@@ -292,67 +280,68 @@ class SnfResult:
         return None if self.free_rank else prod(self.invariant_factors, start=1)
 
 
-def _eliminate_units(rows: Iterable[SparseRow]) -> tuple[list[Substitution], set[SparseRow]]:
-    """Substitute out generators through +-1 pivots, sparsest column first.
+def _eliminate_units(
+    n_cols: int, rows: Sequence[SparseRow]
+) -> tuple[list[list[int]], int, list[SparseRow]]:
+    """Peel the rows: give each column its value over the core columns.
 
-    Returns the substitutions in elimination order and the distinct nonzero
-    rows left over the surviving columns.  A pivot row x_c*u + rest = 0 with
-    u = +-1 gives x_c = -u*rest, so Z^n / L is Z^(n-1) / L' where L' is the
-    other rows with that multiple of the pivot row subtracted.
+    No row is ever written.  A row whose one unresolved column c has a +-1
+    coefficient u gives x_c = -u * (rest of the row), every column of the
+    rest being resolved already.  When no such row is left, one unresolved
+    column is inactivated: it becomes the next core column, taken from a
+    row with the fewest unresolved columns, the one that occurs in the most
+    rows (structured Gaussian elimination, LaMacchia-Odlyzko, CRYPTO '90;
+    inactivation decoding, Shokrollahi, IEEE Trans. Inf. Theory 52, 2006).
+    The pivot rows are triangular with unit diagonal, so Z^n / L is
+    Z^core / <images of the other rows>.  Returns every column's image as a
+    dense list over the core, the core size, and the rows not used as pivots.
     """
-    work = {i: dict(row) for i, row in enumerate(rows)}
-    occ: dict[int, set[int]] = {}  # column -> ids of the rows with a nonzero there
-    for i, row in work.items():
-        for c in row:
-            occ.setdefault(c, set()).add(i)
-    heap = [(len(ids), c) for c, ids in occ.items()]
-    heapify(heap)
-    queued = set(heap)  # lazy heap: an entry whose count is out of date is skipped
-    subst: list[Substitution] = []
-    while heap:
-        entry = heappop(heap)
-        queued.discard(entry)
-        n, c = entry
-        ids = occ.get(c)
-        if ids is None or len(ids) != n:
-            continue
-        p, best = None, None
-        for i in ids:  # the shortest row with a unit in column c
-            row = work[i]
-            if (best is None or len(row) < best) and row[c] in (1, -1):
-                p, best = i, len(row)
-        if p is None:
-            continue  # requeued when one of its rows changes
-        pivot = work.pop(p)
-        unit = pivot.pop(c)
-        del occ[c]
-        ids.discard(p)
-        items = [(j, v, occ[j]) for j, v in pivot.items()]
-        for _, _, col in items:
-            col.discard(p)
-        for i in ids:
-            row = work[i]
-            f = row.pop(c) * unit
-            for j, v, col in items:
-                x = row.get(j)
-                fv = f * v
-                if x is None:
-                    row[j] = -fv
-                    col.add(i)
-                elif x == fv:
-                    del row[j]
-                    col.discard(i)
-                else:
-                    row[j] = x - fv
-            if not row:
-                del work[i]
-        for j in pivot:
-            entry = (len(occ[j]), j)
-            if entry not in queued:
-                queued.add(entry)
-                heappush(heap, entry)
-        subst.append((c, unit, tuple(pivot.items())))
-    return subst, {tuple(sorted(row.items())) for row in work.values()}
+    occ: list[list[int]] = [[] for _ in range(n_cols)]  # column -> the rows it occurs in
+    for i, row in enumerate(rows):
+        for c, _ in row:
+            occ[c].append(i)
+    left = [len(row) for row in rows]  # unresolved columns per row
+    ready = [i for i, n in enumerate(left) if n == 1]
+    image: list[Optional[list[int]]] = [None] * n_cols
+    pivot = [False] * len(rows)
+    core = 0
+
+    def resolve(c: int, value: list[int]) -> None:
+        image[c] = value
+        for i in occ[c]:
+            left[i] -= 1
+            if left[i] == 1:
+                ready.append(i)
+
+    while True:
+        while ready:
+            i = ready.pop()
+            if left[i] != 1:
+                continue  # its last column was resolved by another row
+            row = rows[i]
+            c, u = next((c, u) for c, u in row if image[c] is None)
+            if u != 1 and u != -1:
+                continue  # a relation on the core once c is resolved
+            value = [0] * core
+            for j, v in row:
+                if j != c:
+                    f = -u * v
+                    value[: len(image[j])] = [x + f * y for x, y in zip(value, image[j])]
+            pivot[i] = True
+            resolve(c, value)
+        if None not in image:
+            break
+        fewest = min((n for n in left if n > 1), default=None)
+        if fewest is None:
+            c = image.index(None)
+        else:
+            row = rows[left.index(fewest)]
+            c = max((c for c, _ in row if image[c] is None), key=lambda c: len(occ[c]))
+        resolve(c, [0] * core + [1])
+        core += 1
+    for value in image:
+        value.extend([0] * (core - len(value)))
+    return image, core, [row for row, used in zip(rows, pivot) if not used]
 
 
 def snf(m: IntMatrix) -> SnfResult:
@@ -373,29 +362,18 @@ class FpAbelianGroup:
             self.relations = IntMatrix.from_rows(n_gens, relations)
         self._hnf: Optional[HnfBasis] = None
         self._snf: Optional[SnfResult] = None
-        self._image: dict[int, SparseRow] = {}  # column -> its value over the core columns
+        self._image: list[list[int]] = []  # column -> its value over the core columns
 
     @property
     def hnf(self) -> HnfBasis:
-        """Hermite basis of the core lattice left by the unit-pivot elimination."""
+        """Hermite basis of the core lattice left by peeling."""
         if self._hnf is None:
             # duplicates carry no information
-            subst, rows = _eliminate_units(set(self.relations.rows))
-            gone = {c for c, _, _ in subst}
-            kept = [c for c in range(self.n_gens) if c not in gone]
-            image = {c: ((i, 1),) for i, c in enumerate(kept)}
-            # x_c = -unit * rest, and rest holds only columns eliminated later or kept
-            for c, unit, rest in reversed(subst):
-                val: dict[int, int] = {}
-                for j, v in rest:
-                    for k, w in image[j]:
-                        val[k] = val.get(k, 0) - unit * v * w
-                image[c] = tuple((k, x) for k, x in val.items() if x)
-            self._image = image
-            basis = HnfBasis(len(kept))
-            for row in rows:
-                basis.add(self._to_core(row))
-            self._hnf = basis
+            rows = list(dict.fromkeys(self.relations.rows))
+            self._image, core, rest = _eliminate_units(self.n_gens, rows)
+            self._hnf = HnfBasis(core)
+            for vec in dict.fromkeys(map(self._to_core, rest)):
+                self._hnf.add(vec)
         return self._hnf
 
     @property
@@ -425,13 +403,12 @@ class FpAbelianGroup:
             raise ValueError("element width does not match generator count")
         return tuple((c, x) for c, x in enumerate(element) if x)
 
-    def _to_core(self, row: SparseRow) -> SparseRow:
+    def _to_core(self, row: SparseRow) -> tuple[int, ...]:
         """The core vector congruent to the sparse `row` modulo the relations."""
-        vec: dict[int, int] = {}
+        vec = [0] * self._hnf.n_cols
         for c, x in row:
-            for k, v in self._image[c]:
-                vec[k] = vec.get(k, 0) + x * v
-        return tuple(vec.items())
+            vec = [a + x * b for a, b in zip(vec, self._image[c])]
+        return tuple(vec)
 
     def contains(self, element: Sequence[int]) -> bool:
         """Whether `element` is in the relation lattice, i.e. is 0 in the group."""
@@ -453,21 +430,17 @@ class FpAbelianGroup:
     def element_order(self, element: Sequence[int], method: str) -> Optional[int]:
         """Least k > 0 with k*element in the relation lattice; None if infinite.
 
-        method 'quotient' computes |A| / |A/<e>| (finite groups only);
-        method 'membership' starts from the exponent of the torsion subgroup
-        and divides out each prime p while the multiple stays in the lattice.
+        `method` names the algorithm, so that a traced run (perfbench/spans.py)
+        can label its span; 'membership' is the one method.  It starts from
+        the exponent of the torsion subgroup and divides out each prime p
+        while the multiple stays in the lattice.
         """
-        if method == "quotient":
-            total = self.order()
-            if total is None:
-                raise ValueError("quotient method requires a finite group")
-            return total // self.quotient_by(self._sparse(element)).order()
-        if method == "membership":
-            k = max(self.snf.invariant_factors, default=1)
-            if not self.contains([k * x for x in element]):
-                return None  # not torsion, since k kills the torsion subgroup
-            for p in factorize(k):
-                while k % p == 0 and self.contains([k // p * x for x in element]):
-                    k //= p
-            return k
-        raise ValueError(f"unknown method {method!r}")
+        if method != "membership":
+            raise ValueError(f"unknown method {method!r}")
+        k = max(self.snf.invariant_factors, default=1)
+        if not self.contains([k * x for x in element]):
+            return None  # not torsion, since k kills the torsion subgroup
+        for p in factorize(k):
+            while k % p == 0 and self.contains([k // p * x for x in element]):
+                k //= p
+        return k

@@ -1,7 +1,7 @@
 """Helpers shared by several test modules; the program itself never needs them."""
 
 from a2tp.coinv import AnalysisReport
-from a2tp.zlinalg import IntMatrix
+from a2tp.zlinalg import FpAbelianGroup, IntMatrix
 
 
 def report_from_dict(d: dict) -> AnalysisReport:
@@ -35,3 +35,11 @@ def gamma_ab_matrix(T) -> IntMatrix:
             counts[pt] = counts.get(pt, 0) + 1
         rows.append(tuple(sorted(counts.items())))
     return IntMatrix(T.N, tuple(rows))
+
+
+def order_by_quotient(group: FpAbelianGroup, element) -> int:
+    """ord(element) as |A| / |A/<element>|: the oracle for `element_order` in finite groups."""
+    total = group.order()
+    if total is None:
+        raise ValueError("the quotient oracle requires a finite group")
+    return total // group.quotient_by(group._sparse(element)).order()

@@ -194,6 +194,29 @@ def test_table_rejects_jobs_below_one(capsys, jobs):
     assert f"--jobs must be at least 1, got {jobs}" in err
 
 
+def test_table_rejects_q_past_the_maximum_before_computing(monkeypatch, capsys):
+    def never(q):
+        raise AssertionError(f"q = {q} was computed")
+
+    monkeypatch.setattr(cli, "_table_rows_for_q", never)
+    code, stdout, err = run(capsys, "table", "--q-min", "9", "--q-max", "67", "--jobs", "1")
+    assert code == 2
+    assert stdout == ""
+    assert f"q = 67 exceeds the supported maximum {gf.MAX_Q}" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_negative_budget_is_a_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "t0_q2.a2tp"
+    assert run(capsys, "gen", "--q", "2", "--out", str(path))[0] == 0
+    for source in (["--q", "2"], ["--file", str(path)]):
+        code, stdout, err = run(capsys, command, *source, "--budget", "-5")
+        assert code == 2
+        assert stdout == ""
+        assert "--budget must be at least 0, got -5" in err
+        assert run(capsys, command, *source, "--budget", "0")[0] == 0
+
+
 def test_verify_q4(capsys):
     code, stdout, _ = run(capsys, "verify", "--q", "4", "--variant", "t0")
     assert code == 0

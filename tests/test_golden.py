@@ -117,3 +117,18 @@ def test_gamma_ab_oracle(q, variant, quotient):
     assert gamma_order is not None
     assert gamma_order == tri.quotient_by(((N, 1),)).order()
     assert gamma_order % math.prod(int(d) for d in quotient) == 0
+
+
+def test_every_triple_row_of_the_q19_frob1_lattice_is_zero():
+    # Peeling uses some rows as pivots and maps the others to the core: each is 0 in tri.
+    plane = _plane(19)
+    T = twist_by_name(plane, gen_t0(plane), "frob1")
+    N = T.N
+    tri = FpAbelianGroup(N + 1, IntMatrix(N + 1, T.triple_rows))
+    for row in dict.fromkeys(T.triple_rows):
+        dense = [0] * (N + 1)
+        for c, v in row:
+            dense[c] = v
+        assert tri.contains(dense), row
+    # eps is free in tri: points -> 1, eps -> 3 kills every row and sends k*eps to 3k.
+    assert tri.element_order([0] * N + [1], "membership") is None

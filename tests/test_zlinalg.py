@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from a2tp.zlinalg import FpAbelianGroup, HnfBasis, IntMatrix, SnfResult, snf
+from helpers import order_by_quotient
 
 
 # --- independent oracles -----------------------------------------------------
@@ -189,15 +190,15 @@ def test_group_z2_cubed():
 
 def test_element_order_worked_examples():
     g = FpAbelianGroup(2, [[2, 0], [0, 3]])
-    for method in ("quotient", "membership"):
-        assert g.element_order([1, 1], method) == 6
-        assert g.element_order([0, 0], method) == 1
+    for order in (order_by_quotient, lambda g, e: g.element_order(e, "membership")):
+        assert order(g, [1, 1]) == 6
+        assert order(g, [0, 0]) == 1
     assert FpAbelianGroup(1, []).element_order([1], "membership") is None
 
 
 def test_element_order_rejects_bad_requests():
     with pytest.raises(ValueError, match="finite group"):
-        FpAbelianGroup(1, []).element_order([1], "quotient")
+        order_by_quotient(FpAbelianGroup(1, []), [1])
     with pytest.raises(ValueError, match="unknown method"):
         FpAbelianGroup(1, [[2]]).element_order([1], "transform")
     with pytest.raises(ValueError, match="element width"):
@@ -220,7 +221,7 @@ def test_element_order_methods_agree():
         if g.free_rank:
             continue
         e = [rng.randint(-6, 6) for _ in range(n)]
-        a = g.element_order(e, "quotient")
+        a = order_by_quotient(g, e)
         b = g.element_order(e, "membership")
         assert a == b
         assert brute_force_order(g, e, a) == a
@@ -248,7 +249,7 @@ def test_element_order_brute_force_synthetic():
         g = FpAbelianGroup(n, rows)
         e = [rng.randrange(d) for d in factors]
         expected = math.lcm(*[d // math.gcd(d, c) for d, c in zip(factors, e)])
-        assert g.element_order(e, "quotient") == expected
+        assert order_by_quotient(g, e) == expected
         assert g.element_order(e, "membership") == expected
         assert brute_force_order(g, e, expected) == expected
 
@@ -286,18 +287,77 @@ def test_unit_elimination_against_full_width_hnf(data):
     expected = brute_force_order(full, e, torsion)
     assert g.element_order(e, "membership") == expected
     if g.free_rank == 0:
-        assert g.element_order(e, "quotient") == expected
+        assert order_by_quotient(g, e) == expected
         assert g.quotient_by(_sparse(e)).order() == torsion // expected
+
+
+@st.composite
+def peeling_cases(draw):
+    """Relation matrices with the shapes peeling must get right.
+
+    Triple-like rows x + y + z - eps (2x + z - eps when a point repeats),
+    sparse rows whose entries include +-2 (so the last unresolved column of
+    a ready row can lack a unit), duplicate rows, empty rows, and columns
+    that occur in no row, placed among the others.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    n_used = rng.randint(2, 5)  # the last used column plays eps
+    rows = []
+    for _ in range(rng.randint(0, 4)):
+        if rng.random() < 0.5:
+            t = [rng.randrange(n_used - 1) for _ in range(3)]
+            rows.append([t.count(c) for c in range(n_used - 1)] + [-1])
+        else:
+            rows.append([rng.choice([0, 0, 1, -1, 2, -2, 3]) for _ in range(n_used)])
+    rows += [rng.choice(rows) for _ in range(rng.randint(0, 2))] if rows else []
+    rows += [[0] * n_used] * rng.randint(0, 1)
+    rng.shuffle(rows)
+    n = n_used + rng.randint(0, 2)  # the extra columns occur in no row
+    cols = rng.sample(range(n), n_used)
+    spread = []
+    for row in rows:
+        wide = [0] * n
+        for c, v in zip(cols, row):
+            wide[c] = v
+        spread.append(wide)
+    e = [rng.randint(-3, 3) for _ in range(n)]
+    return spread, e, [rng.randint(-2, 2) for _ in spread]
+
+
+@settings(max_examples=100, deadline=None)
+@given(peeling_cases())
+@example(([[2, 1, -1], [0, 2, -1], [1, 1, -1]], [1, 0, 0], [1, 1, 1]))  # 2x + z - eps rows
+# a ready row with a 2 on its last column, a duplicate, an empty row, columns 0 and 2 unused
+@example(([[0, 1, 0, 1], [0, 1, 0, 2], [0, 1, 0, 1], [0, 0, 0, 0]], [0, 1, 0, 0], [1, 0, 2, 1]))
+def test_peeling_against_full_width_hnf(data):
+    # Peeling against an HNF of all columns, the minor-gcd SNF and k-scanning.
+    rows, e, coeffs = data
+    n = len(e)
+    g = FpAbelianGroup(n, rows)
+    full = HnfBasis(n)
+    for row in rows:
+        full.add(row)
+    oracle = minor_gcd_snf(rows, n)
+    assert g.snf.invariant_factors == oracle
+    assert g.free_rank == n - len(oracle)
+    in_lattice = [sum(k * row[j] for k, row in zip(coeffs, rows)) for j in range(n)]
+    for v in (in_lattice, *rows, e, [x + y for x, y in zip(e, in_lattice)], [2 * x for x in e]):
+        assert g.contains(v) == full.contains(v)
+    assert g.contains(in_lattice) and all(g.contains(row) for row in rows)
+    expected = brute_force_order(full, e, math.prod(oracle))
+    assert g.element_order(e, "membership") == expected
 
 
 def test_quotient_by():
     g = FpAbelianGroup(2, [[4, 0], [0, 4]])
     q = g.quotient_by(((0, 2), (1, 2)))
     assert q.order() == 8
-    assert g.element_order([2, 2], "quotient") == 2
+    assert order_by_quotient(g, [2, 2]) == 2
     for wrong in ([2], [2, 2, 2]):
         with pytest.raises(ValueError, match="element width"):
-            g.element_order(wrong, "quotient")
+            g.element_order(wrong, "membership")
+        with pytest.raises(ValueError, match="element width"):
+            g.contains(wrong)
     for bad in (((2, 2),), ((-1, 2),)):  # rows are checked like any caller's
         with pytest.raises(ValueError, match="column index out of range"):
             g.quotient_by(((0, 2),), bad)
