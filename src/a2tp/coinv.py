@@ -112,12 +112,16 @@ def check_lower_bound(q: int, relations: IntMatrix, epsilon_order: Optional[int]
     """ord(eps) >= (q-1)/(q-1,3), plus the mod-(q^2-1) row annihilation test.
 
     The witnessing map sends every point to q+1 and eps (the last column) to
-    3(q+1); it must kill every row of `relations` mod q^2 - 1.
+    3(q+1); it must kill every row of `relations` mod q^2 - 1.  So it sends
+    a row v to (q+1)(sum of v + 2 v_eps).
     """
     modulus = q * q - 1
-    f = [q + 1] * (relations.n_cols - 1) + [3 * (q + 1)]
+    eps = relations.n_cols - 1
     for row in relations.rows:
-        if sum(v * f[c] for c, v in row) % modulus:
+        total = 0
+        for c, v in row:
+            total += 3 * v if c == eps else v
+        if (q + 1) * total % modulus:
             return False
     bound = expected_epsilon_order(q)
     return epsilon_order is None or epsilon_order >= bound

@@ -8,19 +8,24 @@ inactivated and becomes the next core column (structured Gaussian
 elimination; inactivation decoding).  The values are dense lists over the
 core, so mapping a row to the core is a column-wise sum of them.  The
 images of the rows not used as pivots go into an incremental row-style
-Hermite normal form (`HnfBasis`), and the Smith normal form is diagonalized
-from its rows with the smallest-pivot rule; `snf(m)` is that path for a
-bare matrix.  `quotient_by` adds the core images of more rows to a copy of
-the core HNF: a quotient is never eliminated again.  Element orders come
-from lattice membership in the core.  Everything runs on Python's
-arbitrary-precision integers.
+Hermite normal form (`HnfBasis`) only until it settles.  Then its rows H
+are diagonalized once, U H V = diag(d_i), and every later row is certified
+instead of reduced: its image times V must be 0 mod d_i where d_i != 1,
+and 0 on the free coordinates.  A row that fails goes into the HNF, so
+each row is in the HNF or proven to lie in its lattice.  The Smith normal
+form is diagonalized from the HNF rows with the smallest-pivot rule;
+`snf(m)` is that path for a bare matrix.  `quotient_by` puts more rows into
+a copy of the core HNF the same way: a quotient is never eliminated again.
+Element orders come from lattice membership in the core.  Everything runs
+on Python's arbitrary-precision integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, prod
-from typing import Iterable, Optional, Sequence
+from operator import mul
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .gf import factorize
 
@@ -93,9 +98,11 @@ class HnfBasis:
         other._pivots = {j: row[:] for j, row in self._pivots.items()}
         return other
 
-    def add(self, row: Sequence[int]) -> None:
+    def add(self, row: Sequence[int]) -> bool:
+        """Add a row; True when the lattice grew, i.e. the row was not in it."""
         work = list(row)
         n = self.n_cols
+        grew = False
         j = 0
         while j < n:
             v = work[j]
@@ -108,12 +115,13 @@ class HnfBasis:
                     work = [-x for x in work]
                 self._reduce_suffix(work, j)
                 self._pivots[j] = work
-                return
+                return True
             a = piv[j]
             qq, r = divmod(v, a)
             if qq:
                 work[j:] = [x - qq * y for x, y in zip(work[j:], piv[j:])]
             if r:
+                grew = True  # the pivot becomes gcd(a, r) < a
                 g, u, w = _xgcd(a, r)
                 pj, wj = piv[j:], work[j:]
                 piv[j:] = [u * x + w * y for x, y in zip(pj, wj)]
@@ -123,6 +131,7 @@ class HnfBasis:
                 self._reduce_suffix(piv, j)
                 self._reduce_suffix(work, j)
             j += 1
+        return grew
 
     def _reduce_suffix(self, row: list[int], j: int) -> None:
         """Reduce row entries at pivot columns > j into [0, pivot)."""
@@ -173,13 +182,15 @@ class HnfBasis:
         return len(self._pivots)
 
 
-def _diagonalize(rows: list[list[int]], n_cols: int) -> list[int]:
+def _diagonalize(rows: list[list[int]], n_cols: int) -> tuple[list[int], list[list[int]]]:
     """Diagonalize by unimodular row/column ops; smallest-|entry| pivot rule.
 
-    Returns the positive diagonal entries: rank many, in elimination order,
-    not necessarily a divisibility chain.
+    Returns the positive diagonal entries (rank many, in elimination order,
+    not necessarily a divisibility chain) and the column transform V: for
+    some unimodular U, U * rows * V is that diagonal, padded with zeros.
     """
     m = [row[:] for row in rows]
+    transform = [[int(i == j) for j in range(n_cols)] for i in range(n_cols)]
     nr = len(m)
     diag: list[int] = []
     t = 0
@@ -204,7 +215,7 @@ def _diagonalize(rows: list[list[int]], n_cols: int) -> list[int]:
         if bi != t:
             m[t], m[bi] = m[bi], m[t]
         if bj != t:
-            for row in m:
+            for row in m + transform:
                 row[t], row[bj] = row[bj], row[t]
         if m[t][t] < 0:
             m[t] = [-x for x in m[t]]
@@ -231,11 +242,11 @@ def _diagonalize(rows: list[list[int]], n_cols: int) -> list[int]:
                     continue
                 qq = v // p
                 if qq:
-                    for row in m:
+                    for row in m + transform:
                         if row[t]:
                             row[j] -= qq * row[t]
                 if m[t][j]:
-                    for row in m:
+                    for row in m + transform:
                         row[t], row[j] = row[j], row[t]
                     if m[t][t] < 0:
                         m[t] = [-x for x in m[t]]
@@ -245,7 +256,7 @@ def _diagonalize(rows: list[list[int]], n_cols: int) -> list[int]:
                 break
         diag.append(m[t][t])
         t += 1
-    return diag
+    return diag, transform
 
 
 def _chain(diag: Sequence[int]) -> list[int]:
@@ -344,6 +355,11 @@ def _eliminate_units(
     return image, core, [row for row, used in zip(rows, pivot) if not used]
 
 
+def _combination(vectors: Sequence[Sequence[int]], row: SparseRow) -> Iterator[int]:
+    """The sum of x * vectors[c] over the entries (c, x) of `row`; empty if `row` is."""
+    return map(sum, zip(*(vectors[c] if x == 1 else [x * y for y in vectors[c]] for c, x in row)))
+
+
 def snf(m: IntMatrix) -> SnfResult:
     """Smith normal form invariant factors of the row lattice of m."""
     return FpAbelianGroup(m.n_cols, m).snf
@@ -372,8 +388,7 @@ class FpAbelianGroup:
             rows = list(dict.fromkeys(self.relations.rows))
             self._image, core, rest = _eliminate_units(self.n_gens, rows)
             self._hnf = HnfBasis(core)
-            for vec in dict.fromkeys(map(self._to_core, rest)):
-                self._hnf.add(vec)
+            self._add_rows(self._hnf, rest)
         return self._hnf
 
     @property
@@ -382,7 +397,7 @@ class FpAbelianGroup:
         if self._snf is None:
             core = self.hnf
             factors = [1] * (self.n_gens - core.n_cols)
-            factors += _chain(_diagonalize(core.rows(), core.n_cols))
+            factors += _chain(_diagonalize(core.rows(), core.n_cols)[0])
             self._snf = SnfResult(
                 tuple(factors), rank=len(factors), free_rank=self.n_gens - len(factors)
             )
@@ -403,12 +418,52 @@ class FpAbelianGroup:
             raise ValueError("element width does not match generator count")
         return tuple((c, x) for c, x in enumerate(element) if x)
 
-    def _to_core(self, row: SparseRow) -> tuple[int, ...]:
+    def _to_core(self, row: SparseRow) -> list[int]:
         """The core vector congruent to the sparse `row` modulo the relations."""
-        vec = [0] * self._hnf.n_cols
-        for c, x in row:
-            vec = [a + x * b for a, b in zip(vec, self._image[c])]
-        return tuple(vec)
+        return list(_combination(self._image, row)) or [0] * self._hnf.n_cols
+
+    def _add_rows(self, basis: HnfBasis, rows: Iterable[SparseRow]) -> None:
+        """Put the sparse `rows` into the lattice of `basis`, a core HNF.
+
+        Rows are reduced into the HNF until `basis.n_cols` of them in a row
+        leave it unchanged.  Every later row is certified instead, by
+        `_smith_check` of the basis; a row that fails goes into the HNF, and
+        the count starts again.  So each row is in the HNF or proven to lie
+        in its lattice, and the canonical HNF does not depend on the rule.
+        """
+        unchanged, check = 0, None
+        for row in rows:
+            if check is None and unchanged >= basis.n_cols:
+                check = self._smith_check(basis)
+            if check is not None and check(row):
+                continue
+            if basis.add(self._to_core(row)):
+                unchanged, check = 0, None
+            else:
+                unchanged += 1
+
+    def _smith_check(self, basis: HnfBasis) -> Callable[[SparseRow], bool]:
+        """Membership of sparse rows in the lattice of `basis`, in Smith coordinates.
+
+        With U * H * V = diag(d_i) for the basis rows H, v is in the lattice
+        iff (v V)_i is 0 mod d_i for i < rank and 0 for i >= rank.  Only the
+        coordinates with d_i != 1 are kept, and each generator's image
+        times V is computed once, so a row costs one short vector sum.
+        """
+        diag, transform = _diagonalize(basis.rows(), basis.n_cols)
+        diag += [0] * (basis.n_cols - len(diag))  # a free coordinate must be 0
+        keep = [i for i, d in enumerate(diag) if d != 1]
+        mods = [diag[i] for i in keep]
+        columns = [[v[k] for v in transform] for k in keep]
+        images = [
+            [x % d if d else x for x, d in zip((sum(map(mul, image, col)) for col in columns), mods)]
+            for image in self._image
+        ]
+
+        def check(row: SparseRow) -> bool:
+            return not any(x % d if d else x for x, d in zip(_combination(images, row), mods))
+
+        return check
 
     def contains(self, element: Sequence[int]) -> bool:
         """Whether `element` is in the relation lattice, i.e. is 0 in the group."""
@@ -419,8 +474,7 @@ class FpAbelianGroup:
         """The quotient by the subgroup generated by the sparse `rows`."""
         extra = IntMatrix(self.n_gens, rows)  # checked like any caller's rows
         basis = self.hnf.copy()
-        for row in extra.rows:
-            basis.add(self._to_core(row))
+        self._add_rows(basis, extra.rows)
         quot = FpAbelianGroup(
             self.n_gens, IntMatrix._trusted(self.n_gens, self.relations.rows + extra.rows)
         )

@@ -7,8 +7,10 @@ never reach the M-subset backtracker, so `golden/analyze_files.json` holds the
 same for `a2tp analyze --file F --output json --budget 200` on the seeded
 relabellings of t0/t0dual in `golden/files/` (q = 4, 5; each (q, variant) has
 one input whose search finds an M-subset within the budget and one whose
-search runs out of it).  A change that moves any byte of a report must
-regenerate the file and say why.
+search runs out of it).  `golden/analyze_q19_twists.json` holds the same for
+`--q 19` and the variants frob1 and omega, the inputs of the twists
+benchmark.  A change that moves any byte of a report must regenerate the
+file and say why.
 
 `analyze` reads Γ_ab from the triple lattice it shares with A_T, so
 `test_gamma_ab_oracle` reduces Γ_ab on its own, for the golden inputs with
@@ -32,6 +34,7 @@ from helpers import gamma_ab_matrix
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = json.loads((GOLDEN_DIR / "analyze_q16.json").read_text())
 GOLDEN_FILES = json.loads((GOLDEN_DIR / "analyze_files.json").read_text())
+GOLDEN_Q19 = json.loads((GOLDEN_DIR / "analyze_q19_twists.json").read_text())
 
 
 def test_golden_covers_every_prime_power_and_variant_up_to_16():
@@ -41,7 +44,9 @@ def test_golden_covers_every_prime_power_and_variant_up_to_16():
     assert {q for q, v in keys if v == "omega"} == {4, 7, 13, 16}
 
 
-@pytest.mark.parametrize("entry", GOLDEN, ids=lambda e: f"q{e['q']}-{e['variant']}")
+@pytest.mark.parametrize(
+    "entry", GOLDEN + GOLDEN_Q19, ids=lambda e: f"q{e['q']}-{e['variant']}"
+)
 def test_analyze_json_is_byte_identical(entry, capsys):
     code = main(["analyze", "--q", str(entry["q"]), "--variant", entry["variant"], "--output", "json"])
     captured = capsys.readouterr()

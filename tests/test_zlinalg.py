@@ -348,6 +348,62 @@ def test_peeling_against_full_width_hnf(data):
     assert g.element_order(e, "membership") == expected
 
 
+@st.composite
+def long_runs(draw):
+    """More rows than a warm-up takes, the rows that change the lattice last.
+
+    The lattice lies in 4Z on columns 0..n-1 and misses column n; a pivot
+    row ties column n + 1 to the others, and any later row may carry a
+    multiple of it.  Then comes a long run of integer combinations of the
+    lattice rows, and last 2 e_j (new torsion), m e_n (the free column
+    killed) and a row with non-unit coefficients, in random order.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    n = rng.randint(1, 3)
+    width = n + 2
+    pivot = [rng.randint(-3, 3) for _ in range(n + 1)] + [1]
+
+    def tied(row):  # the same element of the group, written with column n + 1 as well
+        k = rng.choice([0, 0, 1, -1, 2])
+        return [x + k * y for x, y in zip(row, pivot)]
+
+    lattice = [[4 * rng.randint(-3, 3) for _ in range(n)] + [0, 0] for _ in range(rng.randint(1, n))]
+    run = []
+    for _ in range(rng.randint(width + 1, width + 6)):
+        ks = [rng.randint(-3, 3) for _ in lattice]
+        run.append(tied([sum(k * row[j] for k, row in zip(ks, lattice)) for j in range(width)]))
+    j = rng.randrange(n)
+    changes = [
+        [2 * (c == j) for c in range(width)],
+        [rng.choice([2, 3, 5]) * (c == n) for c in range(width)],
+        [rng.choice([0, 2, -2, 3, 6]) for _ in range(n + 1)] + [0],
+    ]
+    rng.shuffle(changes)
+    e = [rng.randint(-3, 3) for _ in range(width)]
+    return [pivot] + lattice, run, [tied(row) for row in changes], e
+
+
+@settings(max_examples=100, deadline=None)
+@given(long_runs())
+def test_long_runs_against_one_row_at_a_time(data):
+    # Past the warm-up, rows are certified in Smith coordinates, not reduced;
+    # the ones that change the lattice must still reach the HNF.
+    gens, run, changes, e = data
+    rows = gens + run + changes
+    width = len(e)
+    g = FpAbelianGroup(width, rows)
+    full = HnfBasis(width)
+    for row in rows:
+        full.add(row)
+    assert g.snf.invariant_factors == minor_gcd_snf(gens + changes, width)  # run adds nothing
+    for v in (*rows, e, [2 * x for x in e], [x + y for x, y in zip(e, changes[0])]):
+        assert g.contains(v) == full.contains(v)
+    assert FpAbelianGroup(width, gens).quotient_by(*map(_sparse, run + changes)).snf == g.snf
+    with_e = minor_gcd_snf(gens + changes + [e], width)
+    expected = math.prod(with_e) if len(with_e) == width else None
+    assert g.quotient_by(_sparse(e)).order() == expected
+
+
 def test_quotient_by():
     g = FpAbelianGroup(2, [[4, 0], [0, 4]])
     q = g.quotient_by(((0, 2), (1, 2)))
