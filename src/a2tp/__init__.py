@@ -1,7 +1,7 @@
 """Triangle presentations over PG(2,q) and the abelian invariant A_T."""
 
 from .coinv import AnalysisReport, analyze, expected_epsilon_order, relation_matrix
-from .gf import FieldContext, PrimePower, build_field, prime_power
+from .gf import PrimePower, prime_power
 from .plane import PlaneContext, build_plane
 from .presentation import (
     TrianglePresentation,
@@ -15,11 +15,10 @@ from .presentation import (
     validate,
     write_presentation,
 )
-from .zlinalg import FpAbelianGroup, IntMatrix, SnfResult, snf
+from .zlinalg import FpAbelianGroup, IntMatrix, SnfResult
 
 __all__ = [
     "AnalysisReport",
-    "FieldContext",
     "FpAbelianGroup",
     "IntMatrix",
     "PlaneContext",
@@ -27,7 +26,6 @@ __all__ = [
     "SnfResult",
     "TrianglePresentation",
     "analyze",
-    "build_field",
     "build_plane",
     "expected_epsilon_order",
     "find_m_subset",
@@ -37,7 +35,6 @@ __all__ = [
     "prime_power",
     "read_presentation",
     "relation_matrix",
-    "snf",
     "twist",
     "twist_by_name",
     "validate",

@@ -151,8 +151,8 @@ def cmd_analyze(args) -> int:
     return EXIT_OK if report.all_checks_pass else EXIT_CHECK_FAILED
 
 
-def _table_row(q: int, variant: str) -> dict:
-    plane, T = build_variant(q, variant)
+def _table_row(plane: PlaneContext, variant: str, T: TrianglePresentation) -> dict:
+    q = plane.q
     report = analyze(T)
     predicted = predicted_group(q, plane.pp.p, plane.pp.r, variant)
     eps_pred = expected_epsilon_order(q)
@@ -175,7 +175,9 @@ def _table_row(q: int, variant: str) -> dict:
 
 
 def _table_rows_for_q(q: int) -> list[dict]:
-    return [_table_row(q, "t0"), _table_row(q, "t0dual")]
+    plane = build_plane(q)  # one plane for both variants
+    variants = (("t0", gen_t0), ("t0dual", gen_t0_dual))
+    return [_table_row(plane, variant, gen(plane)) for variant, gen in variants]
 
 
 def cmd_table(args) -> int:

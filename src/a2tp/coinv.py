@@ -9,13 +9,13 @@ relation schemes:
   bcd: triple rows and the all-points row, plus for each x the row
        x + sum over y on lambda(x) of y = eps.
 
-`analyze` reduces the bcd lattice only (q+2 nonzeros per x-row against
-N-q-1 for acb) and proves the two lattices equal row by row with
-`schemes_agree`, which reads each acb x-row from lambda(x) and never builds
-the acb matrix.  One unit-pivot elimination runs, on the triple lattice
-tri = Z^(N+1) / <x+y+z-eps>; every group is a quotient of it: A_T by the
-all-points row and the x-rows, A_T/<eps> by eps on top, and the abelianized
-triangle group Gamma_ab = Z^N / <x+y+z> as tri/<eps>.
+`relation_matrix` builds the bcd rows only (q+2 nonzeros per x-row against
+N-q-1 for acb); `schemes_agree` proves the two lattices equal row by row,
+reading each acb x-row from lambda(x).  One unit-pivot elimination runs,
+on the triple lattice tri = Z^(N+1) / <x+y+z-eps>; every group is a
+quotient of it: A_T by the all-points row and the x-rows, A_T/<eps> by eps
+on top, and the abelianized triangle group Gamma_ab = Z^N / <x+y+z> as
+tri/<eps>.
 """
 
 from __future__ import annotations
@@ -35,9 +35,6 @@ from .presentation import (
 )
 from .zlinalg import FpAbelianGroup, IntMatrix, SparseRow
 
-SCHEMES = ("acb", "bcd")
-
-
 class InternalError(RuntimeError):
     """Two independent computations of one number disagree: a bug, not bad input."""
 
@@ -47,19 +44,11 @@ def _shared_rows(T: TrianglePresentation) -> tuple[SparseRow, ...]:
     return T.triple_rows + (tuple((y, 1) for y in range(T.N)) + ((T.N, -1),),)
 
 
-def relation_matrix(T: TrianglePresentation, scheme: str) -> IntMatrix:
-    """Relation rows over N+1 columns (points 0..N-1, eps at column N)."""
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
+def relation_matrix(T: TrianglePresentation) -> IntMatrix:
+    """The bcd relation rows over N+1 columns (points 0..N-1, eps at column N)."""
     N = T.N
-    rows: list[SparseRow] = []
-    if scheme == "acb":
-        for x, on_line in enumerate(T.lam_sets):  # +1 off lambda(x), -1 at x
-            rows.append(tuple((y, v) for y in range(N) if (v := (y not in on_line) - (y == x))))
-    rows += _shared_rows(T)
-    if scheme == "bcd":
-        rows += (_point_row((x, *line), ((N, -1),)) for x, line in enumerate(T.lam))
-    return IntMatrix._trusted(N + 1, tuple(rows))
+    x_rows = (_point_row((x, *line), ((N, -1),)) for x, line in enumerate(T.lam))
+    return IntMatrix._trusted(N + 1, _shared_rows(T) + tuple(x_rows))
 
 
 @dataclass(frozen=True)
@@ -169,7 +158,7 @@ def analyze(
     eps_vec = [0] * N + [1]
     flags: list[str] = []
 
-    bcd = relation_matrix(T, "bcd")
+    bcd = relation_matrix(T)
     n_tri = len(bcd.rows) - N - 1  # the triple rows come first
     tri = FpAbelianGroup(N + 1, IntMatrix._trusted(N + 1, bcd.rows[:n_tri]))
     grp = tri.quotient_by(*bcd.rows[n_tri:])  # A_T: the all-points row and the x-rows

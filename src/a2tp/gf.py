@@ -1,14 +1,17 @@
-"""Exact arithmetic in the cubic extension F_{q^3} of F_q, q = p^r.
+"""The trace-zero set of the Singer model of PG(2,q), q = p^r.
 
-Elements are stored as packed integers: the coefficient of t^i in the
-polynomial representation is the i-th base-p digit.  A full exp/dlog table
-for a primitive generator turns multiplicative questions into modular
-arithmetic on exponents.
+F_{q^3} is F_p[t] modulo the lexicographically first primitive modulus of
+degree 3r, with zeta the class of t; polynomials are coefficient lists over
+F_p, low degree first.  `trace_zero_logs` finds the logs k mod q^2+q+1 with
+Tr(zeta^k) = 0 (Singer, 1938) without tabulating the field: the trace is
+F_p-linear (Lidl-Niederreiter, Thm 2.23), so its values on the basis t^i
+decide every power of zeta.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 MAX_Q = 64
 
@@ -79,13 +82,6 @@ def _digits(n: int, p: int, length: int) -> list[int]:
     return out
 
 
-def _pack(coeffs, p: int) -> int:
-    code = 0
-    for c in reversed(coeffs):
-        code = code * p + (c % p)
-    return code
-
-
 def _poly_mul_mod(a: list[int], b: list[int], modulus: list[int], p: int) -> list[int]:
     """Product of coefficient lists, reduced mod the monic `modulus` and mod p."""
     d = len(modulus) - 1
@@ -120,72 +116,11 @@ def _is_one(poly: list[int]) -> bool:
     return poly[0] == 1 and not any(poly[1:])
 
 
-@dataclass(frozen=True)
-class FieldContext:
-    """Immutable arithmetic context for F_{q^3} = F_p[t]/(modulus).
-
-    `exp[k]` is the packed code of zeta^k where zeta is the class of t;
-    `dlog` inverts it (dlog[0] is a -1 sentinel for the zero element).
-    """
-
-    pp: PrimePower
-    modulus: tuple[int, ...]
-    exp: tuple[int, ...]
-    dlog: tuple[int, ...]
-
-    @property
-    def p(self) -> int:
-        return self.pp.p
-
-    @property
-    def q(self) -> int:
-        return self.pp.q
-
-    @property
-    def order(self) -> int:
-        return self.q**3
-
-    @property
-    def mult_order(self) -> int:
-        return self.order - 1
-
-    @property
-    def zeta(self) -> int:
-        return self.exp[1]
-
-    def add(self, a: int, b: int) -> int:
-        p = self.p
-        if p == 2:
-            return a ^ b
-        out = 0
-        shift = 1
-        while a or b:
-            out += ((a + b) % p) * shift
-            a //= p
-            b //= p
-            shift *= p
-        return out
-
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e <= 0:
-                raise ZeroDivisionError("0 has no non-positive power")
-            return 0
-        return self.exp[(self.dlog[a] * e) % self.mult_order]
-
-    def frobenius(self, a: int) -> int:
-        return self.pow(a, self.q) if a else 0
-
-    def trace(self, a: int) -> int:
-        aq = self.frobenius(a)
-        return self.add(self.add(a, aq), self.frobenius(aq))
-
-
-def build_field(pp: PrimePower) -> FieldContext:
-    """Build F_{q^3} with the lexicographically first primitive modulus.
+def _primitive_modulus(pp: PrimePower) -> list[int]:
+    """The lexicographically first primitive modulus of degree 3r over F_p.
 
     Candidate moduli t^d + (lower part) are scanned in ascending order of the
-    packed lower-coefficient code; a candidate is accepted iff the class of t
+    lower coefficients read as a base-p number; a candidate is accepted iff the class of t
     has multiplicative order exactly q^3 - 1, which simultaneously certifies
     irreducibility and primitivity.
     """
@@ -196,37 +131,44 @@ def build_field(pp: PrimePower) -> FieldContext:
     d = 3 * pp.r
     m = q**3 - 1
     m_primes = list(factorize(m))
-
-    modulus = None
+    t = [0, 1] + [0] * (d - 2)
     for n in range(1, p**d):
         lower = _digits(n, p, d)
         if lower[0] == 0:
             continue  # t would divide the candidate
         candidate = lower + [1]
-        t = [0, 1] + [0] * (d - 2)
         if not _is_one(_poly_pow_mod(t, m, candidate, p)):
             continue
         if any(_is_one(_poly_pow_mod(t, m // ell, candidate, p)) for ell in m_primes):
             continue
-        modulus = candidate
-        break
-    if modulus is None:
-        raise NoPrimitivePolynomial(f"no primitive modulus for p={p}, degree {d}")
+        return candidate
+    raise NoPrimitivePolynomial(f"no primitive modulus for p={p}, degree {d}")
 
-    # Tabulate powers of zeta = class of t by repeated multiply-by-t.
-    exp = [0] * m
-    dlog = [-1] * (p**d)
+
+def trace_zero_logs(pp: PrimePower) -> tuple[int, ...]:
+    """The logs k < q^2+q+1 with Tr(zeta^k) = 0, zeta the class of t.
+
+    Tr(a) = a + a^q + a^(q^2) is F_p-linear, so it is tabulated once, as the
+    columns Tr(t^i) on the basis t^i; zeta^k is then walked by multiplication
+    by t, and k kept when its coefficient vector maps to 0 mod p.
+    """
+    p, q = pp.p, pp.q
+    modulus = _primitive_modulus(pp)
+    d = len(modulus) - 1
+    t = [0, 1] + [0] * (d - 2)
+    columns = [
+        map(sum, zip(*(_poly_pow_mod(t, i * e, modulus, p) for e in (1, q, q * q))))
+        for i in range(d)
+    ]
+    rows = list(zip(*columns))  # rows[j][i]: the coefficient of t^j in Tr(t^i)
+    out = []
     cur = [1] + [0] * (d - 1)
-    for k in range(m):
-        code = _pack(cur, p)
-        if dlog[code] != -1:
-            raise NoPrimitivePolynomial("duplicate power: modulus not primitive")
-        exp[k] = code
-        dlog[code] = k
-        # cur *= t, reduced by the monic modulus
-        top = cur[-1]
+    for k in range(q * q + q + 1):
+        if not any(sum(map(mul, cur, row)) % p for row in rows):
+            out.append(k)
+        top = cur[-1]  # cur *= t, reduced by the monic modulus
         cur = [0] + cur[:-1]
         if top:
             for i in range(d):
                 cur[i] = (cur[i] - top * modulus[i]) % p
-    return FieldContext(pp=pp, modulus=tuple(modulus), exp=tuple(exp), dlog=tuple(dlog))
+    return tuple(out)

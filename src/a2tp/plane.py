@@ -2,15 +2,16 @@
 
 Points are residues mod N = q^2+q+1 (Singer logarithms of the cosets
 F_q^x * zeta^k), and lines are the translates of the trace-zero difference
-set.  Construction verifies the difference-set property eagerly;
-`lines_form_plane` checks the axioms of a line table read from a file.
+set that `gf.trace_zero_logs` finds.  Construction verifies the
+difference-set property eagerly; `lines_form_plane` checks the axioms of a
+line table read from a file.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf import FieldContext, PrimePower, build_field, prime_power
+from .gf import PrimePower, prime_power, trace_zero_logs
 
 Point = int
 
@@ -27,7 +28,6 @@ class NotApplicable(ValueError):
 class PlaneContext:
     pp: PrimePower
     N: int
-    field: FieldContext
     tz: tuple[int, ...]
 
     @property
@@ -73,19 +73,16 @@ def lines_form_plane(lines, q: int) -> bool:
 def build_plane(pp: PrimePower | int) -> PlaneContext:
     if isinstance(pp, int):
         pp = prime_power(pp)
-    field = build_field(pp)
     q = pp.q
     N = q * q + q + 1
-    # Points are cosets F_q^x zeta^k for k in [0, N); the representative zeta^k
-    # determines trace-zero status since Tr is F_q-linear.
-    tz = tuple(sorted(d for d in range(N) if field.trace(field.exp[d]) == 0))
+    tz = trace_zero_logs(pp)
     if len(tz) != q + 1:
         raise PlaneAxiomViolation(f"expected {q + 1} trace-zero cosets, got {len(tz)}")
     # The translates of a perfect difference set of size q+1 mod q^2+q+1 are
     # the lines of a projective plane of order q (Singer 1938), which has a
     # quadrilateral for q >= 2, so no further axiom check is needed.
     _verify_difference_set(tz, N, q)
-    return PlaneContext(pp=pp, N=N, field=field, tz=tz)
+    return PlaneContext(pp=pp, N=N, tz=tz)
 
 
 def frobenius_collineation(ctx: PlaneContext, x: Point) -> Point:

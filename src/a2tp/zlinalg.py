@@ -13,11 +13,11 @@ are diagonalized once, U H V = diag(d_i), and every later row is certified
 instead of reduced: its image times V must be 0 mod d_i where d_i != 1,
 and 0 on the free coordinates.  A row that fails goes into the HNF, so
 each row is in the HNF or proven to lie in its lattice.  The Smith normal
-form is diagonalized from the HNF rows with the smallest-pivot rule;
-`snf(m)` is that path for a bare matrix.  `quotient_by` puts more rows into
-a copy of the core HNF the same way: a quotient is never eliminated again.
-Element orders come from lattice membership in the core.  Everything runs
-on Python's arbitrary-precision integers.
+form is diagonalized from the HNF rows with the smallest-pivot rule.
+`quotient_by` puts more rows into a copy of the core HNF the same way: a
+quotient is never eliminated again.  Element orders come from lattice
+membership in the core.  Everything runs on Python's arbitrary-precision
+integers.
 """
 
 from __future__ import annotations
@@ -63,15 +63,9 @@ class IntMatrix:
                 raise ValueError("zero coefficient in sparse row")
 
     @staticmethod
-    def from_rows(n_cols: int, rows: Iterable[dict[int, int] | Sequence[int]]) -> "IntMatrix":
-        packed = []
-        for row in rows:
-            if isinstance(row, dict):
-                items = row.items()
-            else:
-                items = enumerate(row)
-            packed.append(tuple(sorted((c, v) for c, v in items if v)))
-        return IntMatrix(n_cols, tuple(packed))
+    def from_rows(n_cols: int, rows: Iterable[Sequence[int]]) -> "IntMatrix":
+        packed = tuple(tuple((c, v) for c, v in enumerate(row) if v) for row in rows)
+        return IntMatrix(n_cols, packed)
 
     @classmethod
     def _trusted(cls, n_cols: int, rows: tuple[SparseRow, ...]) -> "IntMatrix":
@@ -358,11 +352,6 @@ def _eliminate_units(
 def _combination(vectors: Sequence[Sequence[int]], row: SparseRow) -> Iterator[int]:
     """The sum of x * vectors[c] over the entries (c, x) of `row`; empty if `row` is."""
     return map(sum, zip(*(vectors[c] if x == 1 else [x * y for y in vectors[c]] for c, x in row)))
-
-
-def snf(m: IntMatrix) -> SnfResult:
-    """Smith normal form invariant factors of the row lattice of m."""
-    return FpAbelianGroup(m.n_cols, m).snf
 
 
 class FpAbelianGroup:

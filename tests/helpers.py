@@ -22,6 +22,21 @@ def report_from_dict(d: dict) -> AnalysisReport:
     )
 
 
+def acb_matrix(T) -> IntMatrix:
+    """The acb relation rows of A_T, the oracle lattice for the program's bcd rows.
+
+    For each x, +1 at each point off lambda(x) and -1 at x; then the rows
+    both schemes share: each triple, and the all-points row = eps.
+    """
+    N = T.N
+    x_rows = tuple(
+        tuple((y, v) for y in range(N) if (v := (y not in on_line) - (y == x)))
+        for x, on_line in enumerate(T.lam_sets)
+    )
+    all_points = tuple((y, 1) for y in range(N)) + ((N, -1),)
+    return IntMatrix(N + 1, x_rows + T.triple_rows + (all_points,))
+
+
 def gamma_ab_matrix(T) -> IntMatrix:
     """Relations of the abelianized triangle group Γ_ab: x + y + z = 0 per triple.
 

@@ -268,7 +268,7 @@ def test_analyze_internal_error_exits_3(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "target, error",
     [
-        ("build_field", gf.NoPrimitivePolynomial("no primitive modulus for p=2, degree 6")),
+        ("trace_zero_logs", gf.NoPrimitivePolynomial("no primitive modulus for p=2, degree 6")),
         ("_verify_difference_set", plane.PlaneAxiomViolation("not a perfect difference set")),
     ],
 )

@@ -18,7 +18,7 @@ from a2tp.coinv import (
 from a2tp.plane import build_plane
 from a2tp.presentation import gen_t0, gen_t0_dual, twist_by_name
 from a2tp.zlinalg import FpAbelianGroup, IntMatrix
-from helpers import gamma_ab_matrix, report_from_dict
+from helpers import acb_matrix, gamma_ab_matrix, report_from_dict
 
 
 @pytest.fixture(scope="module")
@@ -37,14 +37,14 @@ def reports(planes):
 
 def test_matrix_shape_q2(planes):
     T = gen_t0(planes[2])
-    mat = relation_matrix(T, "acb")
+    mat = acb_matrix(T)
     assert mat.n_cols == 8
     assert len(mat.rows) == 7 + 21 + 1
 
 
 def test_matrix_shape_bcd(planes):
     T = gen_t0(planes[2])
-    mat = relation_matrix(T, "bcd")
+    mat = relation_matrix(T)
     assert len(mat.rows) == 21 + 1 + 7
 
 
@@ -52,7 +52,7 @@ def test_acb_row_structure_q2(planes):
     # char 2: x is never on its own line, so the (3a) row for x has a net 0
     # coefficient at x and +1 at the 3 other off-line points
     T = gen_t0(planes[2])
-    mat = relation_matrix(T, "acb")
+    mat = acb_matrix(T)
     for x, row in enumerate(mat.rows[:7]):
         coeffs = dict(row)
         assert coeffs.get(x, 0) == 0
@@ -63,7 +63,7 @@ def test_acb_row_structure_q2(planes):
 
 def test_degenerate_triple_row_char3(planes):
     T = gen_t0(planes[3])
-    mat = relation_matrix(T, "acb")
+    mat = acb_matrix(T)
     N = T.N
     # (0,0,0) is a triple; its row carries coefficient 3 at point 0, -1 at eps
     assert ((0, 3), (N, -1)) in mat.rows
@@ -71,7 +71,7 @@ def test_degenerate_triple_row_char3(planes):
 
 def test_all_points_row(planes):
     T = gen_t0(planes[2])
-    mat = relation_matrix(T, "acb")
+    mat = acb_matrix(T)
     last = mat.rows[-1]
     assert last == tuple((c, 1) for c in range(7)) + ((7, -1),)
 
@@ -114,7 +114,7 @@ def test_all_checks_pass(reports):
 
 
 def _scheme_groups(T):
-    return tuple(FpAbelianGroup(T.N + 1, relation_matrix(T, s)) for s in ("acb", "bcd"))
+    return tuple(FpAbelianGroup(T.N + 1, m) for m in (acb_matrix(T), relation_matrix(T)))
 
 
 def test_schemes_agree(planes):
@@ -162,7 +162,7 @@ def test_scheme_lattices_equal_on_every_variant(planes):
                 dense = ([dict(row).get(c, 0) for c in range(g.n_gens)] for row in g.relations.rows)
                 assert all(map(h.contains, dense)), T.origin
             assert a.invariants() == b.invariants(), T.origin
-            acb, bcd = relation_matrix(T, "acb"), relation_matrix(T, "bcd")
+            acb, bcd = acb_matrix(T), relation_matrix(T)
             assert schemes_agree(T, bcd) is _rowwise_agree(acb, bcd) is True, T.origin
 
 
@@ -174,7 +174,7 @@ def _doubled(m, i):
 
 def test_schemes_agree_rejects_corrupted_rows(planes):
     T = gen_t0(planes[3])
-    acb, bcd = relation_matrix(T, "acb"), relation_matrix(T, "bcd")
+    acb, bcd = acb_matrix(T), relation_matrix(T)
     n_shared = len(T.triples) + 1
     assert schemes_agree(T, bcd) and _rowwise_agree(acb, bcd)
     corrupted = [
@@ -191,32 +191,15 @@ def test_schemes_agree_rejects_corrupted_rows(planes):
     # lambda(0) repeats a point: bcd counts it twice, acb reads lambda(0) as a set
     line = T.lam[0]
     R = replace(T, lam=((line[0],) + line[:-1],) + T.lam[1:])
-    assert not schemes_agree(R, relation_matrix(R, "bcd"))
-    assert not _rowwise_agree(relation_matrix(R, "acb"), relation_matrix(R, "bcd"))
+    assert not schemes_agree(R, relation_matrix(R))
+    assert not _rowwise_agree(acb_matrix(R), relation_matrix(R))
 
 
 def test_analyze_reports_corrupted_scheme(planes, monkeypatch):
     T = gen_t0(planes[3])
     real = coinv.relation_matrix
-    monkeypatch.setattr(
-        coinv, "relation_matrix", lambda T, s: _doubled(real(T, s), -1) if s == "bcd" else real(T, s)
-    )
+    monkeypatch.setattr(coinv, "relation_matrix", lambda T: _doubled(real(T), -1))
     assert not analyze(T).checks["scheme_agreement"]
-
-
-def test_analyze_never_builds_the_acb_matrix(planes, monkeypatch):
-    real = coinv.relation_matrix
-
-    def bcd_only(T, scheme):
-        if scheme == "acb":
-            raise AssertionError("analyze built the acb matrix")
-        return real(T, scheme)
-
-    monkeypatch.setattr(coinv, "relation_matrix", bcd_only)
-    for pl in planes.values():
-        for T in (gen_t0(pl), gen_t0_dual(pl)):
-            rep = analyze(T)
-            assert rep.all_checks_pass and rep.checks["scheme_agreement"], T.origin
 
 
 def test_analyze_runs_one_unit_pivot_elimination(planes, monkeypatch):
@@ -261,8 +244,8 @@ def test_lemma_q2():
 def test_lower_bound_row_annihilation(planes):
     for q, pl in planes.items():
         T = gen_t0(pl)
-        for scheme in ("acb", "bcd"):
-            assert check_lower_bound(q, relation_matrix(T, scheme), expected_epsilon_order(q))
+        for relations in (acb_matrix(T), relation_matrix(T)):
+            assert check_lower_bound(q, relations, expected_epsilon_order(q))
 
 
 def test_lower_bound_3c_row_arithmetic():

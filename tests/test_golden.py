@@ -116,7 +116,7 @@ def test_gamma_ab_oracle(q, variant, quotient):
         if variant != "t0":
             T = twist_by_name(plane, T, variant)
     N = T.N
-    bcd = relation_matrix(T, "bcd")  # tri as `analyze` builds it: the triple rows come first
+    bcd = relation_matrix(T)  # tri as `analyze` builds it: the triple rows come first
     tri = FpAbelianGroup(N + 1, IntMatrix(N + 1, bcd.rows[: len(bcd.rows) - N - 1]))
     gamma_order = FpAbelianGroup(N, gamma_ab_matrix(T)).order()
     assert gamma_order is not None

@@ -498,7 +498,7 @@ def test_comments_ignored(tmp_path, planes):
 
 def test_singer_equivariance_of_relations(planes):
     # relabeling every point by a fixed shift permutes the relation rows
-    from a2tp.coinv import relation_matrix
+    from helpers import acb_matrix
 
     pl = planes[3]
     T = gen_t0(pl)
@@ -520,6 +520,6 @@ def test_singer_equivariance_of_relations(planes):
     def relabel(row):
         return tuple(sorted(((c + k) % N if c < N else c, v) for c, v in row))
 
-    base_rows = {relabel(r) for r in relation_matrix(T, "acb").rows}
-    shifted_rows = {tuple(r) for r in relation_matrix(shifted, "acb").rows}
+    base_rows = {relabel(r) for r in acb_matrix(T).rows}
+    shifted_rows = {tuple(r) for r in acb_matrix(shifted).rows}
     assert base_rows == shifted_rows
