@@ -321,7 +321,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, FileNotFoundError, ValueError) as exc:
+    except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (InternalError, NoPrimitivePolynomial, PlaneAxiomViolation) as exc:

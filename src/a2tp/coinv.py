@@ -6,8 +6,11 @@ relation schemes:
 
   acb: for each x, sum over y not on lambda(x) of y = x; for each triple,
        x + y + z = eps; the all-points sum = eps.
-  bcd: triple rows and the all-points row, plus for each x the row
+  bcd: triangle rows and the all-points row, plus for each x the row
        x + sum over y on lambda(x) of y = eps.
+
+The triangle row x + y + z = eps depends only on the multiset {x, y, z}, so
+the rotations of a triple share one row, which is built once.
 
 `relation_matrix` builds the bcd rows only (q+2 nonzeros per x-row against
 N-q-1 for acb); `schemes_agree` proves the two lattices equal row by row,
@@ -23,25 +26,40 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import gcd
-from typing import Optional
+from typing import Iterable, Optional
 
+from .plane import Point
 from .presentation import (
     DEFAULT_BACKTRACK_BUDGET,
     TrianglePresentation,
-    _point_row,
     find_m_subset,
     m_subset_occurrences,
     validate,
 )
-from .zlinalg import FpAbelianGroup, IntMatrix, SparseRow
+from .zlinalg import FpAbelianGroup, IntMatrix, SparseRow, cyclics_to_invariant_factors
 
 class InternalError(RuntimeError):
     """Two independent computations of one number disagree: a bug, not bad input."""
 
 
+def _point_row(points: Iterable[Point], tail: SparseRow = ()) -> SparseRow:
+    """The relation row of a multiset of points, followed by `tail`."""
+    counts: dict[int, int] = {}
+    for pt in points:
+        counts[pt] = counts.get(pt, 0) + 1
+    return tuple(sorted(counts.items())) + tail
+
+
 def _shared_rows(T: TrianglePresentation) -> tuple[SparseRow, ...]:
-    """The rows both schemes share: each triple, then the all-points row."""
-    return T.triple_rows + (tuple((y, 1) for y in range(T.N)) + ((T.N, -1),),)
+    """The rows both schemes share: the triangle rows, then the all-points row.
+
+    One triangle row per distinct point multiset, in the order the sorted
+    triples first give it.
+    """
+    minus_eps = ((T.N, -1),)
+    multisets = dict.fromkeys(map(tuple, map(sorted, sorted(T.triples))))
+    triangles = tuple(_point_row(m, minus_eps) for m in multisets)
+    return triangles + (tuple((y, 1) for y in range(T.N)) + minus_eps,)
 
 
 def relation_matrix(T: TrianglePresentation) -> IntMatrix:
@@ -119,7 +137,7 @@ def check_lower_bound(q: int, relations: IntMatrix, epsilon_order: Optional[int]
 def schemes_agree(T: TrianglePresentation, bcd: IntMatrix) -> bool:
     """True when the acb rows of T and the bcd rows `bcd` span the same lattice.
 
-    Exact and elimination-free, and no acb matrix is built: the triple rows
+    Exact and elimination-free, and no acb matrix is built: the triangle rows
     and the all-points row of `bcd` must be those of T, which both schemes
     share, and acb_x + bcd_x must equal the all-points row for every x.
     acb_x is 1 off lambda(x) minus e_x, so that reads
@@ -159,7 +177,7 @@ def analyze(
     flags: list[str] = []
 
     bcd = relation_matrix(T)
-    n_tri = len(bcd.rows) - N - 1  # the triple rows come first
+    n_tri = len(bcd.rows) - N - 1  # the triangle rows come first
     tri = FpAbelianGroup(N + 1, IntMatrix._trusted(N + 1, bcd.rows[:n_tri]))
     grp = tri.quotient_by(*bcd.rows[n_tri:])  # A_T: the all-points row and the x-rows
     factors = grp.invariants()
@@ -214,27 +232,6 @@ def analyze(
         conjecture_holds=conjecture,
         flags=tuple(flags),
     )
-
-
-def cyclics_to_invariant_factors(cyclics: list[int]) -> tuple[int, ...]:
-    """Canonical invariant factors of a direct sum of cyclic groups (CRT)."""
-    from .gf import factorize
-
-    primary: dict[int, list[int]] = {}
-    for n in cyclics:
-        for p, e in factorize(n).items():
-            primary.setdefault(p, []).append(p**e)
-    for p in primary:
-        primary[p].sort(reverse=True)
-    depth = max((len(v) for v in primary.values()), default=0)
-    factors = []
-    for i in range(depth):
-        d = 1
-        for p, powers in primary.items():
-            if i < len(powers):
-                d *= powers[i]
-        factors.append(d)
-    return tuple(sorted(factors))
 
 
 def predicted_group(q: int, p: int, r: int, variant: str) -> tuple[int, ...]:

@@ -3,23 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 from .plane import PlaneContext, Point, frobenius_collineation, mult_by_omega
-from .zlinalg import SparseRow
 
 Triple = tuple[Point, Point, Point]
 
 DEFAULT_BACKTRACK_BUDGET = 10**7
-
-
-def _point_row(points: Iterable[Point], tail: SparseRow = ()) -> SparseRow:
-    """The relation row of a multiset of points, followed by `tail`."""
-    counts: dict[int, int] = {}
-    for pt in points:
-        counts[pt] = counts.get(pt, 0) + 1
-    return tuple(sorted(counts.items())) + tail
 
 
 class PhiNotOrder3(ValueError):
@@ -57,16 +47,6 @@ class TrianglePresentation:
 
     def __post_init__(self):
         object.__setattr__(self, "_lam_sets", tuple(frozenset(l) for l in self.lam))
-
-    @cached_property
-    def triple_rows(self) -> tuple[SparseRow, ...]:
-        """Each triple, in sorted order, as the relation row x + y + z - eps.
-
-        Points are columns 0..N-1 and eps is column N.  Built once per
-        presentation, for every relation lattice and check that reads it.
-        """
-        minus_eps = ((self.N, -1),)
-        return tuple(_point_row(t, minus_eps) for t in sorted(self.triples))
 
 
 @dataclass(frozen=True)
@@ -169,8 +149,9 @@ def twist_by_name(plane: PlaneContext, T: TrianglePresentation, name: str) -> Tr
 def validate(T: TrianglePresentation) -> ValidationReport:
     N = T.N
     by_pair: dict[tuple[Point, Point], Point] = {}
+    ordered = sorted(T.triples)
     ax3 = AxiomResult(True)
-    for (x, y, z) in sorted(T.triples):
+    for (x, y, z) in ordered:
         prev = by_pair.get((x, y))
         if prev is not None and prev != z:
             if ax3.ok:
@@ -191,7 +172,7 @@ def validate(T: TrianglePresentation) -> ValidationReport:
             break
 
     ax2 = AxiomResult(True)
-    for (x, y, z) in sorted(T.triples):
+    for (x, y, z) in ordered:
         if (y, z, x) not in T.triples:
             ax2 = AxiomResult(False, (x, y, z))
             break
@@ -362,6 +343,8 @@ def read_presentation(path) -> TrianglePresentation:
         raise ParseError(f"bad header {header!r}", no) from None
     if parts[1][:2] != "q=" or parts[2][:2] != "n=":
         raise ParseError(f"bad header {header!r}", no)
+    if q < 2:
+        raise InconsistentHeader(f"q={q} is below 2", no)
     if N != q * q + q + 1:
         raise InconsistentHeader(f"n={N} does not equal q^2+q+1={q * q + q + 1}", no)
 

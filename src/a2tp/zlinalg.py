@@ -253,9 +253,12 @@ def _diagonalize(rows: list[list[int]], n_cols: int) -> tuple[list[int], list[li
     return diag, transform
 
 
-def _chain(diag: Sequence[int]) -> list[int]:
-    """Normalize a positive diagonal into the divisibility chain d1 | d2 | ..."""
-    d = sorted(abs(x) for x in diag)
+def cyclics_to_invariant_factors(orders: Sequence[int]) -> list[int]:
+    """The invariant factors d1 | d2 | ... of a direct sum of cyclic groups, 1s kept.
+
+    `orders` are the nonzero orders of the summands, e.g. a Smith diagonal.
+    """
+    d = sorted(abs(x) for x in orders)
     changed = True
     while changed:
         changed = False
@@ -373,9 +376,7 @@ class FpAbelianGroup:
     def hnf(self) -> HnfBasis:
         """Hermite basis of the core lattice left by peeling."""
         if self._hnf is None:
-            # duplicates carry no information
-            rows = list(dict.fromkeys(self.relations.rows))
-            self._image, core, rest = _eliminate_units(self.n_gens, rows)
+            self._image, core, rest = _eliminate_units(self.n_gens, self.relations.rows)
             self._hnf = HnfBasis(core)
             self._add_rows(self._hnf, rest)
         return self._hnf
@@ -386,7 +387,7 @@ class FpAbelianGroup:
         if self._snf is None:
             core = self.hnf
             factors = [1] * (self.n_gens - core.n_cols)
-            factors += _chain(_diagonalize(core.rows(), core.n_cols)[0])
+            factors += cyclics_to_invariant_factors(_diagonalize(core.rows(), core.n_cols)[0])
             self._snf = SnfResult(
                 tuple(factors), rank=len(factors), free_rank=self.n_gens - len(factors)
             )

@@ -22,11 +22,26 @@ def report_from_dict(d: dict) -> AnalysisReport:
     )
 
 
+def triangle_rows(T, tail=()) -> tuple:
+    """x + y + z, followed by `tail`, once per point multiset of the triples.
+
+    In the order the sorted triples first give each multiset, as the program
+    orders its triangle rows; built here from the triples alone.
+    """
+    rows = {}
+    for t in sorted(T.triples):
+        counts: dict[int, int] = {}
+        for pt in t:
+            counts[pt] = counts.get(pt, 0) + 1
+        rows[tuple(sorted(counts.items())) + tail] = None
+    return tuple(rows)
+
+
 def acb_matrix(T) -> IntMatrix:
     """The acb relation rows of A_T, the oracle lattice for the program's bcd rows.
 
     For each x, +1 at each point off lambda(x) and -1 at x; then the rows
-    both schemes share: each triple, and the all-points row = eps.
+    both schemes share: the triangle rows, and the all-points row = eps.
     """
     N = T.N
     x_rows = tuple(
@@ -34,22 +49,16 @@ def acb_matrix(T) -> IntMatrix:
         for x, on_line in enumerate(T.lam_sets)
     )
     all_points = tuple((y, 1) for y in range(N)) + ((N, -1),)
-    return IntMatrix(N + 1, x_rows + T.triple_rows + (all_points,))
+    return IntMatrix(N + 1, x_rows + triangle_rows(T, ((N, -1),)) + (all_points,))
 
 
 def gamma_ab_matrix(T) -> IntMatrix:
-    """Relations of the abelianized triangle group Γ_ab: x + y + z = 0 per triple.
+    """Relations of the abelianized triangle group Γ_ab: x + y + z = 0 per point multiset.
 
     Built from the triples alone, over the N point columns, so that Γ_ab
     reduced from it is independent of the program's shared triple lattice.
     """
-    rows = []
-    for t in sorted(T.triples):
-        counts: dict[int, int] = {}
-        for pt in t:
-            counts[pt] = counts.get(pt, 0) + 1
-        rows.append(tuple(sorted(counts.items())))
-    return IntMatrix(T.N, tuple(rows))
+    return IntMatrix(T.N, triangle_rows(T))
 
 
 def order_by_quotient(group: FpAbelianGroup, element) -> int:

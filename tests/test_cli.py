@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -140,6 +141,31 @@ def test_analyze_truncated_line_is_a_parse_error(tmp_path, capsys, second_line):
     code, _, err = run(capsys, "analyze", "--file", str(out))
     assert code == 2
     assert "line 2" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_file_that_is_a_directory_is_a_usage_error(tmp_path, capsys, command):
+    code, _, err = run(capsys, command, "--file", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error:")
+
+
+HEADERS_BELOW_Q2 = {
+    -1: "a2tp q=-1 n=1\nlambda 0:\n",
+    0: "a2tp q=0 n=1\nlambda 0: 0\nt 0 0 0\n",
+    1: "a2tp q=1 n=3\nlambda 0: 1 2\nlambda 1: 0 2\nlambda 2: 0 1\n"
+    + "".join(f"t {x} {y} {z}\n" for x, y, z in itertools.permutations(range(3))),
+}
+
+
+@pytest.mark.parametrize("q", sorted(HEADERS_BELOW_Q2))
+def test_analyze_rejects_a_header_with_q_below_2(tmp_path, capsys, q):
+    out = tmp_path / "t.a2tp"
+    out.write_text(HEADERS_BELOW_Q2[q])
+    code, stdout, err = run(capsys, "analyze", "--file", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: line 1: q={q} is below 2\n"
 
 
 def test_table_small_range(capsys):

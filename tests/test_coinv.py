@@ -9,7 +9,6 @@ from a2tp.coinv import (
     analyze,
     check_lemma_q2,
     check_lower_bound,
-    cyclics_to_invariant_factors,
     expected_epsilon_order,
     predicted_group,
     relation_matrix,
@@ -36,16 +35,29 @@ def reports(planes):
 
 
 def test_matrix_shape_q2(planes):
+    # 21 triples, 7 rotation classes: one triangle row per point multiset
     T = gen_t0(planes[2])
     mat = acb_matrix(T)
     assert mat.n_cols == 8
-    assert len(mat.rows) == 7 + 21 + 1
+    assert len(mat.rows) == 7 + 7 + 1
 
 
 def test_matrix_shape_bcd(planes):
     T = gen_t0(planes[2])
     mat = relation_matrix(T)
-    assert len(mat.rows) == 21 + 1 + 7
+    assert len(mat.rows) == 7 + 1 + 7
+
+
+def test_one_triangle_row_per_point_multiset(planes):
+    for q, pl in planes.items():
+        for T in (gen_t0(pl), gen_t0_dual(pl), twist_by_name(pl, gen_t0(pl), "frob1")):
+            N = T.N
+            triangles = relation_matrix(T).rows[: -N - 1]
+            multisets = {tuple(sorted(t)) for t in T.triples}
+            assert len(triangles) == len(set(triangles)) == len(multisets), T.origin
+            points = ((c for c, v in row[:-1] for _ in range(v)) for row in triangles)
+            assert set(map(tuple, map(sorted, points))) == multisets, T.origin
+            assert all(row[-1] == (N, -1) for row in triangles), T.origin
 
 
 def test_acb_row_structure_q2(planes):
@@ -175,7 +187,7 @@ def _doubled(m, i):
 def test_schemes_agree_rejects_corrupted_rows(planes):
     T = gen_t0(planes[3])
     acb, bcd = acb_matrix(T), relation_matrix(T)
-    n_shared = len(T.triples) + 1
+    n_shared = 26 + 1  # 13 triples (x, x, x) and 13 rotation classes of 3, then all points
     assert schemes_agree(T, bcd) and _rowwise_agree(acb, bcd)
     corrupted = [
         _doubled(bcd, n_shared),  # first bcd x-row
@@ -318,13 +330,6 @@ def test_report_json_roundtrip(reports):
     for rep in reports.values():
         back = report_from_dict(json.loads(rep.to_json()))
         assert back == rep
-
-
-def test_cyclics_to_invariant_factors():
-    assert cyclics_to_invariant_factors([2, 3]) == (6,)
-    assert cyclics_to_invariant_factors([2, 2, 2]) == (2, 2, 2)
-    assert cyclics_to_invariant_factors([4, 6]) == (2, 12)
-    assert cyclics_to_invariant_factors([]) == ()
 
 
 def test_predicted_group():

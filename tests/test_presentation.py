@@ -426,6 +426,14 @@ def test_read_rejects_bad_header(tmp_path):
         read_presentation(path)
 
 
+@pytest.mark.parametrize("q", [-1, 0, 1])
+def test_read_rejects_q_below_2(tmp_path, q):
+    path = tmp_path / "bad.a2tp"
+    path.write_text(f"a2tp q={q} n={q * q + q + 1}\n")
+    with pytest.raises(InconsistentHeader, match=f"^line 1: q={q} is below 2$"):
+        read_presentation(path)
+
+
 def test_read_reports_line_number(tmp_path, planes):
     T = gen_t0(planes[2])
     path = tmp_path / "bad.a2tp"

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from a2tp.zlinalg import FpAbelianGroup, HnfBasis, IntMatrix, SnfResult
+from a2tp.zlinalg import (
+    FpAbelianGroup,
+    HnfBasis,
+    IntMatrix,
+    SnfResult,
+    cyclics_to_invariant_factors,
+)
 from helpers import order_by_quotient
 
 
@@ -126,6 +132,13 @@ def test_snf_identity():
 def test_snf_worked_examples():
     assert _snf(2, [[2, 4], [6, 8]]).invariant_factors == (2, 4)
     assert _snf(2, [[2, 0], [0, 3]]).invariant_factors == (1, 6)
+
+
+def test_cyclics_to_invariant_factors():
+    assert cyclics_to_invariant_factors([2, 3]) == [1, 6]
+    assert cyclics_to_invariant_factors([2, 2, 2]) == [2, 2, 2]
+    assert cyclics_to_invariant_factors([4, 6]) == [2, 12]
+    assert cyclics_to_invariant_factors([]) == []
 
 
 def test_snf_divisibility_chain_and_oracle():
