@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: gen, validate, analyze, table, verify.
-Exit codes: 0 success, 1 mathematical check failure, 2 usage/input error,
-3 internal error (a bug: two independent computations disagree, or the
-field or plane construction broke its own invariants).
+Exit codes: 0 success, 1 mathematical check failure, 2 bad input (BadInput or
+a file that is not UTF-8), 3 internal error (a bug: two independent computations
+disagree, or the field or plane construction broke its own invariants).
 """
 
 from __future__ import annotations
@@ -16,11 +16,10 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
 from .coinv import AnalysisReport, InternalError, analyze, expected_epsilon_order, predicted_group
-from .gf import MAX_Q, NoPrimitivePolynomial, PrimePower, prime_power
+from .gf import MAX_Q, BadInput, NoPrimitivePolynomial, PrimePower, factorize, prime_power
 from .plane import PlaneAxiomViolation, PlaneContext, build_plane, lines_form_plane
 from .presentation import (
     DEFAULT_BACKTRACK_BUDGET,
-    ParseError,
     TrianglePresentation,
     gen_t0,
     gen_t0_dual,
@@ -39,19 +38,12 @@ EXIT_INTERNAL = 3
 VARIANTS = ("t0", "t0dual", "frob1", "frob2", "omega")
 
 
-class UsageError(Exception):
+class UsageError(BadInput):
     pass
 
 
 def prime_powers_in(lo: int, hi: int) -> list[int]:
-    out = []
-    for q in range(max(lo, 2), hi + 1):
-        try:
-            prime_power(q)
-        except ValueError:
-            continue
-        out.append(q)
-    return out
+    return [q for q in range(max(lo, 2), hi + 1) if len(factorize(q)) == 1]
 
 
 def _require_prime_power(q: int) -> PrimePower:
@@ -122,11 +114,7 @@ def cmd_gen(args) -> int:
 def cmd_validate(args) -> int:
     T = read_presentation(args.file)
     report = validate(T)
-    lines = {
-        "axiom_i": report.axiom_i,
-        "axiom_ii": report.axiom_ii,
-        "axiom_iii": report.axiom_iii,
-    }
+    lines = {k: getattr(report, k) for k in ("axiom_i", "axiom_ii", "axiom_iii")}
     if args.output == "json":
         print(json.dumps({
             "ok": report.ok,
@@ -318,10 +306,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ParseError, OSError, ValueError) as exc:
+    except (BadInput, OSError, UnicodeDecodeError) as exc:  # or a file that is not UTF-8
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (InternalError, NoPrimitivePolynomial, PlaneAxiomViolation) as exc:

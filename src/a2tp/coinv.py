@@ -10,7 +10,7 @@ relation schemes:
        x + sum over y on lambda(x) of y = eps.
 
 The triangle row x + y + z = eps depends only on the multiset {x, y, z}, so
-the rotations of a triple share one row, which is built once.
+the rotations of a triple share one row, read once from the validated table.
 
 `relation_matrix` builds the bcd rows only (q+2 nonzeros per x-row against
 N-q-1 for acb); `schemes_agree` proves the two lattices equal row by row,
@@ -26,8 +26,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Optional
+from typing import Optional
 
+from .gf import BadInput
 from .plane import Point
 from .presentation import (
     DEFAULT_BACKTRACK_BUDGET,
@@ -38,35 +39,56 @@ from .presentation import (
 )
 from .zlinalg import FpAbelianGroup, IntMatrix, SparseRow, cyclics_to_invariant_factors
 
+
 class InternalError(RuntimeError):
     """Two independent computations of one number disagree: a bug, not bad input."""
 
 
-def _point_row(points: Iterable[Point], tail: SparseRow = ()) -> SparseRow:
-    """The relation row of a multiset of points, followed by `tail`."""
-    counts: dict[int, int] = {}
-    for pt in points:
-        counts[pt] = counts.get(pt, 0) + 1
-    return tuple(sorted(counts.items())) + tail
+class InvalidPresentation(BadInput):
+    """The presentation fails the triangle axioms."""
 
 
-def _shared_rows(T: TrianglePresentation) -> tuple[SparseRow, ...]:
-    """The rows both schemes share: the triangle rows, then the all-points row.
+def _triangle_rows(T: TrianglePresentation, third: list[Point]) -> list[SparseRow]:
+    """x + y + z - eps once per point multiset of a valid T, read from its third-point table.
 
-    One triangle row per distinct point multiset, in the order the sorted
-    triples first give it.
+    A rotation class gives the row of its least rotation: (x, y, z) with x < y, z, or
+    (x, x, z) with x <= z.  The classes of (x, y, z) and (x, z, y) share a multiset,
+    and only the lesser gives it.  The table, and so the rows, are in sorted order.
     """
-    minus_eps = ((T.N, -1),)
-    multisets = dict.fromkeys(map(tuple, map(sorted, sorted(T.triples))))
-    triangles = tuple(_point_row(m, minus_eps) for m in multisets)
-    return triangles + (tuple((y, 1) for y in range(T.N)) + minus_eps,)
+    e, rows, k = (T.N, -1), [], 0
+    for x, line in enumerate(T.lam):
+        zs = dict(zip(line, third[k : k + len(line)]))  # y -> z over the triples (x, y, z)
+        k += len(line)
+        for y, z in zs.items():
+            if x < y and x < z and (y <= z or zs.get(z) != y):
+                a, b = (y, z) if y < z else (z, y)
+                rows.append(((x, 1), (a, 1), (b, 1), e) if a < b else ((x, 1), (a, 2), e))
+            elif x == y <= z:
+                rows.append(((x, 2), (z, 1), e) if x < z else ((x, 3), e))
+    return rows
 
 
 def relation_matrix(T: TrianglePresentation) -> IntMatrix:
-    """The bcd relation rows over N+1 columns (points 0..N-1, eps at column N)."""
+    """The bcd rows over N+1 columns (points 0..N-1, eps at column N) of a valid T.
+
+    The triangle rows, read from the table that `validate` fills, then the
+    all-points row and the x-rows.  Raises InvalidPresentation for an invalid T.
+    """
+    report = validate(T)
+    if not report.ok:
+        raise InvalidPresentation(
+            f"presentation failed triangle axioms, witness {report.witness}, "
+            f"{report.size} triples (expected {report.expected_size})"
+        )
     N = T.N
-    x_rows = (_point_row((x, *line), ((N, -1),)) for x, line in enumerate(T.lam))
-    return IntMatrix._trusted(N + 1, _shared_rows(T) + tuple(x_rows))
+    minus_eps = ((N, -1),)
+    rows = _triangle_rows(T, report.third)
+    rows.append(tuple((y, 1) for y in range(N)) + minus_eps)
+    rows += (  # e_x + the points of lambda(x)
+        tuple(sorted({**dict.fromkeys(line, 1), x: 1 + (x in line)}.items())) + minus_eps
+        for x, line in enumerate(T.lam)
+    )
+    return IntMatrix._trusted(N + 1, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -139,22 +161,40 @@ def schemes_agree(T: TrianglePresentation, bcd: IntMatrix) -> bool:
 
     Exact and elimination-free, and no acb matrix is built: the triangle rows
     and the all-points row of `bcd` must be those of T, which both schemes
-    share, and acb_x + bcd_x must equal the all-points row for every x.
-    acb_x is 1 off lambda(x) minus e_x, so that reads
-    bcd_x = e_x + 1_{lambda(x) as a set} - e_eps, checked one x at a time.
+    share, and acb_x + bcd_x must equal the all-points row for every x.  The
+    triangle rows are T's when each is the canonical row of a multiset of a
+    triple of T, no two alike, and the triples they account for (the orders
+    of their points, looked up) are all of T.  acb_x is 1 off lambda(x)
+    minus e_x, so the rest reads bcd_x = e_x + 1_{lambda(x) as a set} - e_eps.
     Then each x-row of one scheme is the all-points row minus an x-row of
     the other, so each lattice contains the other.
     """
-    N = T.N
-    shared = _shared_rows(T)
-    if (
-        bcd.n_cols != N + 1
-        or len(bcd.rows) != len(shared) + N
-        or bcd.rows[: len(shared)] != shared
-    ):
+    N, triples, covered, seen = T.N, T.triples, 0, set()
+    n_tri = len(bcd.rows) - N - 1
+    all_points = tuple((y, 1) for y in range(N)) + ((N, -1),)
+    if n_tri < 0 or bcd.n_cols != N + 1 or bcd.rows[n_tri] != all_points:
         return False
-    for x, row in enumerate(bcd.rows[len(shared) :]):
-        expected = dict.fromkeys(T.lam_sets[x], 1)
+    for row in bcd.rows[:n_tri]:
+        match row:
+            case ((a, 1), (b, 1), (c, 1), last) if a < b < c:
+                orders = ((a, b, c), (b, c, a), (c, a, b), (a, c, b), (c, b, a), (b, a, c))
+            case ((a, 1), (b, 2), last) if a < b:
+                orders = ((a, b, b), (b, b, a), (b, a, b))
+            case ((a, 2), (b, 1), last) if a < b:
+                orders = ((a, a, b), (a, b, a), (b, a, a))
+            case ((a, 3), last):
+                orders = ((a, a, a),)
+            case _:
+                return False
+        found = len(triples.intersection(orders))
+        if last != (N, -1) or not found or orders[0] in seen:
+            return False
+        seen.add(orders[0])
+        covered += found
+    if covered != len(triples):
+        return False
+    for x, row in enumerate(bcd.rows[n_tri + 1 :]):
+        expected = dict.fromkeys(T.lam[x], 1)  # lambda(x) as a set
         expected[x] = expected.get(x, 0) + 1
         expected[N] = -1
         if dict(row) != expected:
@@ -165,23 +205,15 @@ def schemes_agree(T: TrianglePresentation, bcd: IntMatrix) -> bool:
 def analyze(
     T: TrianglePresentation, m_budget: int = DEFAULT_BACKTRACK_BUDGET
 ) -> AnalysisReport:
-    report = validate(T)
-    if not report.ok:
-        raise ValueError(
-            f"presentation failed triangle axioms, witness {report.witness}, "
-            f"{report.size} triples (expected {report.expected_size})"
-        )
-
     q, N = T.q, T.N
     eps_vec = [0] * N + [1]
     flags: list[str] = []
 
-    bcd = relation_matrix(T)
+    bcd = relation_matrix(T)  # validates T
     n_tri = len(bcd.rows) - N - 1  # the triangle rows come first
     tri = FpAbelianGroup(N + 1, IntMatrix._trusted(N + 1, bcd.rows[:n_tri]))
-    grp = tri.quotient_by(*bcd.rows[n_tri:])  # A_T: the all-points row and the x-rows
-    factors = grp.invariants()
-    free_rank = grp.free_rank
+    grp = tri.quotient_by(IntMatrix._trusted(N + 1, bcd.rows[n_tri:]))  # A_T, rows built here
+    factors, free_rank = grp.invariants(), grp.free_rank
     epsilon_order = grp.element_order(eps_vec, "membership")
     quot = grp.quotient_by(((N, 1),))
     quot_factors, quot_order = quot.invariants(), quot.order()

@@ -16,7 +16,11 @@ from operator import mul
 MAX_Q = 64
 
 
-class UnsupportedSize(ValueError):
+class BadInput(ValueError):
+    """Input the program rejects, as opposed to a bug; the command line exits 2."""
+
+
+class UnsupportedSize(BadInput):
     """q is outside the supported range 2..64."""
 
 

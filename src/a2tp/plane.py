@@ -57,9 +57,7 @@ def lines_form_plane(lines, q: int) -> bool:
     """
     N = q * q + q + 1
     lines = [frozenset(l) for l in lines]
-    if len(set(lines)) != N:
-        return False
-    if any(len(l) != q + 1 for l in lines):
+    if len(set(lines)) != N or any(len(l) != q + 1 for l in lines):
         return False
     pair_count: dict[tuple[int, int], int] = {}
     for line in lines:

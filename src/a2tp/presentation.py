@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterable, Optional
 
+from .gf import BadInput
 from .plane import PlaneContext, Point, frobenius_collineation, mult_by_omega
 
 Triple = tuple[Point, Point, Point]
@@ -20,7 +22,7 @@ class PhiDoesNotFixT(ValueError):
     """The twisting map does not fix the presentation triple-wise."""
 
 
-class ParseError(ValueError):
+class ParseError(BadInput):
     def __init__(self, message: str, line_no: int):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
@@ -41,13 +43,6 @@ class TrianglePresentation:
     phi_name: Optional[str] = None
     phi_perm: Optional[tuple[Point, ...]] = None  # the twisting collineation
 
-    @property
-    def lam_sets(self) -> tuple[frozenset[Point], ...]:
-        return self._lam_sets  # type: ignore[attr-defined]
-
-    def __post_init__(self):
-        object.__setattr__(self, "_lam_sets", tuple(frozenset(l) for l in self.lam))
-
 
 @dataclass(frozen=True)
 class AxiomResult:
@@ -62,15 +57,13 @@ class ValidationReport:
     axiom_iii: AxiomResult
     size: int
     expected_size: int
+    # third[k] is the z of the k-th pair (x, y), y on lambda(x); T itself when ok
+    third: Optional[list[Optional[Point]]] = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
-        return (
-            self.axiom_i.ok
-            and self.axiom_ii.ok
-            and self.axiom_iii.ok
-            and self.size == self.expected_size
-        )
+        axioms = (self.axiom_i, self.axiom_ii, self.axiom_iii)
+        return all(a.ok for a in axioms) and self.size == self.expected_size
 
     @property
     def witness(self) -> Optional[tuple]:
@@ -116,8 +109,8 @@ def twist(
     perm2 = [perm[perm[x]] for x in range(N)]
     if any(perm[perm2[x]] != x for x in range(N)):
         raise PhiNotOrder3("phi does not have order dividing 3")
-    mapped = frozenset((perm[x], perm[y], perm[z]) for (x, y, z) in T.triples)
-    if mapped != T.triples:
+    # phi is a bijection, so the image of T is T when it lies in T
+    if not T.triples.issuperset((perm[x], perm[y], perm[z]) for (x, y, z) in T.triples):
         raise PhiDoesNotFixT("phi does not map the presentation to itself")
     triples = frozenset((x, perm[y], perm2[z]) for (x, y, z) in T.triples)
     lam = tuple(tuple(sorted(perm[y] for y in line)) for line in T.lam)
@@ -147,42 +140,44 @@ def twist_by_name(plane: PlaneContext, T: TrianglePresentation, name: str) -> Tr
 
 
 def validate(T: TrianglePresentation) -> ValidationReport:
+    """Check the triangle axioms from one unsorted pass, and fill the third-point table.
+
+    The pass maps each pair (x, y) to the z of its triple, in a dict per x; a
+    triple whose z lost to another is set aside.  Slot k of the table holds
+    that z for the k-th pair (x, y) with y on lambda(x), in the order of `lam`.
+    Each witness is the least failure: the least (x, y) where y is on
+    lambda(x) and starts no triple, or starts one and is not on it; the least
+    triple whose rotation is not in T; the least (x, y) with two z's.
+    """
     N = T.N
-    by_pair: dict[tuple[Point, Point], Point] = {}
-    ordered = sorted(T.triples)
-    ax3 = AxiomResult(True)
-    for (x, y, z) in ordered:
-        prev = by_pair.get((x, y))
-        if prev is not None and prev != z:
-            if ax3.ok:
-                ax3 = AxiomResult(False, (x, y))
-        else:
-            by_pair[(x, y)] = z
+    z_of: list[dict[Point, Point]] = [{} for _ in range(N)]  # z_of[x][y] = z, freed on return
+    for x, y, z in T.triples:
+        z_of[x][y] = z
+    xs = [x for x, line in enumerate(T.lam) for _ in line]
+    ys = [y for line in T.lam for y in line]
+    third = [z_of[x].get(y) for x, y in zip(xs, ys)]
+    two_z = sum(map(len, z_of)) < len(T.triples)  # aside and off_line are empty for a valid T
+    aside = [t for t in T.triples if z_of[t[0]][t[1]] != t[2]] if two_z else []
+    on = list(map(set, T.lam))
+    off_line = [(x, y, z) for x, by_y in enumerate(z_of) for y, z in by_y.items() if y not in on[x]]
+    aside_set = frozenset(aside)
+    unrotated = [
+        (x, y, z)
+        for x, y, z in chain(aside, off_line, zip(xs, ys, third))
+        if z is not None and z_of[y].get(z) != x and (y, z, x) not in aside_set
+    ]
 
-    started_by_x: list[set[Point]] = [set() for _ in range(N)]
-    for (x, y) in by_pair:
-        started_by_x[x].add(y)
-    ax1 = AxiomResult(True)
-    for x in range(N):
-        incident_set = T.lam_sets[x]
-        started = started_by_x[x]
-        if started != incident_set:
-            bad = min(started.symmetric_difference(incident_set))
-            ax1 = AxiomResult(False, (x, bad))
-            break
+    def result(failures: list) -> AxiomResult:
+        return AxiomResult(False, min(failures)) if failures else AxiomResult(True)
 
-    ax2 = AxiomResult(True)
-    for (x, y, z) in ordered:
-        if (y, z, x) not in T.triples:
-            ax2 = AxiomResult(False, (x, y, z))
-            break
-
+    unstarted = [(x, y) for x, y, z in zip(xs, ys, third) if z is None]
     return ValidationReport(
-        axiom_i=ax1,
-        axiom_ii=ax2,
-        axiom_iii=ax3,
+        axiom_i=result(unstarted + [t[:2] for t in off_line]),
+        axiom_ii=result(unrotated),
+        axiom_iii=result([t[:2] for t in aside]),
         size=len(T.triples),
         expected_size=(T.q + 1) * N,
+        third=third,
     )
 
 
@@ -334,15 +329,12 @@ def read_presentation(path) -> TrianglePresentation:
 
     no, header = lines[0]
     parts = header.split()
-    if len(parts) != 3 or parts[0] != "a2tp":
+    if len(parts) != 3 or parts[0] != "a2tp" or parts[1][:2] != "q=" or parts[2][:2] != "n=":
         raise ParseError(f"bad header {header!r}", no)
     try:
-        q = int(parts[1].removeprefix("q="))
-        N = int(parts[2].removeprefix("n="))
+        q, N = int(parts[1][2:]), int(parts[2][2:])
     except ValueError:
         raise ParseError(f"bad header {header!r}", no) from None
-    if parts[1][:2] != "q=" or parts[2][:2] != "n=":
-        raise ParseError(f"bad header {header!r}", no)
     if q < 2:
         raise InconsistentHeader(f"q={q} is below 2", no)
     if N != q * q + q + 1:

@@ -369,6 +369,7 @@ class FpAbelianGroup:
         else:
             self.relations = IntMatrix.from_rows(n_gens, relations)
         self._hnf: Optional[HnfBasis] = None
+        self._diag: Optional[list[int]] = None  # the Smith diagonal of _hnf, once computed
         self._snf: Optional[SnfResult] = None
         self._image: list[list[int]] = []  # column -> its value over the core columns
 
@@ -378,7 +379,7 @@ class FpAbelianGroup:
         if self._hnf is None:
             self._image, core, rest = _eliminate_units(self.n_gens, self.relations.rows)
             self._hnf = HnfBasis(core)
-            self._add_rows(self._hnf, rest)
+            self._diag = self._add_rows(self._hnf, rest)
         return self._hnf
 
     @property
@@ -386,8 +387,10 @@ class FpAbelianGroup:
         """Invariant factors: a 1 per eliminated generator, then the core's."""
         if self._snf is None:
             core = self.hnf
+            if self._diag is None:
+                self._diag = _diagonalize(core.rows(), core.n_cols)[0]
             factors = [1] * (self.n_gens - core.n_cols)
-            factors += cyclics_to_invariant_factors(_diagonalize(core.rows(), core.n_cols)[0])
+            factors += cyclics_to_invariant_factors(self._diag)
             self._snf = SnfResult(
                 tuple(factors), rank=len(factors), free_rank=self.n_gens - len(factors)
             )
@@ -412,7 +415,7 @@ class FpAbelianGroup:
         """The core vector congruent to the sparse `row` modulo the relations."""
         return list(_combination(self._image, row)) or [0] * self._hnf.n_cols
 
-    def _add_rows(self, basis: HnfBasis, rows: Iterable[SparseRow]) -> None:
+    def _add_rows(self, basis: HnfBasis, rows: Iterable[SparseRow]) -> Optional[list[int]]:
         """Put the sparse `rows` into the lattice of `basis`, a core HNF.
 
         Rows are reduced into the HNF until `basis.n_cols` of them in a row
@@ -420,20 +423,22 @@ class FpAbelianGroup:
         `_smith_check` of the basis; a row that fails goes into the HNF, and
         the count starts again.  So each row is in the HNF or proven to lie
         in its lattice, and the canonical HNF does not depend on the rule.
+        Returns the Smith diagonal of the final basis if the check has it.
         """
-        unchanged, check = 0, None
+        unchanged, smith = 0, None
         for row in rows:
-            if check is None and unchanged >= basis.n_cols:
-                check = self._smith_check(basis)
-            if check is not None and check(row):
+            if smith is None and unchanged >= basis.n_cols:
+                smith = self._smith_check(basis)
+            if smith is not None and smith[1](row):
                 continue
             if basis.add(self._to_core(row)):
-                unchanged, check = 0, None
+                unchanged, smith = 0, None
             else:
                 unchanged += 1
+        return smith[0] if smith else None
 
-    def _smith_check(self, basis: HnfBasis) -> Callable[[SparseRow], bool]:
-        """Membership of sparse rows in the lattice of `basis`, in Smith coordinates.
+    def _smith_check(self, basis: HnfBasis) -> tuple[list[int], Callable[[SparseRow], bool]]:
+        """The Smith diagonal of `basis` and a membership test of sparse rows in its lattice.
 
         With U * H * V = diag(d_i) for the basis rows H, v is in the lattice
         iff (v V)_i is 0 mod d_i for i < rank and 0 for i >= rank.  Only the
@@ -441,9 +446,9 @@ class FpAbelianGroup:
         times V is computed once, so a row costs one short vector sum.
         """
         diag, transform = _diagonalize(basis.rows(), basis.n_cols)
-        diag += [0] * (basis.n_cols - len(diag))  # a free coordinate must be 0
-        keep = [i for i, d in enumerate(diag) if d != 1]
-        mods = [diag[i] for i in keep]
+        padded = diag + [0] * (basis.n_cols - len(diag))  # a free coordinate must be 0
+        keep = [i for i, d in enumerate(padded) if d != 1]
+        mods = [padded[i] for i in keep]
         columns = [[v[k] for v in transform] for k in keep]
         images = [
             [x % d if d else x for x, d in zip((sum(map(mul, image, col)) for col in columns), mods)]
@@ -453,22 +458,25 @@ class FpAbelianGroup:
         def check(row: SparseRow) -> bool:
             return not any(x % d if d else x for x, d in zip(_combination(images, row), mods))
 
-        return check
+        return diag, check
 
     def contains(self, element: Sequence[int]) -> bool:
         """Whether `element` is in the relation lattice, i.e. is 0 in the group."""
         row = self._sparse(element)
         return self.hnf.contains(self._to_core(row))  # hnf, evaluated first, sets _image
 
-    def quotient_by(self, *rows: SparseRow) -> "FpAbelianGroup":
-        """The quotient by the subgroup generated by the sparse `rows`."""
-        extra = IntMatrix(self.n_gens, rows)  # checked like any caller's rows
+    def quotient_by(self, *rows: SparseRow | IntMatrix) -> "FpAbelianGroup":
+        """The quotient by the subgroup generated by the sparse `rows`, or by one IntMatrix's."""
+        one = len(rows) == 1 and isinstance(rows[0], IntMatrix)
+        extra = rows[0] if one else IntMatrix(self.n_gens, rows)  # an IntMatrix was checked
+        if extra.n_cols != self.n_gens:
+            raise ValueError("relation width does not match generator count")
         basis = self.hnf.copy()
-        self._add_rows(basis, extra.rows)
+        diag = self._add_rows(basis, extra.rows)
         quot = FpAbelianGroup(
             self.n_gens, IntMatrix._trusted(self.n_gens, self.relations.rows + extra.rows)
         )
-        quot._hnf, quot._image = basis, self._image
+        quot._hnf, quot._image, quot._diag = basis, self._image, diag
         return quot
 
     def element_order(self, element: Sequence[int], method: str) -> Optional[int]:

@@ -1,6 +1,7 @@
 """Helpers shared by several test modules; the program itself never needs them."""
 
 from a2tp.coinv import AnalysisReport
+from a2tp.presentation import AxiomResult, ValidationReport
 from a2tp.zlinalg import FpAbelianGroup, IntMatrix
 
 
@@ -46,7 +47,7 @@ def acb_matrix(T) -> IntMatrix:
     N = T.N
     x_rows = tuple(
         tuple((y, v) for y in range(N) if (v := (y not in on_line) - (y == x)))
-        for x, on_line in enumerate(T.lam_sets)
+        for x, on_line in enumerate(map(frozenset, T.lam))
     )
     all_points = tuple((y, 1) for y in range(N)) + ((N, -1),)
     return IntMatrix(N + 1, x_rows + triangle_rows(T, ((N, -1),)) + (all_points,))
@@ -67,3 +68,50 @@ def order_by_quotient(group: FpAbelianGroup, element) -> int:
     if total is None:
         raise ValueError("the quotient oracle requires a finite group")
     return total // group.quotient_by(group._sparse(element)).order()
+
+
+def reference_validate(T) -> ValidationReport:
+    """The triangle axioms checked over the sorted triples: the oracle for `validate`.
+
+    Axiom (iii): the first (x, y) in sorted order with a second z.  Axiom
+    (i): the first x whose started points differ from lambda(x), read as a
+    set, with the least point of the difference.  Axiom (ii): the first
+    sorted triple whose rotation is missing.
+    """
+    N = T.N
+    by_pair = {}
+    ordered = sorted(T.triples)
+    ax3 = AxiomResult(True)
+    for (x, y, z) in ordered:
+        prev = by_pair.get((x, y))
+        if prev is not None and prev != z:
+            if ax3.ok:
+                ax3 = AxiomResult(False, (x, y))
+        else:
+            by_pair[(x, y)] = z
+
+    started_by_x = [set() for _ in range(N)]
+    for (x, y) in by_pair:
+        started_by_x[x].add(y)
+    ax1 = AxiomResult(True)
+    for x in range(N):
+        incident_set = frozenset(T.lam[x])
+        started = started_by_x[x]
+        if started != incident_set:
+            bad = min(started.symmetric_difference(incident_set))
+            ax1 = AxiomResult(False, (x, bad))
+            break
+
+    ax2 = AxiomResult(True)
+    for (x, y, z) in ordered:
+        if (y, z, x) not in T.triples:
+            ax2 = AxiomResult(False, (x, y, z))
+            break
+
+    return ValidationReport(
+        axiom_i=ax1,
+        axiom_ii=ax2,
+        axiom_iii=ax3,
+        size=len(T.triples),
+        expected_size=(T.q + 1) * N,
+    )

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from a2tp import cli, gf, plane
+from a2tp import cli, coinv, gf, plane, presentation
 from a2tp.cli import main, prime_powers_in
 from helpers import report_from_dict
 
@@ -323,3 +323,48 @@ def test_json_report_roundtrip(capsys):
     parsed = report_from_dict(json.loads(stdout))
     direct = analyze(gen_t0(build_plane(5)))
     assert parsed == direct
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        presentation.ParseError("bad header", 1),
+        presentation.InconsistentHeader("q=1 is below 2", 1),
+        cli.UsageError("either --q or --file is required"),
+        gf.UnsupportedSize("q = 128 exceeds the supported maximum 64"),
+        coinv.InvalidPresentation("presentation failed triangle axioms"),
+    ],
+)
+def test_bad_input_errors_share_one_base_and_exit_2(capsys, monkeypatch, error):
+    assert isinstance(error, gf.BadInput)
+
+    def reject(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "analyze", reject)
+    code, stdout, err = run(capsys, "analyze", "--q", "2")
+    assert (code, stdout, err) == (2, "", f"error: {error}\n")
+
+
+def test_a_value_error_from_a_bug_is_not_bad_input(capsys, monkeypatch):
+    def bug(*args, **kwargs):
+        raise ValueError("a bug, not bad input")
+
+    monkeypatch.setattr(coinv, "find_m_subset", bug)
+    with pytest.raises(ValueError, match="a bug, not bad input"):
+        main(["analyze", "--q", "2"])
+
+
+def test_analyze_past_the_maximum_q_is_a_usage_error(capsys):
+    code, stdout, err = run(capsys, "analyze", "--q", "128")
+    assert (code, stdout) == (2, "")
+    assert err == f"error: q = 128 exceeds the supported maximum {gf.MAX_Q}\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze", "verify"])
+def test_a_file_that_is_not_utf8_text_is_a_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "binary.a2tp"
+    path.write_bytes(b"a2tp q=2 n=7\n\xff\xfe\n")
+    code, stdout, err = run(capsys, command, "--file", str(path))
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")

@@ -1,11 +1,14 @@
 import math
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from a2tp import coinv, zlinalg
 from a2tp.coinv import (
     InternalError,
+    InvalidPresentation,
     analyze,
     check_lemma_q2,
     check_lower_bound,
@@ -14,10 +17,13 @@ from a2tp.coinv import (
     relation_matrix,
     schemes_agree,
 )
+from a2tp.gf import BadInput
 from a2tp.plane import build_plane
-from a2tp.presentation import gen_t0, gen_t0_dual, twist_by_name
+from a2tp.presentation import gen_t0, gen_t0_dual, read_presentation, twist_by_name
 from a2tp.zlinalg import FpAbelianGroup, IntMatrix
-from helpers import acb_matrix, gamma_ab_matrix, report_from_dict
+from helpers import acb_matrix, gamma_ab_matrix, report_from_dict, triangle_rows
+
+GOLDEN_FILES = Path(__file__).parent / "golden" / "files"
 
 
 @pytest.fixture(scope="module")
@@ -48,16 +54,63 @@ def test_matrix_shape_bcd(planes):
     assert len(mat.rows) == 7 + 1 + 7
 
 
-def test_one_triangle_row_per_point_multiset(planes):
+def _triangle_row_inputs(planes):
     for q, pl in planes.items():
-        for T in (gen_t0(pl), gen_t0_dual(pl), twist_by_name(pl, gen_t0(pl), "frob1")):
-            N = T.N
-            triangles = relation_matrix(T).rows[: -N - 1]
-            multisets = {tuple(sorted(t)) for t in T.triples}
-            assert len(triangles) == len(set(triangles)) == len(multisets), T.origin
-            points = ((c for c, v in row[:-1] for _ in range(v)) for row in triangles)
-            assert set(map(tuple, map(sorted, points))) == multisets, T.origin
-            assert all(row[-1] == (N, -1) for row in triangles), T.origin
+        yield from (gen_t0(pl), gen_t0_dual(pl))  # q = 3: t0 holds the (x, x, x) triples
+        twists = ("frob1", "frob2", "omega") if q % 3 == 1 else ("frob1", "frob2")
+        yield from (twist_by_name(pl, gen_t0(pl), name) for name in twists)
+    yield read_presentation(GOLDEN_FILES / "t0dual_q5_s31.a2tp")  # relabelled
+
+
+def test_one_triangle_row_per_point_multiset(planes):
+    for T in _triangle_row_inputs(planes):
+        N = T.N
+        triangles = relation_matrix(T).rows[: -N - 1]
+        multisets = {tuple(sorted(t)) for t in T.triples}
+        assert len(triangles) == len(set(triangles)) == len(multisets), T.origin
+        points = ((c for c, v in row[:-1] for _ in range(v)) for row in triangles)
+        assert set(map(tuple, map(sorted, points))) == multisets, T.origin
+        assert all(row[-1] == (N, -1) for row in triangles), T.origin
+        # the order too: where the sorted triples first give each multiset
+        assert triangles == triangle_rows(T, ((N, -1),)), T.origin
+
+
+def test_analyze_checks_none_of_the_rows_it_built(planes, monkeypatch):
+    checked = []
+    real = IntMatrix.__post_init__
+
+    def counted(self):
+        checked.append(len(self.rows))
+        real(self)
+
+    monkeypatch.setattr(IntMatrix, "__post_init__", counted)
+    assert analyze(gen_t0(planes[7])).all_checks_pass
+    assert checked == [1, 1]  # only the two one-row quotients by eps
+
+
+def test_analyze_diagonalizes_each_core_basis_once(planes, monkeypatch):
+    calls = []
+    real = zlinalg._diagonalize
+
+    def counted(rows, n_cols):
+        calls.append((tuple(map(tuple, rows)), n_cols))
+        return real(rows, n_cols)
+
+    monkeypatch.setattr(zlinalg, "_diagonalize", counted)
+    for T in (gen_t0(planes[7]), twist_by_name(planes[5], gen_t0(planes[5]), "frob1")):
+        calls.clear()
+        assert analyze(T).all_checks_pass
+        # tri's and A_T's settled bases, then the snf of A_T/<eps> and of tri/<eps>
+        assert len(calls) == len(set(calls)) == 4, T.origin
+
+
+def test_invalid_presentation_is_bad_input(planes):
+    T = gen_t0(planes[2])
+    bad = replace(T, triples=T.triples - {min(T.triples)})
+    with pytest.raises(InvalidPresentation, match="^presentation failed triangle axioms, witness"):
+        relation_matrix(bad)
+    with pytest.raises(BadInput):
+        analyze(bad)
 
 
 def test_acb_row_structure_q2(planes):
@@ -70,7 +123,7 @@ def test_acb_row_structure_q2(planes):
         assert coeffs.get(x, 0) == 0
         plus_ones = [c for c, v in coeffs.items() if v == 1 and c < 7]
         assert len(plus_ones) == 3
-        assert all(c not in T.lam_sets[x] for c in plus_ones)
+        assert all(c not in T.lam[x] for c in plus_ones)
 
 
 def test_degenerate_triple_row_char3(planes):
@@ -178,10 +231,14 @@ def test_scheme_lattices_equal_on_every_variant(planes):
             assert schemes_agree(T, bcd) is _rowwise_agree(acb, bcd) is True, T.origin
 
 
-def _doubled(m, i):
+def _replaced(m, i, row):
     rows = list(m.rows)
-    rows[i] = tuple((c, 2 * v) for c, v in rows[i])
+    rows[i] = row
     return IntMatrix(m.n_cols, tuple(rows))
+
+
+def _doubled(m, i):
+    return _replaced(m, i, tuple((c, 2 * v) for c, v in m.rows[i]))
 
 
 def test_schemes_agree_rejects_corrupted_rows(planes):
@@ -189,12 +246,17 @@ def test_schemes_agree_rejects_corrupted_rows(planes):
     acb, bcd = acb_matrix(T), relation_matrix(T)
     n_shared = 26 + 1  # 13 triples (x, x, x) and 13 rotation classes of 3, then all points
     assert schemes_agree(T, bcd) and _rowwise_agree(acb, bcd)
+    # rows i < j each account for the 3 rotations of a triple with distinct points
+    i, j = [k for k, row in enumerate(bcd.rows[: n_shared - 1]) if len(row) == 4][:2]
     corrupted = [
         _doubled(bcd, n_shared),  # first bcd x-row
         _doubled(bcd, -1),  # last bcd x-row
         _doubled(bcd, 0),  # a shared triple row
         _doubled(bcd, n_shared - 1),  # the all-points row
         IntMatrix(bcd.n_cols, bcd.rows[:-1]),  # an x-row missing
+        IntMatrix(bcd.n_cols, bcd.rows[1:]),  # a triangle row missing
+        _replaced(bcd, j, bcd.rows[i]),  # row i twice, row j missing
+        _replaced(bcd, i, bcd.rows[i][2::-1] + bcd.rows[i][3:]),  # row i, points out of order
     ]
     for bad in corrupted:
         assert not schemes_agree(T, bad)
@@ -203,8 +265,12 @@ def test_schemes_agree_rejects_corrupted_rows(planes):
     # lambda(0) repeats a point: bcd counts it twice, acb reads lambda(0) as a set
     line = T.lam[0]
     R = replace(T, lam=((line[0],) + line[:-1],) + T.lam[1:])
-    assert not schemes_agree(R, relation_matrix(R))
-    assert not _rowwise_agree(acb_matrix(R), relation_matrix(R))
+    with pytest.raises(ValueError, match="failed triangle axioms"):
+        relation_matrix(R)  # R is no presentation: lambda(0) misses a point of its triples
+    x0 = tuple(sorted(Counter((0, *R.lam[0])).items())) + ((T.N, -1),)  # R's x-row for 0
+    bcd_R = _replaced(bcd, n_shared, x0)
+    assert not schemes_agree(R, bcd_R)
+    assert not _rowwise_agree(acb_matrix(R), bcd_R)
 
 
 def test_analyze_reports_corrupted_scheme(planes, monkeypatch):

@@ -1,6 +1,8 @@
+import functools
 import json
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -28,6 +30,7 @@ from a2tp.presentation import (
     validate,
     write_presentation,
 )
+from helpers import reference_validate
 
 
 @pytest.fixture(scope="module")
@@ -356,6 +359,57 @@ def test_random_triple_examples_reach_every_outcome():
     assert _backtrack_m_subset(FOUND_WITH_REPEATS, 1) == MSubsetResult(None)
     assert _backtrack_m_subset(FOUND_WITH_REPEATS, 60).found
     assert _backtrack_m_subset(NO_M_SUBSET, 60) == MSubsetResult(None, proven_absent=True)
+
+
+@functools.cache
+def _valid_presentation(q, variant):
+    plane = build_plane(q)
+    T = gen_t0_dual(plane) if variant == "t0dual" else gen_t0(plane)
+    return twist_by_name(plane, T, variant) if variant == "frob1" else T
+
+
+@st.composite
+def mutated_presentations(draw):
+    """t0, t0dual or frob1 at q <= 5 with a few triples deleted, added or rotated away."""
+    q = draw(st.sampled_from([2, 3, 4, 5]))
+    T = _valid_presentation(q, draw(st.sampled_from(["t0", "t0dual", "frob1"])))
+    point = st.integers(0, T.N - 1)
+    triples = set(T.triples)
+    for _ in range(draw(st.integers(1, 3))):
+        x, y, z = draw(st.sampled_from(sorted(T.triples)))
+        kind = draw(st.sampled_from(["delete", "conflicting z", "y off lambda(x)", "a rotation"]))
+        if kind == "delete":
+            triples.discard((x, y, z))
+        elif kind == "conflicting z":
+            triples.add((x, y, draw(point.filter(lambda w: w != z))))
+        elif kind == "y off lambda(x)":
+            triples.add((x, draw(point.filter(lambda w: w not in T.lam[x])), draw(point)))
+        else:  # drop a rotation of (x, y, z)
+            triples.discard(draw(st.sampled_from([(y, z, x), (z, x, y)])))
+    return replace(T, triples=frozenset(triples), origin="mutated")
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_presentations())
+def test_validate_matches_the_sorted_reference_on_mutations(T):
+    assert validate(T) == reference_validate(T)
+
+
+@settings(max_examples=100, deadline=None)
+@example(FOUND_WITH_REPEATS)
+@example(NO_M_SUBSET)
+@given(triple_sets())
+def test_validate_matches_the_sorted_reference_on_random_triples(T):
+    # lam is empty, so every started point is off its line
+    assert validate(T) == reference_validate(T)
+
+
+def test_validate_fills_the_third_point_table(planes):
+    for q, pl in planes.items():
+        T = twist_by_name(pl, gen_t0(pl), "frob1")
+        third = validate(T).third
+        pairs = [(x, y) for x, line in enumerate(T.lam) for y in line]
+        assert sorted(T.triples) == [(x, y, z) for (x, y), z in zip(pairs, third)]
 
 
 def _frame_depth() -> int:

@@ -436,6 +436,20 @@ def test_quotient_by():
             g.quotient_by(((0, 2),), bad)
 
 
+def test_quotient_by_takes_a_built_matrix_and_checks_sparse_rows():
+    g = FpAbelianGroup(2, [[4, 0], [0, 4]])
+    rows = (((0, 2), (1, 2)), ((1, 2),))
+    assert g.quotient_by(IntMatrix(2, rows)).snf == g.quotient_by(*rows).snf
+    with pytest.raises(ValueError, match="relation width"):
+        g.quotient_by(IntMatrix(3, rows))
+    bad_rows = [((0, 1), (0, 1)), ((1, 0),), ((0, 1), (2, 1))]
+    for bad, message in zip(bad_rows, ["duplicate column", "zero coefficient", "out of range"]):
+        with pytest.raises(ValueError, match=message):
+            g.quotient_by(bad)
+        with pytest.raises(ValueError, match=message):
+            IntMatrix(2, (bad,))  # a matrix of it cannot be built either
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(1, 4).flatmap(
