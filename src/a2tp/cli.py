@@ -15,7 +15,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
-from .coinv import AnalysisReport, InternalError, analyze, expected_epsilon_order, predicted_group
+from .coinv import AnalysisReport, InternalError, InvalidPresentation, analyze, predicted_group
+from .coinv import expected_epsilon_order
 from .gf import MAX_Q, BadInput, NoPrimitivePolynomial, PrimePower, factorize, prime_power
 from .plane import PlaneAxiomViolation, PlaneContext, build_plane, lines_form_plane
 from .presentation import (
@@ -214,16 +215,15 @@ def cmd_verify(args) -> int:
         # build_plane verifies the difference set, which implies the axioms.
         results += [("plane-axioms", True), ("difference-set", True)]
 
-    vreport = validate(T)
-    results.append(("triangle-axioms", vreport.ok))
-    if not vreport.ok:
-        for name, ok in results:
+    try:
+        report = analyze(T, m_budget=budget)  # validates T first
+    except InvalidPresentation:
+        for name, ok in results + [("triangle-axioms", False)]:
             print(f"{name}: {'PASS' if ok else 'FAIL'}")
         return EXIT_CHECK_FAILED
+    results.append(("triangle-axioms", True))
 
-    s_inv = is_s_invariant(T)
-    report = analyze(T, m_budget=budget)
-    results.append(("s-invariance", s_inv))
+    results.append(("s-invariance", is_s_invariant(T)))
     m_found = report.checks["m_subset_found"]
     results.append(("m-subset", not m_found or report.checks["q_minus_1_kills_epsilon"]))
     results.append(("lemma_q2", report.checks["lemma_q2"]))

@@ -204,10 +204,8 @@ def _singer_orbit(T: TrianglePresentation) -> frozenset[Triple]:
 
 def m_subset_occurrences(T: TrianglePresentation, subset: Iterable[Triple]) -> list[int]:
     counts = [0] * T.N
-    for (x, y, z) in subset:
-        counts[x] += 1
-        counts[y] += 1
-        counts[z] += 1
+    for pt in chain.from_iterable(subset):
+        counts[pt] += 1
     return counts
 
 
@@ -235,68 +233,69 @@ def find_m_subset(
 
 
 def _backtrack_m_subset(T: TrianglePresentation, budget: int) -> MSubsetResult:
-    """Bounded exact-cover search for an M subset.
+    """Bounded exact-cover search for an M subset, undoing each move from a log.
 
     Each node branches, in sorted order, on the usable triples through the
-    lowest-index unfinished point with the fewest of them.  blocked[t] counts
-    why triple t is not usable (it is chosen, or one of its points needs less
-    than t's multiplicity there) and free[p] the usable triples through p; a
-    move updates them only for the triples through the moved triple's points.
-    The path is an explicit stack, so its depth is not bounded by the
-    recursion limit.  Every node entered, the root included, counts against
-    `budget`; the subset is proven absent only when the tree is exhausted.
+    lowest-index unfinished point with the fewest of them.  usable[i] is set
+    while triple i is unchosen and fits need[p] at its points p; free[p]
+    counts the usable triples through p, plus `done` once p is finished;
+    over[p][k] lists the triples holding p more than k times.  A move clears
+    what no longer fits and logs it for its undo: O(q) steps, and a pick is
+    one `min` and `index` over free, whatever the size of T.  Every node
+    entered, the root included, counts against `budget`; the subset is proven
+    absent only when the tree is exhausted.
     """
-    N = T.N
     triples = sorted(T.triples)
-    spread = [{pt: t.count(pt) for pt in t} for t in triples]  # point -> multiplicity
-    through: list[list[tuple[int, int]]] = [[] for _ in range(N)]
-    for idx, mult in enumerate(spread):
-        for pt, m in mult.items():
-            through[pt].append((idx, m))
-    need = [3] * N
-    blocked = [0] * len(triples)
-    free = [len(ts) for ts in through]
+    over: list[tuple[list[int], ...]] = [([], [], []) for _ in range(T.N)]
+    for idx, (x, y, z) in enumerate(triples):  # slot k: the point's (k+1)-th copy
+        over[x][0].append(idx)
+        over[y][x == y].append(idx)
+        over[z][(x == z) + (y == z)].append(idx)
+    points = [t if len(set(t)) == 3 else tuple(set(t)) for t in triples]  # distinct points
+    need = [3] * T.N
+    usable = bytearray([1]) * len(triples)
+    free = [len(by_k[0]) for by_k in over]
+    done = len(triples) + 1  # above any count: marks a finished point
 
-    def block(idx: int, d: int) -> None:
-        before = blocked[idx]
-        blocked[idx] = before + d
-        if not before or not blocked[idx]:  # usable before or after, not both
-            for pt in spread[idx]:
-                free[pt] -= d
-
-    def toggle(idx: int, d: int) -> None:  # d = 1 chooses triple idx, -1 un-chooses it
-        block(idx, d)
-        for pt, m in spread[idx].items():
-            old = need[pt]
-            need[pt] = new = old - d * m
-            lo, hi = min(old, new), max(old, new)
-            for t, mt in through[pt]:
-                if lo < mt <= hi:
-                    block(t, d)
-
-    stack: list[list] = []  # [options, next position] per node on the path
-    nodes = 0
-    while True:
-        nodes += 1
-        if nodes > budget:
-            return MSubsetResult(None)
-        pick = min(((free[pt], pt) for pt in range(N) if need[pt]), default=None)
-        if pick is None:  # every point satisfied
-            return MSubsetResult(frozenset(triples[opts[pos - 1]] for opts, pos in stack))
-        if pick[0]:
-            stack.append([[t for t, _ in through[pick[1]] if not blocked[t]], 0])
+    stack: list[list] = []  # [options, next position, what the choice cleared] per node
+    for _ in range(budget):
+        least = min(free)
+        if least == done:  # every point satisfied
+            return MSubsetResult(frozenset(triples[opts[pos - 1]] for opts, pos, _ in stack))
+        if least:
+            stack.append([[t for t in over[free.index(least)][0] if usable[t]], 0, ()])
         while stack:  # advance the deepest node with an untried option
             top = stack[-1]
-            opts, pos = top
-            if pos:
-                toggle(opts[pos - 1], -1)
+            opts, pos, cleared = top
+            for t in cleared:
+                usable[t] = 1
+                for pt in points[t]:
+                    free[pt] += 1
+            if cleared:
+                for pt in triples[opts[pos - 1]]:
+                    if not need[pt]:
+                        free[pt] -= done
+                    need[pt] += 1
             if pos < len(opts):
-                top[1] = pos + 1
-                toggle(opts[pos], 1)
+                idx = opts[pos]
+                top[1], top[2] = pos + 1, [idx]
+                usable[idx] = 0
+                for pt in triples[idx]:
+                    need[pt] -= 1
+                    for t in over[pt][need[pt]]:
+                        if usable[t]:
+                            usable[t] = 0
+                            top[2].append(t)
+                    if not need[pt]:
+                        free[pt] += done
+                for t in top[2]:
+                    for pt in points[t]:
+                        free[pt] -= 1
                 break
             stack.pop()
         else:
             return MSubsetResult(None, proven_absent=True)
+    return MSubsetResult(None)
 
 
 # --- file format -----------------------------------------------------------

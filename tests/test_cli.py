@@ -281,6 +281,32 @@ def test_verify_file_with_equal_lambda_lines_fails_plane_axioms(tmp_path, capsys
     assert "plane-axioms: FAIL" in stdout
 
 
+def test_verify_file_failing_triangle_axioms_stops_there(tmp_path, capsys):
+    out = tmp_path / "t.a2tp"
+    run(capsys, "gen", "--q", "2", "--out", str(out))
+    lines = out.read_text().splitlines()
+    lines.remove(next(l for l in lines if l.startswith("t ")))
+    out.write_text("\n".join(lines) + "\n")
+    assert run(capsys, "verify", "--file", str(out)) == (
+        1, "plane-axioms: PASS\ntriangle-axioms: FAIL\n", ""
+    )
+
+
+def test_verify_validates_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(T):
+        calls.append(T)
+        return real(T)
+
+    real = presentation.validate
+    for module in (presentation, coinv, cli):
+        monkeypatch.setattr(module, "validate", counted)
+    code, stdout, _ = run(capsys, "verify", "--q", "4")
+    assert code == 0 and "triangle-axioms: PASS" in stdout
+    assert len(calls) == 1
+
+
 def test_analyze_internal_error_exits_3(capsys, monkeypatch):
     from a2tp.zlinalg import FpAbelianGroup
 
