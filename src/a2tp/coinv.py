@@ -68,21 +68,29 @@ def _triangle_rows(T: TrianglePresentation, third: list[Point]) -> list[SparseRo
     return rows
 
 
-def relation_matrix(T: TrianglePresentation) -> IntMatrix:
-    """The bcd rows over N+1 columns (points 0..N-1, eps at column N) of a valid T.
-
-    The triangle rows, read from the table that `validate` fills, then the
-    all-points row and the x-rows.  Raises InvalidPresentation for an invalid T.
-    """
+def _valid_third(T: TrianglePresentation) -> list[Point]:
+    """The third-point table of T that `validate` fills; InvalidPresentation when T fails."""
     report = validate(T)
     if not report.ok:
         raise InvalidPresentation(
             f"presentation failed triangle axioms, witness {report.witness}, "
             f"{report.size} triples (expected {report.expected_size})"
         )
+    return report.third
+
+
+def relation_matrix(T: TrianglePresentation, third: Optional[list[Point]] = None) -> IntMatrix:
+    """The bcd rows over N+1 columns (points 0..N-1, eps at column N) of a valid T.
+
+    The triangle rows, read from `third`, the table of `_valid_third(T)` (found
+    here when not given), then the all-points row and the x-rows.  Raises
+    InvalidPresentation for an invalid T.
+    """
+    if third is None:
+        third = _valid_third(T)
     N = T.N
     minus_eps = ((N, -1),)
-    rows = _triangle_rows(T, report.third)
+    rows = _triangle_rows(T, third)
     rows.append(tuple((y, 1) for y in range(N)) + minus_eps)
     rows += (  # e_x + the points of lambda(x)
         tuple(sorted({**dict.fromkeys(line, 1), x: 1 + (x in line)}.items())) + minus_eps
@@ -209,7 +217,8 @@ def analyze(
     eps_vec = [0] * N + [1]
     flags: list[str] = []
 
-    bcd = relation_matrix(T)  # validates T
+    third = _valid_third(T)
+    bcd = relation_matrix(T, third)
     n_tri = len(bcd.rows) - N - 1  # the triangle rows come first
     tri = FpAbelianGroup(N + 1, IntMatrix._trusted(N + 1, bcd.rows[:n_tri]))
     grp = tri.quotient_by(IntMatrix._trusted(N + 1, bcd.rows[n_tri:]))  # A_T, rows built here
@@ -223,7 +232,7 @@ def analyze(
         # Independent algorithm guarding the headline number, at every q.
         raise InternalError(f"element-order methods disagree: {epsilon_order} vs {ratio}")
 
-    m_result = find_m_subset(T, m_budget)
+    m_result = find_m_subset(T, m_budget, third)
     m_found = m_result.found
     m_size = len(m_result.subset) if m_found else None
     kills = (

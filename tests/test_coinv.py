@@ -276,7 +276,7 @@ def test_schemes_agree_rejects_corrupted_rows(planes):
 def test_analyze_reports_corrupted_scheme(planes, monkeypatch):
     T = gen_t0(planes[3])
     real = coinv.relation_matrix
-    monkeypatch.setattr(coinv, "relation_matrix", lambda T: _doubled(real(T), -1))
+    monkeypatch.setattr(coinv, "relation_matrix", lambda T, *table: _doubled(real(T, *table), -1))
     assert not analyze(T).checks["scheme_agreement"]
 
 

@@ -18,7 +18,10 @@ from a2tp.presentation import (
     PhiDoesNotFixT,
     PhiNotOrder3,
     TrianglePresentation,
+    _accepts,
     _backtrack_m_subset,
+    _certified,
+    _cyclic_automorphism,
     find_m_subset,
     gen_t0,
     gen_t0_dual,
@@ -480,6 +483,95 @@ def test_m_subset_budget_option(planes, tmp_path, capsys):
     assert main(["analyze", "--file", str(path), "--output", "json", "--budget", "1"]) == 1
     assert json.loads(capsys.readouterr().out)["checks"]["m_subset_found"] is False
     assert main(["analyze", "--file", str(path), "--output", "json"]) == 0
+
+
+def _orbit(g, t, n):
+    orbit = []
+    for _ in range(n):
+        orbit.append(t)
+        t = tuple(g[p] for p in t)
+    return frozenset(orbit)
+
+
+def _is_cyclic_automorphism(T, g) -> bool:
+    # Independent of `_accepts`: N distinct points lead from 0 back to 0, and T maps into T.
+    walk = [0]
+    for _ in range(T.N):
+        walk.append(g[walk[-1]])
+    triples = T.triples
+    return walk[-1] == 0 and len(set(walk)) == T.N and all(
+        (g[x], g[y], g[z]) in triples for x, y, z in triples
+    )
+
+
+@functools.cache
+def _plane(q):
+    return build_plane(q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 19])
+@pytest.mark.parametrize("variant", ["t0", "t0dual"])
+def test_finder_certifies_an_m_subset_of_relabellings(q, variant):
+    # Relabelled, the Singer cycle is still a point-regular cyclic automorphism, but no
+    # longer x -> x + 1; the finder finds one within the benchmark's budget of 200.
+    for seed in (0, 1):
+        T = _relabeled({"t0": gen_t0, "t0dual": gen_t0_dual}[variant](_plane(q)), seed)
+        assert not is_s_invariant(T)
+        g, nodes = _cyclic_automorphism(T, validate(T).third, 200)
+        assert g is not None and nodes <= 200
+        assert _is_cyclic_automorphism(T, g)
+        m = find_m_subset(T, 200).subset
+        assert m == _orbit(g, min(T.triples), T.N)
+        assert len(m) == T.N and m <= T.triples
+        assert all(c == 3 for c in m_subset_occurrences(T, m))
+
+
+@settings(max_examples=60, deadline=None)
+@example(FOUND_WITH_REPEATS, 60)
+@example(NO_M_SUBSET, 1)
+@example(_bare_presentation(7, ()), 0)  # vacuously S-invariant, with no least triple
+@given(triple_sets(), st.integers(0, 60))
+def test_find_m_subset_is_total_on_random_triples(T, budget):
+    # These T fail the triangle axioms, so only the Singer orbit and the backtracker run.
+    result = find_m_subset(T, budget)
+    if not is_s_invariant(T):
+        assert result == _backtrack_m_subset(T, budget)
+    if result.found:
+        assert result.subset <= T.triples
+        assert all(c == 3 for c in m_subset_occurrences(T, result.subset))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_finder_nodes_count_against_the_budget(q):
+    # A frob1 twist read back without its base has no point-regular cyclic automorphism:
+    # the finder exhausts its tree, and the backtracker gets the nodes it left.
+    T = replace(twist_by_name(_plane(q), gen_t0(_plane(q)), "frob1"), base=None, phi_perm=None)
+    assert not is_s_invariant(T)
+    third = validate(T).third
+    spent = [_cyclic_automorphism(T, third, b) for b in range(0, 121)]
+    assert all(g is None for g, _ in spent)
+    assert [n for _, n in spent[:3]] == [0, 1, 2] and spent[-1][1] < 120
+    results = [find_m_subset(T, b) for b in range(0, 121)]
+    assert results == [reference_backtrack(T, b - n) for b, (_, n) in enumerate(spent)]
+    assert results[-1].found and not results[spent[-1][1]].found
+
+
+def test_accepts_only_point_regular_cyclic_automorphisms(planes):
+    T = gen_t0(planes[4])  # N = 21: x -> x + k is an automorphism, an N-cycle iff gcd(k, 21) = 1
+    shift = [[(x + k) % T.N for x in range(T.N)] for k in range(4)]
+    assert [_accepts(T, g) for g in shift] == [False, True, True, False]
+    R = _relabeled(T, 0)  # x -> x + 1 is still an N-cycle, but no automorphism of R
+    assert not is_s_invariant(R) and not _accepts(R, shift[1])
+
+
+def test_certified_rejects_a_subset_outside_t(planes):
+    T = _relabeled(gen_t0(planes[3]), 0)
+    x, y, z = min(t for t in T.triples if len(set(t)) == 3)
+    shifted = frozenset(((x + k) % T.N, (y + k) % T.N, (z + k) % T.N) for k in range(T.N))
+    assert all(c == 3 for c in m_subset_occurrences(T, shifted)) and not shifted <= T.triples
+    assert _certified(T, shifted) is None
+    g, _ = _cyclic_automorphism(T, validate(T).third, 200)
+    assert _certified(T, _orbit(g, (x, y, z), T.N)) == MSubsetResult(_orbit(g, (x, y, z), T.N))
 
 
 def test_roundtrip(tmp_path, planes):
