@@ -3,11 +3,12 @@
 `golden/analyze_q16.json` holds the stdout, stderr and exit code of
 `a2tp analyze --q Q --variant V --output json` for every prime power
 Q <= 16 and every variant that applies to it (44 runs).  Generated inputs
-never reach the M-subset backtracker, so `golden/analyze_files.json` holds the
-same for `a2tp analyze --file F --output json --budget 200` on the seeded
-relabellings of t0/t0dual in `golden/files/` (q = 4, 5; each (q, variant) has
-one input whose search finds an M-subset within the budget and one whose
-search runs out of it).  `golden/analyze_q19_twists.json` holds the same for
+never reach the M-subset search, so `golden/analyze_files.json` holds the
+same for `a2tp analyze --file F --output json --budget B` on the seeded
+relabellings of t0/t0dual in `golden/files/` (q = 4, 5, two per
+(q, variant)): B is 200, where every search finds an M-subset, or the
+entry's `budget`, 1 for the one entry whose search runs out of it.
+`golden/analyze_q19_twists.json` holds the same for
 `--q 19` and the variants frob1 and omega, the inputs of the twists
 benchmark.  A change that moves any byte of a report must regenerate the
 file and say why.
@@ -57,19 +58,27 @@ def test_analyze_json_is_byte_identical(entry, capsys):
 
 def test_golden_files_cover_found_and_out_of_budget():
     outcomes = {
-        (e["file"].split("_s")[0], json.loads(e["stdout"])["checks"]["m_subset_found"])
+        (
+            e["file"].split("_s")[0],
+            e.get("budget", 200),
+            json.loads(e["stdout"])["checks"]["m_subset_found"],
+            e["exit_code"],
+        )
         for e in GOLDEN_FILES
     }
     assert outcomes == {
-        (f"{v}_q{q}", found) for v in ("t0", "t0dual") for q in (4, 5) for found in (True, False)
-    }
+        (f"{v}_q{q}", 200, True, 0) for v in ("t0", "t0dual") for q in (4, 5)
+    } | {("t0_q4", 1, False, 1)}
 
 
-@pytest.mark.parametrize("entry", GOLDEN_FILES, ids=lambda e: e["file"])
+@pytest.mark.parametrize(
+    "entry", GOLDEN_FILES, ids=lambda e: e["file"] + (f"-budget{e['budget']}" if "budget" in e else "")
+)
 def test_analyze_file_json_is_byte_identical(entry, capsys, monkeypatch):
     # The report's origin is the path as given, so run from the directory.
     monkeypatch.chdir(GOLDEN_DIR / "files")
-    code = main(["analyze", "--file", entry["file"], "--output", "json", "--budget", "200"])
+    budget = str(entry.get("budget", 200))
+    code = main(["analyze", "--file", entry["file"], "--output", "json", "--budget", budget])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (
         entry["exit_code"], entry["stdout"], entry["stderr"]
