@@ -266,7 +266,7 @@ def make_parser() -> argparse.ArgumentParser:
             "--budget",
             type=int,
             default=DEFAULT_BACKTRACK_BUDGET,
-            help="M-subset backtracking node budget (default %(default)s)",
+            help="M-subset search node budget (default %(default)s)",
         )
 
     p = sub.add_parser("gen", help="generate a presentation file")

@@ -350,26 +350,26 @@ def _cyclic_automorphism(
                     else:
                         force(y, meet, p, line_of[y])
 
-    state = [bytearray(N), [-1] * N, [-1] * N]
+    state = [bytearray(N), [-1] * N, [-1] * N]  # known, and the first line / point seen
     base: list[tuple[Point, Optional[Point]]] = [(0, None)]  # (y, u): y on lambda(u)
     segments: list[list] = [[]]  # the reads each base point forces
     close(state, 0, segments[0])
     while 0 in state[0]:
-        u = next((u for u in range(N) if state[0][u] and 0 in bytes(state[0][y] for y in lam[u])), None)
+        known = state[0]
+        u = next((u for u in range(N) if known[u] and not all(map(known.__getitem__, lam[u]))), None)
         if u is None:
             return None, 1
-        best = None
-        for y in lam[u]:
-            if not state[0][y]:
-                trial, reads = [bytearray(state[0]), state[1][:], state[2][:]], []
-                close(trial, y, reads)
-                if best is None or len(reads) > len(best[2]):
-                    best = (y, trial, reads)
-                    if 0 not in trial[0]:
-                        break
-        base.append((best[0], u))
-        state = best[1]
-        segments.append(best[2])
+        best: list = []
+        for y in (y for y in lam[u] if not known[y]):
+            trial, reads = [bytearray(known), state[1][:], state[2][:]], []
+            close(trial, y, reads)
+            if not best or len(reads) > len(best[2]):
+                best = [y, trial, reads]
+                if 0 not in trial[0]:
+                    break
+        y, state, reads = best
+        base.append((y, u))
+        segments.append(reads)
 
     nodes, unset = 1, [-1] * N
 
