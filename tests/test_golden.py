@@ -71,9 +71,11 @@ def test_golden_files_cover_found_and_out_of_budget():
     } | {("t0_q4", 1, False, 1)}
 
 
-@pytest.mark.parametrize(
-    "entry", GOLDEN_FILES, ids=lambda e: e["file"] + (f"-budget{e['budget']}" if "budget" in e else "")
-)
+def _file_id(entry) -> str:
+    return entry["file"] + (f"-budget{entry['budget']}" if "budget" in entry else "")
+
+
+@pytest.mark.parametrize("entry", GOLDEN_FILES, ids=_file_id)
 def test_analyze_file_json_is_byte_identical(entry, capsys, monkeypatch):
     # The report's origin is the path as given, so run from the directory.
     monkeypatch.chdir(GOLDEN_DIR / "files")

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from a2tp.automorphism import find_cyclic_automorphism, is_cyclic_automorphism
 from a2tp.plane import build_plane, frobenius_collineation
 from a2tp.presentation import (
     DEFAULT_BACKTRACK_BUDGET,
@@ -18,10 +19,8 @@ from a2tp.presentation import (
     PhiDoesNotFixT,
     PhiNotOrder3,
     TrianglePresentation,
-    _accepts,
     _backtrack_m_subset,
     _certified,
-    _cyclic_automorphism,
     find_m_subset,
     gen_t0,
     gen_t0_dual,
@@ -493,8 +492,8 @@ def _orbit(g, t, n):
     return frozenset(orbit)
 
 
-def _is_cyclic_automorphism(T, g) -> bool:
-    # Independent of `_accepts`: N distinct points lead from 0 back to 0, and T maps into T.
+def _is_point_regular_cyclic(T, g) -> bool:
+    # Independent of `is_cyclic_automorphism`: N distinct points lead 0 back to 0; T maps into T.
     walk = [0]
     for _ in range(T.N):
         walk.append(g[walk[-1]])
@@ -517,9 +516,9 @@ def test_finder_certifies_an_m_subset_of_relabellings(q, variant):
     for seed in (0, 1):
         T = _relabeled({"t0": gen_t0, "t0dual": gen_t0_dual}[variant](_plane(q)), seed)
         assert not is_s_invariant(T)
-        g, nodes = _cyclic_automorphism(T, validate(T).third, 200)
+        g, nodes = find_cyclic_automorphism(T, validate(T).third, 200)
         assert g is not None and nodes <= 200
-        assert _is_cyclic_automorphism(T, g)
+        assert _is_point_regular_cyclic(T, g)
         m = find_m_subset(T, 200).subset
         assert m == _orbit(g, min(T.triples), T.N)
         assert len(m) == T.N and m <= T.triples
@@ -548,7 +547,7 @@ def test_finder_nodes_count_against_the_budget(q):
     T = replace(twist_by_name(_plane(q), gen_t0(_plane(q)), "frob1"), base=None, phi_perm=None)
     assert not is_s_invariant(T)
     third = validate(T).third
-    spent = [_cyclic_automorphism(T, third, b) for b in range(0, 121)]
+    spent = [find_cyclic_automorphism(T, third, b) for b in range(0, 121)]
     assert all(g is None for g, _ in spent)
     assert [n for _, n in spent[:3]] == [0, 1, 2] and spent[-1][1] < 120
     results = [find_m_subset(T, b) for b in range(0, 121)]
@@ -556,12 +555,12 @@ def test_finder_nodes_count_against_the_budget(q):
     assert results[-1].found and not results[spent[-1][1]].found
 
 
-def test_accepts_only_point_regular_cyclic_automorphisms(planes):
+def test_is_cyclic_automorphism_holds_for_point_regular_ones_only(planes):
     T = gen_t0(planes[4])  # N = 21: x -> x + k is an automorphism, an N-cycle iff gcd(k, 21) = 1
     shift = [[(x + k) % T.N for x in range(T.N)] for k in range(4)]
-    assert [_accepts(T, g) for g in shift] == [False, True, True, False]
+    assert [is_cyclic_automorphism(T, g) for g in shift] == [False, True, True, False]
     R = _relabeled(T, 0)  # x -> x + 1 is still an N-cycle, but no automorphism of R
-    assert not is_s_invariant(R) and not _accepts(R, shift[1])
+    assert not is_s_invariant(R) and not is_cyclic_automorphism(R, shift[1])
 
 
 def test_certified_rejects_a_subset_outside_t(planes):
@@ -570,7 +569,7 @@ def test_certified_rejects_a_subset_outside_t(planes):
     shifted = frozenset(((x + k) % T.N, (y + k) % T.N, (z + k) % T.N) for k in range(T.N))
     assert all(c == 3 for c in m_subset_occurrences(T, shifted)) and not shifted <= T.triples
     assert _certified(T, shifted) is None
-    g, _ = _cyclic_automorphism(T, validate(T).third, 200)
+    g, _ = find_cyclic_automorphism(T, validate(T).third, 200)
     assert _certified(T, _orbit(g, (x, y, z), T.N)) == MSubsetResult(_orbit(g, (x, y, z), T.N))
 
 
