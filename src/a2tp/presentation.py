@@ -228,7 +228,7 @@ def find_m_subset(
     valid T, the orbit of its least triple under a point-regular cyclic
     automorphism (`automorphism.find_cyclic_automorphism`); and last the
     exact-cover search `_backtrack_m_subset`.  The two searches share
-    `budget`: the finder counts each propagation as a node, O(N) Python
+    `budget`: the finder counts each propagation as a node, O(Nq) Python
     steps at most, and the backtracker gets the nodes left.  `third` is the
     table `validate(T)` fills; T is validated here when it is not given.
     Each subset returned is certified to lie in T with every count 3.
@@ -246,7 +246,8 @@ def find_m_subset(
         third = report.third if report.ok else None
     nodes = 0
     if third is not None:
-        from .automorphism import find_cyclic_automorphism  # no generated input needs it
+        # Imported on first use: no generated input needs it.
+        from .automorphism import find_cyclic_automorphism
 
         g, nodes = find_cyclic_automorphism(T, third, budget)
         if g is not None:
