@@ -15,6 +15,12 @@ from .plane import Point
 from .presentation import TrianglePresentation
 
 
+def is_automorphism(T: TrianglePresentation, g: list[Point]) -> bool:
+    """g maps every triple of T into T: O(|T|) lookups."""
+    triples = T.triples
+    return all((g[x], g[y], g[z]) in triples for x, y, z in triples)
+
+
 def is_cyclic_automorphism(T: TrianglePresentation, g: list[Point]) -> bool:
     """g is one N-cycle on the points and maps every triple of T into T."""
     p = 0
@@ -22,8 +28,7 @@ def is_cyclic_automorphism(T: TrianglePresentation, g: list[Point]) -> bool:
         p = g[p]
         if p == 0:
             return False
-    triples = T.triples
-    return g[p] == 0 and all((g[x], g[y], g[z]) in triples for x, y, z in triples)
+    return g[p] == 0 and is_automorphism(T, g)
 
 
 def find_cyclic_automorphism(
@@ -43,14 +48,15 @@ def find_cyclic_automorphism(
     the image of one base point, g(0) = a at the top and below it a free
     point of lambda(g(u)), then reads the images it forces in the order
     found; it dies when a read fails or hits a point already taken.  A leaf
-    whose reads all succeed is taken for an automorphism.  The ones with
-    g(0) = a are h.m, for any one of them h and m over those fixing 0, so
-    the search lists the stabilizer once and then needs one h per a.  Every
-    node entered, the root (nothing fixed) included, counts against
-    `budget`, so a budget of 1 never finds g.  A propagation takes O(log q)
-    steps per point read from a triple and O(q) per meet or join; finding
-    the fixpoints takes O(Nq) per base point tried.  Only a g that
-    `is_cyclic_automorphism` checks in full is returned.
+    whose reads all succeed is kept when `is_automorphism` holds, O(|T|),
+    the cost of one node.  The automorphisms with g(0) = a are h.m, for any
+    one of them h and m over those fixing 0, so the search lists the
+    stabilizer once and then needs one h per a.  Every node entered, the
+    root (nothing fixed) included, counts against `budget`, so a budget of
+    1 never finds g.  A propagation takes O(log q) steps per point read from
+    a triple and O(q) per meet or join; finding the fixpoints takes O(Nq)
+    per base point tried.  Only a g that `is_cyclic_automorphism` checks in
+    full is returned.
     """
     N, lam = T.N, T.lam
     if budget < 1:
@@ -146,7 +152,8 @@ def find_cyclic_automorphism(
                 g[t], ginv[v] = v, t
             else:
                 if depth + 1 == len(base):
-                    yield g
+                    if is_automorphism(T, g):
+                        yield g
                 else:
                     y, u = base[depth + 1]
                     stack += ((g, ginv, depth + 1, c) for c in reversed(lam[g[u]]) if ginv[c] < 0)

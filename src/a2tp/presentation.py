@@ -229,8 +229,9 @@ def find_m_subset(
     automorphism (`automorphism.find_cyclic_automorphism`); and last the
     exact-cover search `_backtrack_m_subset`.  The two searches share
     `budget`: the finder counts each propagation as a node, O(Nq) Python
-    steps at most, and the backtracker gets the nodes left.  `third` is the
-    table `validate(T)` fills; T is validated here when it is not given.
+    steps at most, and may spend half of it; the backtracker gets the nodes
+    left, so at least the other half.  `third` is the table `validate(T)`
+    fills; T is validated here when it is not given.
     Each subset returned is certified to lie in T with every count 3.
     """
     if T.triples and is_s_invariant(T) and (found := _certified(T, _singer_orbit(T))):
@@ -246,10 +247,10 @@ def find_m_subset(
         third = report.third if report.ok else None
     nodes = 0
     if third is not None:
-        # Imported on first use: no generated input needs it.
+        # Imported on first use: no generated input needs it, and it imports this module.
         from .automorphism import find_cyclic_automorphism
 
-        g, nodes = find_cyclic_automorphism(T, third, budget)
+        g, nodes = find_cyclic_automorphism(T, third, budget // 2)
         if g is not None:
             x, y, z = 0, T.lam[0][0], third[0]  # the least triple of T
             orbit = []

@@ -472,7 +472,8 @@ def test_m_subset_budget_option(planes, tmp_path, capsys):
     from a2tp.coinv import analyze
 
     assert make_parser().parse_args(["analyze", "--q", "2"]).budget == DEFAULT_BACKTRACK_BUDGET
-    # not S-invariant and no twist base, so only the backtracker can find an M-subset
+    # not S-invariant and no twist base, so only the budgeted searches (the finder, then
+    # the backtracker) can find an M-subset, and --budget 1 leaves neither a node to spend
     T = _relabeled(gen_t0(planes[2]), 1)
     assert not is_s_invariant(T)
     assert not analyze(T, m_budget=1).checks["m_subset_found"]
@@ -512,14 +513,15 @@ def _plane(q):
 @pytest.mark.parametrize("variant", ["t0", "t0dual"])
 def test_finder_certifies_an_m_subset_of_relabellings(q, variant):
     # Relabelled, the Singer cycle is still a point-regular cyclic automorphism, but no
-    # longer x -> x + 1; the finder finds one within the benchmark's budget of 200.
+    # longer x -> x + 1; the finder finds one within 200 nodes, and within a budget of
+    # twice that many find_m_subset, which gives the finder half, returns its orbit.
     for seed in (0, 1):
         T = _relabeled({"t0": gen_t0, "t0dual": gen_t0_dual}[variant](_plane(q)), seed)
         assert not is_s_invariant(T)
         g, nodes = find_cyclic_automorphism(T, validate(T).third, 200)
         assert g is not None and nodes <= 200
         assert _is_point_regular_cyclic(T, g)
-        m = find_m_subset(T, 200).subset
+        m = find_m_subset(T, 2 * nodes).subset
         assert m == _orbit(g, min(T.triples), T.N)
         assert len(m) == T.N and m <= T.triples
         assert all(c == 3 for c in m_subset_occurrences(T, m))
@@ -543,16 +545,18 @@ def test_find_m_subset_is_total_on_random_triples(T, budget):
 @pytest.mark.parametrize("q", [2, 3])
 def test_finder_nodes_count_against_the_budget(q):
     # A frob1 twist read back without its base has no point-regular cyclic automorphism:
-    # the finder exhausts its tree, and the backtracker gets the nodes it left.
+    # the finder spends at most half the budget, and the backtracker gets the nodes left.
     T = replace(twist_by_name(_plane(q), gen_t0(_plane(q)), "frob1"), base=None, phi_perm=None)
     assert not is_s_invariant(T)
     third = validate(T).third
-    spent = [find_cyclic_automorphism(T, third, b) for b in range(0, 121)]
+    spent = [find_cyclic_automorphism(T, third, b // 2) for b in range(0, 121)]
     assert all(g is None for g, _ in spent)
-    assert [n for _, n in spent[:3]] == [0, 1, 2] and spent[-1][1] < 120
+    assert [n for _, n in spent[:6]] == [0, 0, 1, 1, 2, 2]
+    assert spent[-1][1] == {2: 26, 3: 60}[q]  # q = 3: stopped at half of 120, short of its 62
     results = [find_m_subset(T, b) for b in range(0, 121)]
     assert results == [reference_backtrack(T, b - n) for b, (_, n) in enumerate(spent)]
-    assert results[-1].found and not results[spent[-1][1]].found
+    assert results[-1].found  # and some budgets lose it to the finder's nodes:
+    assert any(r != reference_backtrack(T, b) for b, r in enumerate(results))
 
 
 def test_is_cyclic_automorphism_holds_for_point_regular_ones_only(planes):
