@@ -47,16 +47,18 @@ def find_cyclic_automorphism(
     closure is all the points or else the largest there.  Each node fixes
     the image of one base point, g(0) = a at the top and below it a free
     point of lambda(g(u)), then reads the images it forces in the order
-    found; it dies when a read fails or hits a point already taken.  A leaf
-    whose reads all succeed is kept when `is_automorphism` holds, O(|T|),
-    the cost of one node.  The automorphisms with g(0) = a are h.m, for any
-    one of them h and m over those fixing 0, so the search lists the
-    stabilizer once and then needs one h per a.  Every node entered, the
-    root (nothing fixed) included, counts against `budget`, so a budget of
-    1 never finds g.  A propagation takes O(log q) steps per point read from
-    a triple and O(q) per meet or join; finding the fixpoints takes O(Nq)
-    per base point tried.  Only a g that `is_cyclic_automorphism` checks in
-    full is returned.
+    found; it dies when a read fails or hits a point already taken.  Every
+    automorphism passes all the reads, so the leaves include them all.  The
+    ones with g(0) = a are h.m, for any one of them h and m over those
+    fixing 0, so the search lists the stabilizer's leaves once and then
+    needs one h per a: the first leaf that `is_automorphism` accepts,
+    O(|T|).  A stabilizer leaf that is no automorphism only gives maps h.m
+    that the final check rejects.  Every node entered, the root (nothing
+    fixed) included, counts against `budget`, so a budget of 1 never finds
+    g.  A propagation takes O(log q) steps per point read from a triple and
+    O(q) per meet or join; finding the fixpoints takes O(Nq) per base point
+    tried.  Only a g that `is_cyclic_automorphism` checks in full is
+    returned.
     """
     N, lam = T.N, T.lam
     if budget < 1:
@@ -152,15 +154,14 @@ def find_cyclic_automorphism(
                 g[t], ginv[v] = v, t
             else:
                 if depth + 1 == len(base):
-                    if is_automorphism(T, g):
-                        yield g
+                    yield g
                 else:
                     y, u = base[depth + 1]
                     stack += ((g, ginv, depth + 1, c) for c in reversed(lam[g[u]]) if ginv[c] < 0)
 
     stabilizer = list(automorphisms(0))
     for a in range(1, N):
-        h = next(automorphisms(a), None)
+        h = next((h for h in automorphisms(a) if is_automorphism(T, h)), None)
         if h is not None:
             for m in stabilizer:
                 g = [h[x] for x in m]
