@@ -167,37 +167,41 @@ def check_lower_bound(q: int, relations: IntMatrix, epsilon_order: Optional[int]
 def schemes_agree(T: TrianglePresentation, bcd: IntMatrix) -> bool:
     """True when the acb rows of T and the bcd rows `bcd` span the same lattice.
 
+    T must be valid (`validate`), so closed under rotation (axiom (ii)).
     Exact and elimination-free, and no acb matrix is built: the triangle rows
     and the all-points row of `bcd` must be those of T, which both schemes
     share, and acb_x + bcd_x must equal the all-points row for every x.  The
     triangle rows are T's when each is the canonical row of a multiset of a
-    triple of T, no two alike, and the triples they account for (the orders
-    of their points, looked up) are all of T.  acb_x is 1 off lambda(x)
-    minus e_x, so the rest reads bcd_x = e_x + 1_{lambda(x) as a set} - e_eps.
-    Then each x-row of one scheme is the all-points row minus an x-row of
-    the other, so each lattice contains the other.
+    triple of T, no two alike, and the triples they account for are all of T.
+    The orders of a multiset's points that T holds are whole rotation
+    classes, so one lookup per class counts them: (a, b, c) and (a, c, b) for
+    three distinct points, (a, b, b), (a, a, b) or (a, a, a) otherwise.
+    acb_x is 1 off lambda(x) minus e_x, so the rest reads
+    bcd_x = e_x + 1_{lambda(x) as a set} - e_eps.  Then each x-row of one
+    scheme is the all-points row minus an x-row of the other, so each
+    lattice contains the other.
     """
-    N, triples, covered, seen = T.N, T.triples, 0, set()
+    N, triples, covered, eps = T.N, T.triples, 0, (T.N, -1)
     n_tri = len(bcd.rows) - N - 1
-    all_points = tuple((y, 1) for y in range(N)) + ((N, -1),)
+    all_points = tuple((y, 1) for y in range(N)) + (eps,)
     if n_tri < 0 or bcd.n_cols != N + 1 or bcd.rows[n_tri] != all_points:
+        return False
+    if len(set(bcd.rows[:n_tri])) != n_tri:
         return False
     for row in bcd.rows[:n_tri]:
         match row:
             case ((a, 1), (b, 1), (c, 1), last) if a < b < c:
-                orders = ((a, b, c), (b, c, a), (c, a, b), (a, c, b), (c, b, a), (b, a, c))
+                found = 3 * (((a, b, c) in triples) + ((a, c, b) in triples))
             case ((a, 1), (b, 2), last) if a < b:
-                orders = ((a, b, b), (b, b, a), (b, a, b))
+                found = 3 * ((a, b, b) in triples)
             case ((a, 2), (b, 1), last) if a < b:
-                orders = ((a, a, b), (a, b, a), (b, a, a))
+                found = 3 * ((a, a, b) in triples)
             case ((a, 3), last):
-                orders = ((a, a, a),)
+                found = (a, a, a) in triples
             case _:
                 return False
-        found = len(triples.intersection(orders))
-        if last != (N, -1) or not found or orders[0] in seen:
+        if last != eps or not found:
             return False
-        seen.add(orders[0])
         covered += found
     if covered != len(triples):
         return False

@@ -120,13 +120,25 @@ def _is_one(poly: list[int]) -> bool:
     return poly[0] == 1 and not any(poly[1:])
 
 
+def _has_root(poly: list[int], a: int, p: int) -> bool:
+    """poly(a) = 0 mod p, by Horner's rule."""
+    value = 0
+    for c in reversed(poly):
+        value = (value * a + c) % p
+    return value == 0
+
+
 def _primitive_modulus(pp: PrimePower) -> list[int]:
     """The lexicographically first primitive modulus of degree 3r over F_p.
 
     Candidate moduli t^d + (lower part) are scanned in ascending order of the
     lower coefficients read as a base-p number; a candidate is accepted iff the class of t
     has multiplicative order exactly q^3 - 1, which simultaneously certifies
-    irreducibility and primitivity.
+    irreducibility and primitivity.  A candidate with a root a in F_p has the
+    factor t - a, so it is rejected by evaluation, O(p d), before any power.
+    t^(q^3 - 1) = 1 is tested as t^(q^3) = t, t being a unit (the constant
+    term is nonzero): when p = 2 the exponent has one bit, so about half the
+    products.
     """
     q = pp.q
     if q > MAX_Q:
@@ -141,7 +153,9 @@ def _primitive_modulus(pp: PrimePower) -> list[int]:
         if lower[0] == 0:
             continue  # t would divide the candidate
         candidate = lower + [1]
-        if not _is_one(_poly_pow_mod(t, m, candidate, p)):
+        if any(_has_root(candidate, a, p) for a in range(1, p)):
+            continue
+        if _poly_pow_mod(t, m + 1, candidate, p) != t:
             continue
         if any(_is_one(_poly_pow_mod(t, m // ell, candidate, p)) for ell in m_primes):
             continue
@@ -160,10 +174,12 @@ def trace_zero_logs(pp: PrimePower) -> tuple[int, ...]:
     modulus = _primitive_modulus(pp)
     d = len(modulus) - 1
     t = [0, 1] + [0] * (d - 2)
-    columns = [
-        map(sum, zip(*(_poly_pow_mod(t, i * e, modulus, p) for e in (1, q, q * q))))
-        for i in range(d)
-    ]
+    frobenius = [_poly_pow_mod(t, e, modulus, p) for e in (1, q, q * q)]
+    powers = [[1] + [0] * (d - 1)] * 3  # (t^e)^i for e = 1, q, q^2, one product per step
+    columns = []
+    for _ in range(d):
+        columns.append(list(map(sum, zip(*powers))))
+        powers = [_poly_mul_mod(a, f, modulus, p) for a, f in zip(powers, frobenius)]
     rows = list(zip(*columns))  # rows[j][i]: the coefficient of t^j in Tr(t^i)
     out = []
     cur = [1] + [0] * (d - 1)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from typing import Callable, Iterable, Optional
 
 from .gf import BadInput
@@ -72,25 +72,42 @@ class ValidationReport:
         return next((a.witness for a in axioms if not a.ok), None)
 
 
+def _shifted(points: list[Point], s: int) -> list[Point]:
+    """points[(i + s) mod N] for i < N, where 0 <= s < N.
+
+    Given points = list(range(N)), the results share its int objects, so a
+    presentation built from them holds one object per point.
+    """
+    return points[s:] + points[:s]
+
+
 def _lambda0(plane: PlaneContext) -> tuple[tuple[Point, ...], ...]:
-    return tuple(tuple(plane.line(x)) for x in range(plane.N))
+    """lambda0(x) = the sorted points x + d mod N, d in the trace-zero set, for every x."""
+    points = list(range(plane.N))
+    return tuple(map(tuple, map(sorted, zip(*(_shifted(points, d) for d in plane.tz)))))
+
+
+def _difference_orbits(plane: PlaneContext, k: int) -> frozenset[Triple]:
+    """The triples (i, i + d, i + k*d) mod N for i < N and d in the trace-zero set."""
+    N, points = plane.N, list(range(plane.N))
+    return frozenset(
+        chain.from_iterable(
+            zip(points, _shifted(points, d % N), _shifted(points, k * d % N)) for d in plane.tz
+        )
+    )
 
 
 def gen_t0(plane: PlaneContext) -> TrianglePresentation:
     """The Tits-type presentation: triples (x, x*xi, x*xi^(q+1}), Tr(xi)=0."""
     N, q = plane.N, plane.q
-    triples = frozenset(
-        (i, (i + d) % N, (i + (q + 1) * d) % N) for i in range(N) for d in plane.tz
-    )
+    triples = _difference_orbits(plane, q + 1)
     return TrianglePresentation(q=q, N=N, lam=_lambda0(plane), triples=triples, origin="t0")
 
 
 def gen_t0_dual(plane: PlaneContext) -> TrianglePresentation:
     """The inverted variant: triples (x, x*xi, x*xi^(q^2+1)), Tr(xi)=0."""
     N, q = plane.N, plane.q
-    triples = frozenset(
-        (i, (i + d) % N, (i + (q * q + 1) * d) % N) for i in range(N) for d in plane.tz
-    )
+    triples = _difference_orbits(plane, q * q + 1)
     return TrianglePresentation(q=q, N=N, lam=_lambda0(plane), triples=triples, origin="t0dual")
 
 
@@ -113,7 +130,7 @@ def twist(
     if not T.triples.issuperset((perm[x], perm[y], perm[z]) for (x, y, z) in T.triples):
         raise PhiDoesNotFixT("phi does not map the presentation to itself")
     triples = frozenset((x, perm[y], perm2[z]) for (x, y, z) in T.triples)
-    lam = tuple(tuple(sorted(perm[y] for y in line)) for line in T.lam)
+    lam = tuple(tuple(sorted(map(perm.__getitem__, line))) for line in T.lam)
     return TrianglePresentation(
         q=T.q,
         N=N,
@@ -148,6 +165,8 @@ def validate(T: TrianglePresentation) -> ValidationReport:
     Each witness is the least failure: the least (x, y) where y is on
     lambda(x) and starts no triple, or starts one and is not on it; the least
     triple whose rotation is not in T; the least (x, y) with two z's.
+    A valid T needs no witness search: counts prove axioms (i) and (iii), and
+    (ii) is one comparison over the table.
     """
     N = T.N
     z_of: list[dict[Point, Point]] = [{} for _ in range(N)]  # z_of[x][y] = z, freed on return
@@ -155,8 +174,16 @@ def validate(T: TrianglePresentation) -> ValidationReport:
         z_of[x][y] = z
     xs = [x for x, line in enumerate(T.lam) for _ in line]
     ys = [y for line in T.lam for y in line]
-    third = [z_of[x].get(y) for x, y in zip(xs, ys)]
-    two_z = sum(map(len, z_of)) < len(T.triples)  # aside and off_line are empty for a valid T
+    third = list(map(dict.get, map(z_of.__getitem__, xs), ys))
+    keys = sum(map(len, z_of))
+    size, expected_size = len(T.triples), (T.q + 1) * N
+    # keys == size: one z per pair (iii).  With every slot started, each z_of[x] holds
+    # lambda(x), and as many keys as points on the lines leave none off its line (i).
+    if keys == size == sum(map(len, map(set, T.lam))) and None not in third:
+        if list(map(dict.get, map(z_of.__getitem__, ys), third)) == xs:  # z_of[y][z] = x
+            ok = AxiomResult(True)
+            return ValidationReport(ok, ok, ok, size, expected_size, third)
+    two_z = keys < size  # aside and off_line are empty for a valid T
     aside = [t for t in T.triples if z_of[t[0]][t[1]] != t[2]] if two_z else []
     on = list(map(set, T.lam))
     off_line = [(x, y, z) for x, by_y in enumerate(z_of) for y, z in by_y.items() if y not in on[x]]
@@ -175,8 +202,8 @@ def validate(T: TrianglePresentation) -> ValidationReport:
         axiom_i=result(unstarted + [t[:2] for t in off_line]),
         axiom_ii=result(unrotated),
         axiom_iii=result([t[:2] for t in aside]),
-        size=len(T.triples),
-        expected_size=(T.q + 1) * N,
+        size=size,
+        expected_size=expected_size,
         third=third,
     )
 
@@ -196,10 +223,9 @@ class MSubsetResult:
         return self.subset is not None
 
 
-def _singer_orbit(T: TrianglePresentation) -> frozenset[Triple]:
-    N = T.N
-    x, y, z = min(T.triples)
-    return frozenset(((x + k) % N, (y + k) % N, (z + k) % N) for k in range(N))
+def _singer_orbit(N: int, triple: Triple) -> frozenset[Triple]:
+    points = list(range(N))
+    return frozenset(zip(*(_shifted(points, pt) for pt in triple)))
 
 
 def m_subset_occurrences(T: TrianglePresentation, subset: Iterable[Triple]) -> list[int]:
@@ -223,46 +249,53 @@ def find_m_subset(
 ) -> MSubsetResult:
     """Find M subset of T in which every point occurs exactly 3 times.
 
-    Tries, in turn: the Singer orbit for S-invariant presentations; the
-    twisted image of the base orbit for twists of S-invariant ones; for a
-    valid T, the orbit of its least triple under a point-regular cyclic
-    automorphism (`automorphism.find_cyclic_automorphism`); and last the
-    exact-cover search `_backtrack_m_subset`.  The two searches share
-    `budget`: the finder counts each propagation as a node, O(Nq) Python
-    steps at most, and may spend half of it; the backtracker gets the nodes
-    left, so at least the other half.  `third` is the table `validate(T)`
-    fills; T is validated here when it is not given.
-    Each subset returned is certified to lie in T with every count 3.
+    Tries, in turn, three orbits, each returned only when `_certified` accepts
+    it: the Singer orbit of the least triple; for a twist, the twisted image
+    of its base's Singer orbit; for a valid T, the orbit of its least triple
+    under a point-regular cyclic automorphism
+    (`automorphism.find_cyclic_automorphism`).  Last comes the exact-cover
+    search `_backtrack_m_subset`, over the table when T is valid.  The two searches
+    share `budget`: the finder counts each propagation as a node, O(Nq)
+    Python steps at most, and may spend half of it; the backtracker gets the
+    nodes left, so at least the other half.  `third` is the table
+    `validate(T)` fills; T is validated here when it is not given.
     """
-    if T.triples and is_s_invariant(T) and (found := _certified(T, _singer_orbit(T))):
+    # The least triple of a valid T starts its table.
+    least = (0, T.lam[0][0], third[0]) if third is not None else min(T.triples, default=None)
+    if least and (found := _certified(T, _singer_orbit(T.N, least))):
         return found
-    if T.base is not None and T.phi_perm is not None and is_s_invariant(T.base):
+    if T.base is not None and T.phi_perm is not None and T.base.triples:
         perm = T.phi_perm
         perm2 = [perm[perm[x]] for x in range(T.N)]
-        m = frozenset((x, perm[y], perm2[z]) for (x, y, z) in _singer_orbit(T.base))
-        if found := _certified(T, m):
+        orbit = _singer_orbit(T.N, min(T.base.triples))
+        if found := _certified(T, frozenset((x, perm[y], perm2[z]) for (x, y, z) in orbit)):
             return found
     if third is None:
         report = validate(T)
         third = report.third if report.ok else None
-    nodes = 0
+    nodes, table = 0, None
     if third is not None:
         # Imported on first use: no generated input needs it, and it imports this module.
         from .automorphism import find_cyclic_automorphism
 
         g, nodes = find_cyclic_automorphism(T, third, budget // 2)
         if g is not None:
-            x, y, z = 0, T.lam[0][0], third[0]  # the least triple of T
+            x, y, z = least
             orbit = []
             for _ in range(T.N):
                 orbit.append((x, y, z))
                 x, y, z = g[x], g[y], g[z]
             if found := _certified(T, frozenset(orbit)):
                 return found
-    return _backtrack_m_subset(T, budget - nodes)
+        # A valid T's table lists its triples in sorted order, since each lam[x] is sorted.
+        xs = chain.from_iterable(map(repeat, range(T.N), map(len, T.lam)))
+        table = list(zip(xs, chain.from_iterable(T.lam), third))
+    return _backtrack_m_subset(T, budget - nodes, table)
 
 
-def _backtrack_m_subset(T: TrianglePresentation, budget: int) -> MSubsetResult:
+def _backtrack_m_subset(
+    T: TrianglePresentation, budget: int, triples: Optional[list[Triple]] = None
+) -> MSubsetResult:
     """Bounded exact-cover search for an M subset, undoing each move from a log.
 
     Each node branches, in sorted order, on the usable triples through the
@@ -273,9 +306,11 @@ def _backtrack_m_subset(T: TrianglePresentation, budget: int) -> MSubsetResult:
     what no longer fits and logs it for its undo: O(q) steps, and a pick is
     one `min` and `index` over free, whatever the size of T.  Every node
     entered, the root included, counts against `budget`; the subset is proven
-    absent only when the tree is exhausted.
+    absent only when the tree is exhausted.  `triples` is `sorted(T.triples)`,
+    sorted here when not given.
     """
-    triples = sorted(T.triples)
+    if triples is None:
+        triples = sorted(T.triples)
     over: list[tuple[list[int], ...]] = [([], [], []) for _ in range(T.N)]
     for idx, (x, y, z) in enumerate(triples):  # slot k: the point's (k+1)-th copy
         over[x][0].append(idx)

@@ -1,6 +1,7 @@
 """Helpers shared by several test modules; the program itself never needs them."""
 
 from a2tp.coinv import AnalysisReport
+from a2tp.gf import _digits, _is_one, _poly_pow_mod, factorize
 from a2tp.presentation import AxiomResult, ValidationReport
 from a2tp.zlinalg import FpAbelianGroup, IntMatrix
 
@@ -115,3 +116,22 @@ def reference_validate(T) -> ValidationReport:
         size=len(T.triples),
         expected_size=(T.q + 1) * N,
     )
+
+
+def reference_primitive_modulus(pp) -> list[int]:
+    """The lexicographically first primitive modulus, with neither the root test nor the
+    t^(q^3) = t form: the oracle for `gf._primitive_modulus`.
+
+    Every candidate t^d + (lower part) with a nonzero constant term, in
+    ascending order of the lower part read as a base-p number, until the
+    class of t has multiplicative order exactly q^3 - 1.
+    """
+    p, d = pp.p, 3 * pp.r
+    m = pp.q**3 - 1
+    t = [0, 1] + [0] * (d - 2)
+    for n in range(1, p**d):
+        candidate = _digits(n, p, d) + [1]
+        if candidate[0] and _is_one(_poly_pow_mod(t, m, candidate, p)):
+            if not any(_is_one(_poly_pow_mod(t, m // ell, candidate, p)) for ell in factorize(m)):
+                return candidate
+    raise AssertionError(f"no primitive modulus for p={p}, degree {d}")

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from a2tp import coinv, zlinalg
+from a2tp import coinv, presentation, zlinalg
 from a2tp.coinv import (
     InternalError,
     InvalidPresentation,
@@ -73,6 +73,20 @@ def test_one_triangle_row_per_point_multiset(planes):
         assert all(row[-1] == (N, -1) for row in triangles), T.origin
         # the order too: where the sorted triples first give each multiset
         assert triangles == triangle_rows(T, ((N, -1),)), T.origin
+
+
+def test_analyze_never_scans_for_s_invariance(planes, monkeypatch):
+    # Each M-subset orbit is certified on its own, so no whole-T invariance scan gates it.
+    def scan(T):
+        raise AssertionError("is_s_invariant called")
+
+    monkeypatch.setattr(presentation, "is_s_invariant", scan)
+    pl = planes[7]
+    inputs = [gen_t0(pl), gen_t0_dual(pl)]
+    inputs += [twist_by_name(pl, gen_t0(pl), name) for name in ("frob1", "frob2", "omega")]
+    inputs.append(read_presentation(GOLDEN_FILES / "t0dual_q5_s31.a2tp"))  # relabelled
+    for T in inputs:
+        assert analyze(T).checks["m_subset_found"], T.origin
 
 
 def test_analyze_checks_none_of_the_rows_it_built(planes, monkeypatch):

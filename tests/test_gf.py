@@ -18,6 +18,7 @@ from a2tp.gf import (
     trace_zero_logs,
 )
 from a2tp.plane import build_plane
+from helpers import reference_primitive_modulus
 
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9]
 SUPPORTED_Q = [q for q in range(2, MAX_Q + 1) if len(factorize(q)) == 1]
@@ -64,6 +65,14 @@ def fields():
 @pytest.fixture(scope="module")
 def logs():
     return {q: trace_zero_logs(prime_power(q)) for q in SUPPORTED_Q}
+
+
+def test_primitive_modulus_matches_the_search_without_root_test():
+    # The root test and the t^(q^3) = t form keep the scan order and accept the same
+    # candidates, so the modulus is the same.
+    for q in SUPPORTED_Q:
+        pp = prime_power(q)
+        assert _primitive_modulus(pp) == reference_primitive_modulus(pp), q
 
 
 def test_prime_power_parsing():

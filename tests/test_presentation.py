@@ -527,16 +527,36 @@ def test_finder_certifies_an_m_subset_of_relabellings(q, variant):
         assert all(c == 3 for c in m_subset_occurrences(T, m))
 
 
+# Not S-invariant, yet the Singer orbit of its least triple (0, 0, 0) is an M subset.
+SINGER_NOT_S_INVARIANT = _bare_presentation(7, {(k, k, k) for k in range(7)} | {(0, 0, 1)})
+
+
+def _certified_singer_orbit(T):
+    # The shifts of the least triple, when they lie in T and hold every point 3 times.
+    if not T.triples:
+        return None
+    N, (x, y, z) = T.N, min(T.triples)
+    orbit = frozenset(((x + k) % N, (y + k) % N, (z + k) % N) for k in range(N))
+    counts = [0] * N
+    for t in orbit:
+        for pt in t:
+            counts[pt] += 1
+    return orbit if orbit <= T.triples and counts == [3] * N else None
+
+
 @settings(max_examples=60, deadline=None)
 @example(FOUND_WITH_REPEATS, 60)
 @example(NO_M_SUBSET, 1)
-@example(_bare_presentation(7, ()), 0)  # vacuously S-invariant, with no least triple
+@example(_bare_presentation(7, ()), 0)  # no least triple, so no Singer orbit
+@example(SINGER_NOT_S_INVARIANT, 0)
 @given(triple_sets(), st.integers(0, 60))
 def test_find_m_subset_is_total_on_random_triples(T, budget):
     # These T fail the triangle axioms, so only the Singer orbit and the backtracker run.
     result = find_m_subset(T, budget)
-    if not is_s_invariant(T):
+    if (orbit := _certified_singer_orbit(T)) is None:
         assert result == _backtrack_m_subset(T, budget)
+    else:  # found without a search, at any budget
+        assert result == MSubsetResult(orbit)
     if result.found:
         assert result.subset <= T.triples
         assert all(c == 3 for c in m_subset_occurrences(T, result.subset))
