@@ -9,6 +9,7 @@ disagree, or the field or plane construction broke its own invariants).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -69,9 +70,9 @@ def build_variant(q: int, variant: str) -> tuple[PlaneContext, TrianglePresentat
 
 
 def _load_presentation(args) -> TrianglePresentation:
-    if getattr(args, "file", None):
+    if args.file:
         return read_presentation(args.file)
-    if getattr(args, "q", None) is None:
+    if args.q is None:
         raise UsageError("either --q or --file is required")
     return build_variant(args.q, args.variant)[1]
 
@@ -205,10 +206,9 @@ def cmd_table(args) -> int:
 def cmd_verify(args) -> int:
     budget = _budget(args)
     results: list[tuple[str, bool]] = []
-    from_file = bool(getattr(args, "file", None))
     T = _load_presentation(args)
 
-    if from_file:
+    if args.file:
         # A file gives only its line table; there is no difference set to check.
         results.append(("plane-axioms", lines_form_plane(T.lam, T.q)))
     else:
@@ -249,6 +249,7 @@ def cmd_verify(args) -> int:
     return EXIT_CHECK_FAILED if gating_failure else EXIT_OK
 
 
+@functools.cache  # built on the first call, not at import; parse_args leaves it unchanged
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="a2tp",
@@ -256,11 +257,10 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_source=True):
-        if with_source:
-            p.add_argument("--q", type=int, help="prime power order of the plane")
-            p.add_argument("--variant", choices=VARIANTS, default="t0")
-            p.add_argument("--file", help="presentation file (alternative to --q)")
+    def add_common(p):
+        p.add_argument("--q", type=int, help="prime power order of the plane")
+        p.add_argument("--variant", choices=VARIANTS, default="t0")
+        p.add_argument("--file", help="presentation file (alternative to --q)")
         p.add_argument("--output", choices=("text", "json"), default="text")
         p.add_argument(
             "--budget",
@@ -273,16 +273,13 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--variant", choices=VARIANTS, default="t0")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("validate", help="check the triangle axioms of a file")
     p.add_argument("--file", required=True)
     p.add_argument("--output", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("analyze", help="compute A_T, its quotient and ord(eps)")
     add_common(p)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("table", help="reproduce the published table over a q range")
     p.add_argument("--q-min", type=int, default=2)
@@ -292,20 +289,18 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--jobs", type=int, default=1, help="worker processes, at most the CPU count"
     )
-    p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="run every structural and theorem check")
     add_common(p)
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # By name on each call: a traced or patched cmd_* takes effect under the cached parser.
+        return globals()[f"cmd_{args.command}"](args)
     except (BadInput, OSError, UnicodeDecodeError) as exc:  # or a file that is not UTF-8
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

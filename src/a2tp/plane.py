@@ -35,7 +35,7 @@ class PlaneContext:
         return self.pp.q
 
     def line(self, x: Point) -> list[Point]:
-        """The line lambda_0(x), as a sorted list of point logs."""
+        """The line lambda_0(x) as sorted point logs: public API, called in this repo by tests only."""
         return sorted((x + d) % self.N for d in self.tz)
 
 

@@ -382,16 +382,13 @@ def write_presentation(T: TrianglePresentation, path) -> None:
 
 def read_presentation(path) -> TrianglePresentation:
     with open(path, encoding="utf-8") as fh:
-        raw = fh.readlines()
-    lines: list[tuple[int, str]] = []
-    for no, line in enumerate(raw, start=1):
-        body = line.split("#", 1)[0].strip()
-        if body:
-            lines.append((no, body))
-    if not lines:
+        numbered = enumerate(fh.read().split("\n"), start=1)
+    for no, line in numbered:  # up to the header; the body loop goes on from there
+        header = line.split("#", 1)[0].strip()
+        if header:
+            break
+    else:
         raise ParseError("empty file", 1)
-
-    no, header = lines[0]
     parts = header.split()
     if len(parts) != 3 or parts[0] != "a2tp" or parts[1][:2] != "q=" or parts[2][:2] != "n=":
         raise ParseError(f"bad header {header!r}", no)
@@ -406,41 +403,45 @@ def read_presentation(path) -> TrianglePresentation:
 
     lam: list[tuple[Point, ...]] = []
     triples: set[Triple] = set()
-    for no, body in lines[1:]:
-        toks = body.split()
-        if toks[0] == "lambda":
+    last_no = no
+    for no, line in numbered:
+        toks = line.split("#", 1)[0].split() if "#" in line else line.split()
+        if not toks:
+            continue
+        last_no = no
+        if toks[0] == "t":  # about nine lines in ten
+            if len(toks) != 4:
+                raise ParseError("triple line must have 3 points", no)
+            try:
+                x, y, z = int(toks[1]), int(toks[2]), int(toks[3])
+            except ValueError:
+                raise ParseError("non-integer point", no) from None
+            if not (0 <= x < N and 0 <= y < N and 0 <= z < N):
+                raise ParseError("point out of range", no)
+            triples.add((x, y, z))
+        elif toks[0] == "lambda":
             if len(lam) >= N:
                 raise InconsistentHeader(f"more than {N} lambda lines", no)
             if len(toks) < 2 or not toks[1].endswith(":"):
                 raise ParseError("expected 'lambda <x>:'", no)
             try:
                 x = int(toks[1][:-1])
-                pts = [int(t) for t in toks[2:]]
+                pts = sorted(map(int, toks[2:]))
             except ValueError:
                 raise ParseError("non-integer point", no) from None
             if x != len(lam):
                 raise ParseError(f"lambda lines must be ascending; expected x={len(lam)}", no)
             if len(pts) != q + 1:
                 raise InconsistentHeader(f"lambda line has {len(pts)} points, expected {q + 1}", no)
-            if any(not 0 <= p < N for p in pts):
+            if pts[0] < 0 or pts[-1] >= N:
                 raise ParseError("point out of range", no)
             if len(set(pts)) != len(pts):
                 raise ParseError("lambda line repeats a point", no)
-            lam.append(tuple(sorted(pts)))
-        elif toks[0] == "t":
-            if len(toks) != 4:
-                raise ParseError("triple line must have 3 points", no)
-            try:
-                x, y, z = (int(t) for t in toks[1:])
-            except ValueError:
-                raise ParseError("non-integer point", no) from None
-            if any(not 0 <= p < N for p in (x, y, z)):
-                raise ParseError("point out of range", no)
-            triples.add((x, y, z))
+            lam.append(tuple(pts))
         else:
-            raise ParseError(f"unrecognized line {body!r}", no)
+            raise ParseError(f"unrecognized line {line.split('#', 1)[0].strip()!r}", no)
     if len(lam) != N:
-        raise InconsistentHeader(f"expected {N} lambda lines, found {len(lam)}", lines[-1][0])
+        raise InconsistentHeader(f"expected {N} lambda lines, found {len(lam)}", last_no)
     return TrianglePresentation(
         q=q, N=N, lam=tuple(lam), triples=frozenset(triples), origin=f"file:{path}"
     )

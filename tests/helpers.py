@@ -2,7 +2,16 @@
 
 from a2tp.coinv import AnalysisReport
 from a2tp.gf import _digits, _is_one, _poly_pow_mod, factorize
-from a2tp.presentation import AxiomResult, ValidationReport
+from a2tp.presentation import (
+    AxiomResult,
+    InconsistentHeader,
+    ParseError,
+    TrianglePresentation,
+    ValidationReport,
+    find_m_subset,
+    is_s_invariant,
+    m_subset_occurrences,
+)
 from a2tp.zlinalg import FpAbelianGroup, IntMatrix
 
 
@@ -135,3 +144,98 @@ def reference_primitive_modulus(pp) -> list[int]:
             if not any(_is_one(_poly_pow_mod(t, m // ell, candidate, p)) for ell in factorize(m)):
                 return candidate
     raise AssertionError(f"no primitive modulus for p={p}, degree {d}")
+
+
+def reference_read_presentation(path) -> TrianglePresentation:
+    """The file reader line by line, every check in its own statement: the oracle for
+    `read_presentation`, which must give an equal presentation or the same error.
+    """
+    with open(path, encoding="utf-8") as fh:
+        raw = fh.readlines()
+    lines: list[tuple[int, str]] = []
+    for no, line in enumerate(raw, start=1):
+        body = line.split("#", 1)[0].strip()
+        if body:
+            lines.append((no, body))
+    if not lines:
+        raise ParseError("empty file", 1)
+
+    no, header = lines[0]
+    parts = header.split()
+    if len(parts) != 3 or parts[0] != "a2tp" or parts[1][:2] != "q=" or parts[2][:2] != "n=":
+        raise ParseError(f"bad header {header!r}", no)
+    try:
+        q, N = int(parts[1][2:]), int(parts[2][2:])
+    except ValueError:
+        raise ParseError(f"bad header {header!r}", no) from None
+    if q < 2:
+        raise InconsistentHeader(f"q={q} is below 2", no)
+    if N != q * q + q + 1:
+        raise InconsistentHeader(f"n={N} does not equal q^2+q+1={q * q + q + 1}", no)
+
+    lam = []
+    triples = set()
+    for no, body in lines[1:]:
+        toks = body.split()
+        if toks[0] == "lambda":
+            if len(lam) >= N:
+                raise InconsistentHeader(f"more than {N} lambda lines", no)
+            if len(toks) < 2 or not toks[1].endswith(":"):
+                raise ParseError("expected 'lambda <x>:'", no)
+            try:
+                x = int(toks[1][:-1])
+                pts = [int(t) for t in toks[2:]]
+            except ValueError:
+                raise ParseError("non-integer point", no) from None
+            if x != len(lam):
+                raise ParseError(f"lambda lines must be ascending; expected x={len(lam)}", no)
+            if len(pts) != q + 1:
+                raise InconsistentHeader(f"lambda line has {len(pts)} points, expected {q + 1}", no)
+            if any(not 0 <= p < N for p in pts):
+                raise ParseError("point out of range", no)
+            if len(set(pts)) != len(pts):
+                raise ParseError("lambda line repeats a point", no)
+            lam.append(tuple(sorted(pts)))
+        elif toks[0] == "t":
+            if len(toks) != 4:
+                raise ParseError("triple line must have 3 points", no)
+            try:
+                x, y, z = (int(t) for t in toks[1:])
+            except ValueError:
+                raise ParseError("non-integer point", no) from None
+            if any(not 0 <= p < N for p in (x, y, z)):
+                raise ParseError("point out of range", no)
+            triples.add((x, y, z))
+        else:
+            raise ParseError(f"unrecognized line {body!r}", no)
+    if len(lam) != N:
+        raise InconsistentHeader(f"expected {N} lambda lines, found {len(lam)}", lines[-1][0])
+    return TrianglePresentation(
+        q=q, N=N, lam=tuple(lam), triples=frozenset(triples), origin=f"file:{path}"
+    )
+
+
+def relabelled(T, rng) -> TrianglePresentation:
+    """T under a random permutation of the points, redrawn until not S-invariant.
+
+    The seeded relabelling of the benchmark's file inputs, built here from the
+    program's public functions: the image of T's Singer-orbit M-subset is
+    checked to be an M-subset of the result.
+    """
+    N = T.N
+    m = find_m_subset(T).subset
+    while True:
+        perm = list(range(N))
+        rng.shuffle(perm)
+        lam = [()] * N
+        for x in range(N):
+            lam[perm[x]] = tuple(sorted(perm[y] for y in T.lam[x]))
+        triples = frozenset((perm[x], perm[y], perm[z]) for (x, y, z) in T.triples)
+        U = TrianglePresentation(
+            q=T.q, N=N, lam=tuple(lam), triples=triples, origin=f"relabelled:{T.origin}"
+        )
+        if not is_s_invariant(U):
+            image = frozenset((perm[x], perm[y], perm[z]) for (x, y, z) in m)
+            if not (image <= U.triples and all(c == 3 for c in m_subset_occurrences(U, image))):
+                raise AssertionError(f"relabelled {T.origin} q={T.q} lost its M-subset")
+            return U

@@ -1,11 +1,15 @@
 import itertools
 import json
+import random
+from pathlib import Path
 
 import pytest
 
 from a2tp import cli, coinv, gf, plane, presentation
-from a2tp.cli import main, prime_powers_in
-from helpers import report_from_dict
+from a2tp.cli import main, make_parser, prime_powers_in
+from helpers import relabelled, report_from_dict
+
+GOLDEN_FILE = Path(__file__).parent / "golden" / "files" / "t0_q4_s15.a2tp"
 
 
 def run(capsys, *argv):
@@ -394,3 +398,50 @@ def test_a_file_that_is_not_utf8_text_is_a_usage_error(tmp_path, capsys, command
     code, stdout, err = run(capsys, command, "--file", str(path))
     assert (code, stdout) == (2, "")
     assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
+
+def _exit_and_output(capsys, argv) -> tuple:
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the arguments
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_the_cached_parser_carries_no_state_between_calls(capsys, monkeypatch):
+    calls = [
+        ["analyze", "--file", str(GOLDEN_FILE), "--budget", "1"],
+        ["analyze", "--q", "4"],
+        ["verify", "--file", str(GOLDEN_FILE)],
+        ["validate", "--file", str(GOLDEN_FILE), "--output", "json"],
+        ["table", "--q-min", "2", "--q-max", "3", "--output", "json"],
+        ["analyze", "--budget", "many"],
+    ]
+    make_parser.cache_clear()
+    in_sequence = [_exit_and_output(capsys, argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        make_parser.cache_clear()
+        fresh.append(_exit_and_output(capsys, argv))
+    assert in_sequence == fresh
+    assert [code for code, _, _ in in_sequence] == [1, 0, 0, 0, 0, 2]
+    assert "invalid int value: 'many'" in in_sequence[-1][2]
+    assert make_parser() is make_parser()
+    make_parser().parse_args(["analyze", "--q", "4", "--budget", "1"])
+    assert make_parser().parse_args(["analyze", "--q", "4"]).budget == presentation.DEFAULT_BACKTRACK_BUDGET
+    monkeypatch.setattr(cli, "cmd_table", lambda args: 7)  # handlers are not cached with it
+    assert main(["table"]) == 7
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("variant", ["t0", "t0dual"])
+def test_analyze_finds_an_m_subset_of_relabelled_files_at_q27(tmp_path, capsys, variant, seed):
+    # In characteristic 3 every (x, x, x) lies in T, so the Singer orbit of
+    # (0, 0, 0), the diagonal, is an M-subset found within the 200-node budget.
+    _, T = cli.build_variant(27, variant)
+    path = tmp_path / f"{variant}_q27_{seed}.a2tp"
+    presentation.write_presentation(relabelled(T, random.Random(seed)), path)
+    code, stdout, _ = run(capsys, "analyze", "--file", str(path), "--budget", "200", "--output", "json")
+    assert code == 0
+    assert json.loads(stdout)["checks"]["m_subset_found"] is True

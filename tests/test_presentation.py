@@ -1,6 +1,7 @@
 import functools
 import json
 import random
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -32,7 +33,7 @@ from a2tp.presentation import (
     validate,
     write_presentation,
 )
-from helpers import reference_validate
+from helpers import reference_read_presentation, reference_validate
 
 
 @pytest.fixture(scope="module")
@@ -663,26 +664,55 @@ LINE = st.one_of(
 )
 
 
+def _read_both(path) -> list:
+    """What `read_presentation` and the reference reader give: each a presentation,
+    or the class, message and line of the ParseError; any other exception propagates.
+    """
+    results = []
+    for read in (read_presentation, reference_read_presentation):
+        try:
+            results.append(read(path))
+        except ParseError as exc:
+            results.append((type(exc), str(exc), exc.line_no))
+    return results
+
+
+def _edited(*edits):
+    return {"from_valid": True, "edits": list(edits), "extra": [], "newline": "\n"}
+
+
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(**_edited((1, False, "lambda 0: 1 2 7")))  # a point past N on a lambda line
+@example(**_edited((1, False, "lambda 0: -1 2 4")))
+@example(**_edited((8, False, "t 0 1 7")))
+# short of lambda lines: the error names the last line with content
+@example(from_valid=False, edits=[], extra=["a2tp q=2 n=7", "lambda 0: 1 2 4", "", "# end"], newline="\n")
 @given(
     st.booleans(),
     st.lists(st.tuples(st.integers(0, 29), st.booleans(), LINE), max_size=3),
     st.lists(LINE, max_size=3),
+    st.sampled_from(["\n", "\r\n", "\r"]),
 )
-def test_read_presentation_is_total(tmp_path, planes, from_valid, edits, extra):
-    # any text is either a presentation or a ParseError, never another exception;
-    # edits of a valid q=2 file reach the later stages of the parser
+def test_read_presentation_is_total(tmp_path, planes, from_valid, edits, extra, newline):
+    # any text is either a presentation or a ParseError, never another exception,
+    # and the same one the reference reader gives; edits of a valid q=2 file
+    # reach the later stages of the parser
     path = tmp_path / "fuzz.a2tp"
     write_presentation(gen_t0(planes[2]), path)
     lines = path.read_text().splitlines() if from_valid else []
     for i, insert, line in edits:
         lines[i : i + (not insert)] = [line]
-    path.write_text("\n".join(lines + extra), encoding="utf-8")
-    try:
-        T = read_presentation(path)
-    except ParseError:
-        return
-    assert isinstance(T, TrianglePresentation)
+    path.write_bytes(newline.join(lines + extra).encode("utf-8"))
+    got, expected = _read_both(path)
+    assert got == expected
+
+
+@pytest.mark.parametrize(
+    "path", sorted((Path(__file__).parent / "golden" / "files").iterdir()), ids=lambda p: p.name
+)
+def test_read_presentation_matches_the_reference_on_golden_files(path):
+    got, expected = _read_both(path)
+    assert isinstance(got, TrianglePresentation) and got == expected
 
 
 def test_duplicate_triples_idempotent(tmp_path, planes):
@@ -696,12 +726,23 @@ def test_duplicate_triples_idempotent(tmp_path, planes):
 
 
 def test_comments_ignored(tmp_path, planes):
+    # and the other tolerated layouts: each reads equal to the LF original
     T = gen_t0(planes[2])
     path = tmp_path / "c.a2tp"
     write_presentation(T, path)
-    text = "# header comment\n" + path.read_text().replace("a2tp q=2", "a2tp q=2", 1)
-    path.write_text(text)
-    assert read_presentation(path).triples == T.triples
+    text = path.read_text()
+    original = read_presentation(path)
+    assert original.triples == T.triples
+    for layout in (
+        "# header comment\n" + text,
+        text.replace("\n", "\r\n"),
+        text.replace("\n", "\r"),
+        text.rstrip("\n"),
+        text.replace(" ", "\t"),
+        re.sub(r"^(t .*)$", r"\1  # a comment", text, flags=re.M),
+    ):
+        path.write_bytes(layout.encode("utf-8"))
+        assert read_presentation(path) == original, repr(layout[:40])
 
 
 def test_singer_equivariance_of_relations(planes):
