@@ -19,7 +19,7 @@ from typing import Optional
 from .coinv import AnalysisReport, InternalError, InvalidPresentation, analyze, predicted_group
 from .coinv import expected_epsilon_order
 from .gf import MAX_Q, BadInput, NoPrimitivePolynomial, PrimePower, factorize, prime_power
-from .plane import PlaneAxiomViolation, PlaneContext, build_plane, lines_form_plane
+from .plane import NotAPlane, PlaneAxiomViolation, PlaneContext, build_plane, lines_form_plane
 from .presentation import (
     DEFAULT_BACKTRACK_BUDGET,
     TrianglePresentation,
@@ -136,7 +136,10 @@ def cmd_validate(args) -> int:
 
 def cmd_analyze(args) -> int:
     budget = _budget(args)
-    report = analyze(_load_presentation(args), m_budget=budget)
+    T = _load_presentation(args)
+    if args.file and not lines_form_plane(T.lam, T.q):  # a generated lambda is a Singer plane
+        raise NotAPlane(f"the lambda lines fail the projective-plane axioms for q={T.q}")
+    report = analyze(T, m_budget=budget)
     _print_report(report, args.output)
     return EXIT_OK if report.all_checks_pass else EXIT_CHECK_FAILED
 

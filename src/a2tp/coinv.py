@@ -227,14 +227,14 @@ def analyze(
     tri = FpAbelianGroup(N + 1, IntMatrix._trusted(N + 1, bcd.rows[:n_tri]))
     grp = tri.quotient_by(IntMatrix._trusted(N + 1, bcd.rows[n_tri:]))  # A_T, rows built here
     factors, free_rank = grp.invariants(), grp.free_rank
-    epsilon_order = grp.element_order(eps_vec, "membership")
+    epsilon_order = grp.order_of(eps_vec)
     quot = grp.quotient_by(((N, 1),))
     quot_factors, quot_order = quot.invariants(), quot.order()
     if free_rank:
         flags.append("InfiniteGroupUnexpected")
     elif (ratio := grp.order() // quot_order) != epsilon_order:
         # Independent algorithm guarding the headline number, at every q.
-        raise InternalError(f"element-order methods disagree: {epsilon_order} vs {ratio}")
+        raise InternalError(f"ord(eps) is {epsilon_order} but |A_T| / |A_T/<eps>| is {ratio}")
 
     m_result = find_m_subset(T, m_budget, third)
     m_found = m_result.found

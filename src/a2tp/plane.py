@@ -11,13 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf import PrimePower, prime_power, trace_zero_logs
+from .gf import BadInput, PrimePower, prime_power, trace_zero_logs
 
 Point = int
 
 
 class PlaneAxiomViolation(RuntimeError):
     """A projective-plane axiom failed during construction (internal bug)."""
+
+
+class NotAPlane(BadInput):
+    """A line table read from a file fails the projective-plane axioms."""
 
 
 class NotApplicable(ValueError):
@@ -50,22 +54,28 @@ def _verify_difference_set(tz, N, q):
 
 
 def lines_form_plane(lines, q: int) -> bool:
-    """Projective-plane axioms for an explicit table of lines.
+    """Projective-plane axioms for a table of lines, each a sequence of points 0..N-1.
 
     There must be N = q^2+q+1 distinct lines of q+1 points each, and every
-    pair of points must lie on exactly one line.
+    pair of points must lie on exactly one line.  N lines of q+1 points hold
+    N(q+1)q/2 = N(N-1)/2 pairs, one per pair of points, so it is enough that
+    every pair lies on some line, i.e. that the lines through each point
+    cover all N points: then no pair lies on two lines, and no two lines are
+    equal.  A line is a bit mask, and each point ORs the masks of its lines.
     """
     N = q * q + q + 1
-    lines = [frozenset(l) for l in lines]
-    if len(set(lines)) != N or any(len(l) != q + 1 for l in lines):
+    if len(lines) != N:
         return False
-    pair_count: dict[tuple[int, int], int] = {}
+    cover = [0] * N  # bit y of cover[x]: some line holds x and y
     for line in lines:
-        pts = sorted(line)
-        for i, a in enumerate(pts):
-            for b in pts[i + 1 :]:
-                pair_count[(a, b)] = pair_count.get((a, b), 0) + 1
-    return len(pair_count) == N * (N - 1) // 2 and all(c == 1 for c in pair_count.values())
+        if len(line) <= q or min(line) < 0:
+            return False
+        mask = sum(map((1).__lshift__, set(line)))
+        if mask.bit_count() != q + 1 or mask >> N:
+            return False
+        for p in line:
+            cover[p] |= mask
+    return cover.count((1 << N) - 1) == N
 
 
 def build_plane(pp: PrimePower | int) -> PlaneContext:

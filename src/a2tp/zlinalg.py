@@ -15,21 +15,23 @@ and 0 on the free coordinates.  A row that fails goes into the HNF, so
 each row is in the HNF or proven to lie in its lattice.  The Smith normal
 form is diagonalized from the HNF rows with the smallest-pivot rule.
 `quotient_by` puts more rows into a copy of the core HNF the same way: a
-quotient is never eliminated again.  Element orders come from lattice
-membership in the core.  Everything runs on Python's arbitrary-precision
+quotient is never eliminated again.  Each group keeps the pair (diag, V) of
+its settled core basis, and element orders are read in the same Smith
+coordinates: with w an element's core image times V, its order is
+lcm_i d_i / gcd(d_i, w_i), infinite when w is nonzero on a free coordinate
+(Cohen, GTM 138, 2.4).  Everything runs on Python's arbitrary-precision
 integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, prod
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .gf import factorize
-
 SparseRow = tuple[tuple[int, int], ...]  # sorted (col, coeff), no zero coeffs
+Smith = tuple[list[int], list[list[int]]]  # (diag, V) of a basis H: U H V = diag, padded with 0s
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -155,28 +157,12 @@ class HnfBasis:
                     other[j:] = [x - qq * y for x, y in zip(other[j:], piv[j:])]
         return [self._pivots[j][:] for j in cols]
 
-    def contains(self, row: Sequence[int]) -> bool:
-        """Lattice membership test; does not modify the basis."""
-        work = list(row)
-        for j in range(self.n_cols):
-            v = work[j]
-            if v == 0:
-                continue
-            piv = self._pivots.get(j)
-            if piv is None:
-                return False
-            qq, r = divmod(v, piv[j])
-            if r:
-                return False
-            work[j:] = [x - qq * y for x, y in zip(work[j:], piv[j:])]
-        return True
-
     @property
     def rank(self) -> int:
         return len(self._pivots)
 
 
-def _diagonalize(rows: list[list[int]], n_cols: int) -> tuple[list[int], list[list[int]]]:
+def _diagonalize(rows: list[list[int]], n_cols: int) -> Smith:
     """Diagonalize by unimodular row/column ops; smallest-|entry| pivot rule.
 
     Returns the positive diagonal entries (rank many, in elimination order,
@@ -369,7 +355,7 @@ class FpAbelianGroup:
         else:
             self.relations = IntMatrix.from_rows(n_gens, relations)
         self._hnf: Optional[HnfBasis] = None
-        self._diag: Optional[list[int]] = None  # the Smith diagonal of _hnf, once computed
+        self._smith: Optional[Smith] = None  # (diag, V) of _hnf, once computed
         self._snf: Optional[SnfResult] = None
         self._image: list[list[int]] = []  # column -> its value over the core columns
 
@@ -379,7 +365,7 @@ class FpAbelianGroup:
         if self._hnf is None:
             self._image, core, rest = _eliminate_units(self.n_gens, self.relations.rows)
             self._hnf = HnfBasis(core)
-            self._diag = self._add_rows(self._hnf, rest)
+            self._smith = self._add_rows(self._hnf, rest)
         return self._hnf
 
     @property
@@ -387,10 +373,10 @@ class FpAbelianGroup:
         """Invariant factors: a 1 per eliminated generator, then the core's."""
         if self._snf is None:
             core = self.hnf
-            if self._diag is None:
-                self._diag = _diagonalize(core.rows(), core.n_cols)[0]
+            if self._smith is None:
+                self._smith = _diagonalize(core.rows(), core.n_cols)
             factors = [1] * (self.n_gens - core.n_cols)
-            factors += cyclics_to_invariant_factors(self._diag)
+            factors += cyclics_to_invariant_factors(self._smith[0])
             self._snf = SnfResult(
                 tuple(factors), rank=len(factors), free_rank=self.n_gens - len(factors)
             )
@@ -415,7 +401,7 @@ class FpAbelianGroup:
         """The core vector congruent to the sparse `row` modulo the relations."""
         return list(_combination(self._image, row)) or [0] * self._hnf.n_cols
 
-    def _add_rows(self, basis: HnfBasis, rows: Iterable[SparseRow]) -> Optional[list[int]]:
+    def _add_rows(self, basis: HnfBasis, rows: Iterable[SparseRow]) -> Optional[Smith]:
         """Put the sparse `rows` into the lattice of `basis`, a core HNF.
 
         Rows are reduced into the HNF until `basis.n_cols` of them in a row
@@ -423,30 +409,31 @@ class FpAbelianGroup:
         `_smith_check` of the basis; a row that fails goes into the HNF, and
         the count starts again.  So each row is in the HNF or proven to lie
         in its lattice, and the canonical HNF does not depend on the rule.
-        Returns the Smith diagonal of the final basis if the check has it.
+        Returns (diag, V) of the final basis if the check was built from it.
         """
-        unchanged, smith = 0, None
+        unchanged, smith, check = 0, None, None
         for row in rows:
             if smith is None and unchanged >= basis.n_cols:
-                smith = self._smith_check(basis)
-            if smith is not None and smith[1](row):
+                smith = _diagonalize(basis.rows(), basis.n_cols)
+                check = self._smith_check(smith)
+            if smith is not None and check(row):
                 continue
             if basis.add(self._to_core(row)):
                 unchanged, smith = 0, None
             else:
                 unchanged += 1
-        return smith[0] if smith else None
+        return smith
 
-    def _smith_check(self, basis: HnfBasis) -> tuple[list[int], Callable[[SparseRow], bool]]:
-        """The Smith diagonal of `basis` and a membership test of sparse rows in its lattice.
+    def _smith_check(self, smith: Smith) -> Callable[[SparseRow], bool]:
+        """A membership test of sparse rows in the lattice of a core basis with Smith pair `smith`.
 
         With U * H * V = diag(d_i) for the basis rows H, v is in the lattice
         iff (v V)_i is 0 mod d_i for i < rank and 0 for i >= rank.  Only the
         coordinates with d_i != 1 are kept, and each generator's image
         times V is computed once, so a row costs one short vector sum.
         """
-        diag, transform = _diagonalize(basis.rows(), basis.n_cols)
-        padded = diag + [0] * (basis.n_cols - len(diag))  # a free coordinate must be 0
+        diag, transform = smith
+        padded = diag + [0] * (len(transform) - len(diag))  # a free coordinate must be 0
         keep = [i for i, d in enumerate(padded) if d != 1]
         mods = [padded[i] for i in keep]
         columns = [[v[k] for v in transform] for k in keep]
@@ -458,12 +445,7 @@ class FpAbelianGroup:
         def check(row: SparseRow) -> bool:
             return not any(x % d if d else x for x, d in zip(_combination(images, row), mods))
 
-        return diag, check
-
-    def contains(self, element: Sequence[int]) -> bool:
-        """Whether `element` is in the relation lattice, i.e. is 0 in the group."""
-        row = self._sparse(element)
-        return self.hnf.contains(self._to_core(row))  # hnf, evaluated first, sets _image
+        return check
 
     def quotient_by(self, *rows: SparseRow | IntMatrix) -> "FpAbelianGroup":
         """The quotient by the subgroup generated by the sparse `rows`, or by one IntMatrix's."""
@@ -472,27 +454,25 @@ class FpAbelianGroup:
         if extra.n_cols != self.n_gens:
             raise ValueError("relation width does not match generator count")
         basis = self.hnf.copy()
-        diag = self._add_rows(basis, extra.rows)
+        smith = self._add_rows(basis, extra.rows)
         quot = FpAbelianGroup(
             self.n_gens, IntMatrix._trusted(self.n_gens, self.relations.rows + extra.rows)
         )
-        quot._hnf, quot._image, quot._diag = basis, self._image, diag
+        quot._hnf, quot._image, quot._smith = basis, self._image, smith
         return quot
 
-    def element_order(self, element: Sequence[int], method: str) -> Optional[int]:
+    def order_of(self, element: Sequence[int]) -> Optional[int]:
         """Least k > 0 with k*element in the relation lattice; None if infinite.
 
-        `method` names the algorithm, so that a traced run (perfbench/spans.py)
-        can label its span; 'membership' is the one method.  It starts from
-        the exponent of the torsion subgroup and divides out each prime p
-        while the multiple stays in the lattice.
+        Read in the Smith coordinates of the core basis: with w the core image
+        of `element` times V, the order is lcm_i d_i / gcd(d_i, w_i), and it is
+        infinite when w is nonzero on a free coordinate.
         """
-        if method != "membership":
-            raise ValueError(f"unknown method {method!r}")
-        k = max(self.snf.invariant_factors, default=1)
-        if not self.contains([k * x for x in element]):
-            return None  # not torsion, since k kills the torsion subgroup
-        for p in factorize(k):
-            while k % p == 0 and self.contains([k // p * x for x in element]):
-                k //= p
-        return k
+        row = self._sparse(element)
+        self.snf  # computes the core, its image map and (diag, V) when missing
+        diag, transform = self._smith
+        core = self._to_core(row)
+        w = [sum(map(mul, core, col)) for col in zip(*transform)]
+        if any(w[len(diag) :]):
+            return None
+        return lcm(*(d // gcd(d, x) for d, x in zip(diag, w)))

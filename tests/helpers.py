@@ -12,7 +12,7 @@ from a2tp.presentation import (
     is_s_invariant,
     m_subset_occurrences,
 )
-from a2tp.zlinalg import FpAbelianGroup, IntMatrix
+from a2tp.zlinalg import FpAbelianGroup, HnfBasis, IntMatrix
 
 
 def report_from_dict(d: dict) -> AnalysisReport:
@@ -73,11 +73,51 @@ def gamma_ab_matrix(T) -> IntMatrix:
 
 
 def order_by_quotient(group: FpAbelianGroup, element) -> int:
-    """ord(element) as |A| / |A/<element>|: the oracle for `element_order` in finite groups."""
+    """ord(element) as |A| / |A/<element>|: the oracle for `order_of` in finite groups.
+
+    The quotient's order comes from its Smith diagonal, not from the Smith
+    coordinates of `element` that `order_of` reads.
+    """
     total = group.order()
     if total is None:
         raise ValueError("the quotient oracle requires a finite group")
     return total // group.quotient_by(group._sparse(element)).order()
+
+
+def hnf_contains(basis: HnfBasis, row) -> bool:
+    """Whether `row` is in the lattice of `basis`, by a walk down its pivots: the
+    full-width membership oracle, independent of peeling and Smith coordinates.
+    """
+    work = list(row)
+    for j in range(basis.n_cols):
+        v = work[j]
+        if v == 0:
+            continue
+        piv = basis._pivots.get(j)
+        if piv is None:
+            return False
+        qq, r = divmod(v, piv[j])
+        if r:
+            return False
+        work[j:] = [x - qq * y for x, y in zip(work[j:], piv[j:])]
+    return True
+
+
+def reference_lines_form_plane(lines, q: int) -> bool:
+    """The projective-plane axioms by counting every pair of points on every line: the
+    oracle for `plane.lines_form_plane` on lines over the points 0..N-1.
+    """
+    N = q * q + q + 1
+    lines = [frozenset(l) for l in lines]
+    if len(set(lines)) != N or any(len(l) != q + 1 for l in lines):
+        return False
+    pair_count: dict[tuple[int, int], int] = {}
+    for line in lines:
+        pts = sorted(line)
+        for i, a in enumerate(pts):
+            for b in pts[i + 1 :]:
+                pair_count[(a, b)] = pair_count.get((a, b), 0) + 1
+    return len(pair_count) == N * (N - 1) // 2 and all(c == 1 for c in pair_count.values())
 
 
 def reference_validate(T) -> ValidationReport:

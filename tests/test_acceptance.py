@@ -205,7 +205,7 @@ def test_criterion_6_element_order_cross_validation(presentations):
             continue
         grp = FpAbelianGroup(T.N + 1, acb_matrix(T))
         eps = [0] * T.N + [1]
-        if order_by_quotient(grp, eps) != grp.element_order(eps, "membership"):
+        if order_by_quotient(grp, eps) != grp.order_of(eps):
             ok = False
         eps_checked += 1
     assert eps_checked == len([q for q in QS if q <= 8]) * 2
@@ -220,7 +220,7 @@ def test_criterion_6_element_order_cross_validation(presentations):
         g = FpAbelianGroup(n, rows)
         e = [rng.randrange(d) for d in factors]
         qo = order_by_quotient(g, e)
-        mo = g.element_order(e, "membership")
+        mo = g.order_of(e)
         brute = next(
             k
             for k in range(1, math.prod(factors) + 1)

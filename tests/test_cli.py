@@ -285,6 +285,25 @@ def test_verify_file_with_equal_lambda_lines_fails_plane_axioms(tmp_path, capsys
     assert "plane-axioms: FAIL" in stdout
 
 
+def test_a_lambda_table_that_is_no_plane_is_rejected_by_analyze(tmp_path, capsys):
+    # lambda(x) = {x-1, x, x+1} mod 7 and T = the rotations of (x, x, x+1): the triangle
+    # axioms hold, but lambda(0) and lambda(1) meet in two points.
+    out = tmp_path / "t.a2tp"
+    lines = ["a2tp q=2 n=7"]
+    for x in range(7):
+        w, y = (x - 1) % 7, (x + 1) % 7
+        lines.append(f"lambda {x}: " + " ".join(map(str, sorted((w, x, y)))))
+        lines += [f"t {x} {x} {y}", f"t {x} {y} {x}", f"t {y} {x} {x}"]
+    out.write_text("\n".join(lines) + "\n")
+    code, stdout, err = run(capsys, "analyze", "--file", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == "error: the lambda lines fail the projective-plane axioms for q=2\n"
+    code, stdout, _ = run(capsys, "verify", "--file", str(out))
+    assert code == 1
+    assert "plane-axioms: FAIL" in stdout and "triangle-axioms: PASS" in stdout
+    assert run(capsys, "validate", "--file", str(out))[0] == 0  # the triangle axioms only
+
+
 def test_verify_file_failing_triangle_axioms_stops_there(tmp_path, capsys):
     out = tmp_path / "t.a2tp"
     run(capsys, "gen", "--q", "2", "--out", str(out))
@@ -314,11 +333,11 @@ def test_verify_validates_once(capsys, monkeypatch):
 def test_analyze_internal_error_exits_3(capsys, monkeypatch):
     from a2tp.zlinalg import FpAbelianGroup
 
-    monkeypatch.setattr(FpAbelianGroup, "element_order", lambda self, element, method: 4)
+    monkeypatch.setattr(FpAbelianGroup, "order_of", lambda self, element: 4)
     code, stdout, err = run(capsys, "analyze", "--q", "9")
     assert code == 3
     assert stdout == ""
-    assert err == "internal error: element-order methods disagree: 4 vs 8\n"
+    assert err == "internal error: ord(eps) is 4 but |A_T| / |A_T/<eps>| is 8\n"
 
 
 @pytest.mark.parametrize(

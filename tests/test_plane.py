@@ -1,13 +1,18 @@
+import functools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from a2tp.plane import (
     NotApplicable,
     build_plane,
     frobenius_collineation,
+    lines_form_plane,
     mult_by_omega,
 )
+from helpers import reference_lines_form_plane
 
 SMALL_Q = [2, 3, 4, 5, 7, 8]
 
@@ -148,3 +153,62 @@ def test_mult_by_omega():
     assert mult_by_omega(ctx7, 10) == 29
     with pytest.raises(NotApplicable):
         mult_by_omega(build_plane(5), 0)
+
+
+# lambda(x) = {x-1, x, x+1} mod 7: the triangle axioms hold for the rotations of
+# (x, x, x+1), but lambda(0) and lambda(1) meet in two points.
+NEIGHBOUR_LINES_Q2 = [sorted({(x - 1) % 7, x, (x + 1) % 7}) for x in range(7)]
+
+
+@functools.cache
+def _singer_lines(q):
+    ctx = build_plane(q)
+    return [ctx.line(x) for x in range(ctx.N)]
+
+
+@st.composite
+def line_tables(draw):
+    """Line tables over the points 0..N-1: Singer planes, relabelled or mutated, and random.
+
+    A mutation moves one point of a line (a repeat included), copies one line
+    onto another, adds or drops a line, or adds a point to a line.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    q = rng.choice([2, 3, 4])
+    N = q * q + q + 1
+    lines = [list(line) for line in _singer_lines(q)]
+    kind = rng.randrange(7)
+    if kind == 1:
+        perm = rng.sample(range(N), N)
+        lines = [[perm[p] for p in line] for line in lines]
+    elif kind == 2:
+        lines[rng.randrange(N)][rng.randrange(q + 1)] = rng.randrange(N)
+    elif kind == 3:
+        lines[rng.randrange(N)] = list(lines[rng.randrange(N)])
+    elif kind == 4 and rng.random() < 0.5:
+        del lines[rng.randrange(N)]
+    elif kind == 4:
+        lines.append(lines[0])
+    elif kind == 5:
+        lines[rng.randrange(N)].append(rng.randrange(N))
+    elif kind == 6:
+        lines = [[rng.randrange(N) for _ in range(q + 1)] for _ in range(N)]
+    return lines, q
+
+
+@settings(max_examples=200, deadline=None)
+@given(line_tables())
+@example((NEIGHBOUR_LINES_Q2, 2))
+@example(([_singer_lines(2)[0]] * 2 + _singer_lines(2)[2:], 2))  # lambda(1) = lambda(0)
+def test_lines_form_plane_matches_the_pair_count(table):
+    lines, q = table
+    assert lines_form_plane(lines, q) == reference_lines_form_plane(lines, q)
+
+
+def test_lines_form_plane_rejects_the_neighbour_lines_and_takes_every_singer_plane(planes):
+    assert not lines_form_plane(NEIGHBOUR_LINES_Q2, 2)
+    for q, ctx in planes.items():
+        assert lines_form_plane([ctx.line(x) for x in range(ctx.N)], q)
+    lines = _singer_lines(2)
+    assert not lines_form_plane([[p - 7 for p in lines[0]]] + lines[1:], 2)  # out of range
+    assert not lines_form_plane([[p + 7 for p in lines[0]]] + lines[1:], 2)

@@ -13,7 +13,7 @@ from a2tp.zlinalg import (
     SnfResult,
     cyclics_to_invariant_factors,
 )
-from helpers import order_by_quotient
+from helpers import hnf_contains, order_by_quotient
 
 
 # --- independent oracles -----------------------------------------------------
@@ -52,10 +52,18 @@ def minor_gcd_snf(rows, n_cols):
     return tuple(factors)
 
 
-def brute_force_order(lattice, element, limit):
-    """Least k <= limit with k*element in `lattice` (an HnfBasis or a group)."""
+def full_width_basis(n_cols, rows):
+    """An HnfBasis of all columns, the rows inserted in the given order."""
+    basis = HnfBasis(n_cols)
+    for row in rows:
+        basis.add(row)
+    return basis
+
+
+def brute_force_order(basis, element, limit):
+    """Least k <= limit with k*element in the lattice of the HnfBasis `basis`."""
     for k in range(1, limit + 1):
-        if lattice.contains([k * x for x in element]):
+        if hnf_contains(basis, [k * x for x in element]):
             return k
     return None
 
@@ -65,10 +73,7 @@ def brute_force_order(lattice, element, limit):
 
 def hnf_rows(n_cols, rows):
     """Canonical HNF of the rows, inserted into an HnfBasis in the given order."""
-    basis = HnfBasis(n_cols)
-    for row in rows:
-        basis.add(row)
-    return basis.rows()
+    return full_width_basis(n_cols, rows).rows()
 
 
 def test_hnf_already_reduced():
@@ -113,9 +118,9 @@ def test_hnf_membership():
     basis = HnfBasis(2)
     for row in ([2, 0], [0, 3]):
         basis.add(row)
-    assert basis.contains([4, 3])
-    assert not basis.contains([1, 0])
-    assert basis.contains([0, 0])
+    assert hnf_contains(basis, [4, 3])
+    assert not hnf_contains(basis, [1, 0])
+    assert hnf_contains(basis, [0, 0])
 
 
 # --- SNF ------------------------------------------------------------------------
@@ -207,19 +212,17 @@ def test_group_z2_cubed():
 
 def test_element_order_worked_examples():
     g = FpAbelianGroup(2, [[2, 0], [0, 3]])
-    for order in (order_by_quotient, lambda g, e: g.element_order(e, "membership")):
+    for order in (order_by_quotient, FpAbelianGroup.order_of):
         assert order(g, [1, 1]) == 6
         assert order(g, [0, 0]) == 1
-    assert FpAbelianGroup(1, []).element_order([1], "membership") is None
+    assert FpAbelianGroup(1, []).order_of([1]) is None
 
 
 def test_element_order_rejects_bad_requests():
     with pytest.raises(ValueError, match="finite group"):
         order_by_quotient(FpAbelianGroup(1, []), [1])
-    with pytest.raises(ValueError, match="unknown method"):
-        FpAbelianGroup(1, [[2]]).element_order([1], "transform")
     with pytest.raises(ValueError, match="element width"):
-        FpAbelianGroup(2, [[2, 0]]).contains([1])
+        FpAbelianGroup(2, [[2, 0]]).order_of([1])
 
 
 def test_element_order_methods_agree():
@@ -239,15 +242,15 @@ def test_element_order_methods_agree():
             continue
         e = [rng.randint(-6, 6) for _ in range(n)]
         a = order_by_quotient(g, e)
-        b = g.element_order(e, "membership")
+        b = g.order_of(e)
         assert a == b
-        assert brute_force_order(g, e, a) == a
+        assert brute_force_order(full_width_basis(n, rows), e, a) == a
 
 
 def test_element_order_infinite_component():
     g = FpAbelianGroup(2, [[2, 0]])
-    assert g.element_order([0, 1], "membership") is None
-    assert g.element_order([1, 0], "membership") == 2
+    assert g.order_of([0, 1]) is None
+    assert g.order_of([1, 0]) == 2
 
 
 def test_element_order_brute_force_synthetic():
@@ -267,8 +270,8 @@ def test_element_order_brute_force_synthetic():
         e = [rng.randrange(d) for d in factors]
         expected = math.lcm(*[d // math.gcd(d, c) for d, c in zip(factors, e)])
         assert order_by_quotient(g, e) == expected
-        assert g.element_order(e, "membership") == expected
-        assert brute_force_order(g, e, expected) == expected
+        assert g.order_of(e) == expected
+        assert brute_force_order(full_width_basis(n, rows), e, expected) == expected
 
 
 def _sparse(row):
@@ -293,16 +296,13 @@ def test_unit_elimination_against_full_width_hnf(data):
     rows, e, coeffs = data
     n = len(e)
     g = FpAbelianGroup(n, rows)
-    full = HnfBasis(n)
-    for row in rows:
-        full.add(row)
+    full = full_width_basis(n, rows)
     in_lattice = [sum(k * row[j] for k, row in zip(coeffs, rows)) for j in range(n)]
-    assert g.contains(in_lattice) and full.contains(in_lattice)
-    for v in (e, [x + y for x, y in zip(e, in_lattice)], [2 * x for x in e]):
-        assert g.contains(v) == full.contains(v)
+    assert g.order_of(in_lattice) == 1 and hnf_contains(full, in_lattice)
     torsion = math.prod(minor_gcd_snf(rows, n))
+    for v in (e, [x + y for x, y in zip(e, in_lattice)], [2 * x for x in e]):
+        assert g.order_of(v) == brute_force_order(full, v, torsion)
     expected = brute_force_order(full, e, torsion)
-    assert g.element_order(e, "membership") == expected
     if g.free_rank == 0:
         assert order_by_quotient(g, e) == expected
         assert g.quotient_by(_sparse(e)).order() == torsion // expected
@@ -351,18 +351,14 @@ def test_peeling_against_full_width_hnf(data):
     rows, e, coeffs = data
     n = len(e)
     g = FpAbelianGroup(n, rows)
-    full = HnfBasis(n)
-    for row in rows:
-        full.add(row)
+    full = full_width_basis(n, rows)
     oracle = minor_gcd_snf(rows, n)
     assert g.snf.invariant_factors == oracle
     assert g.free_rank == n - len(oracle)
     in_lattice = [sum(k * row[j] for k, row in zip(coeffs, rows)) for j in range(n)]
     for v in (in_lattice, *rows, e, [x + y for x, y in zip(e, in_lattice)], [2 * x for x in e]):
-        assert g.contains(v) == full.contains(v)
-    assert g.contains(in_lattice) and all(g.contains(row) for row in rows)
-    expected = brute_force_order(full, e, math.prod(oracle))
-    assert g.element_order(e, "membership") == expected
+        assert g.order_of(v) == brute_force_order(full, v, math.prod(oracle))
+    assert g.order_of(in_lattice) == 1 and all(g.order_of(row) == 1 for row in rows)
 
 
 @st.composite
@@ -409,12 +405,11 @@ def test_long_runs_against_one_row_at_a_time(data):
     rows = gens + run + changes
     width = len(e)
     g = FpAbelianGroup(width, rows)
-    full = HnfBasis(width)
-    for row in rows:
-        full.add(row)
-    assert g.snf.invariant_factors == minor_gcd_snf(gens + changes, width)  # run adds nothing
+    full = full_width_basis(width, rows)
+    oracle = minor_gcd_snf(gens + changes, width)
+    assert g.snf.invariant_factors == oracle  # run adds nothing
     for v in (*rows, e, [2 * x for x in e], [x + y for x, y in zip(e, changes[0])]):
-        assert g.contains(v) == full.contains(v)
+        assert g.order_of(v) == brute_force_order(full, v, max(oracle, default=1))
     assert FpAbelianGroup(width, gens).quotient_by(*map(_sparse, run + changes)).snf == g.snf
     with_e = minor_gcd_snf(gens + changes + [e], width)
     expected = math.prod(with_e) if len(with_e) == width else None
@@ -428,9 +423,7 @@ def test_quotient_by():
     assert order_by_quotient(g, [2, 2]) == 2
     for wrong in ([2], [2, 2, 2]):
         with pytest.raises(ValueError, match="element width"):
-            g.element_order(wrong, "membership")
-        with pytest.raises(ValueError, match="element width"):
-            g.contains(wrong)
+            g.order_of(wrong)
     for bad in (((2, 2),), ((-1, 2),)):  # rows are checked like any caller's
         with pytest.raises(ValueError, match="column index out of range"):
             g.quotient_by(((0, 2),), bad)
@@ -472,13 +465,10 @@ def test_quotient_by_equals_the_group_built_from_scratch(data):
     assert quot.snf == whole.snf
     assert quot.snf.invariant_factors == oracle
     assert quot.order() == whole.order()
-    full = HnfBasis(n)
-    for row in rows + extra:
-        full.add(row)
+    full = full_width_basis(n, rows + extra)
     for v in (e, [2 * x for x in e], *extra):
-        assert quot.contains(v) == whole.contains(v) == full.contains(v)
-    expected = brute_force_order(full, e, math.prod(oracle))
-    assert quot.element_order(e, "membership") == whole.element_order(e, "membership") == expected
+        expected = brute_force_order(full, v, math.prod(oracle))
+        assert quot.order_of(v) == whole.order_of(v) == expected
 
 
 def test_intmatrix_validation():
