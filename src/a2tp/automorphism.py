@@ -2,7 +2,8 @@
 
 The orbit of any triple of T under such an automorphism is an M-subset of
 T.  `presentation.find_m_subset` imports this module on first use, because
-no generated input needs it: their M-subsets are Singer or twisted orbits.
+no generated input needs it: each has an M-subset orbit under
+(x+1, y+c, z+c^2) for c = 1, q or q^2.
 """
 
 from __future__ import annotations

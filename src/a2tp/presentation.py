@@ -39,9 +39,6 @@ class TrianglePresentation:
     lam: tuple[tuple[Point, ...], ...]  # lam[x] = sorted points of lambda(x)
     triples: frozenset[Triple]
     origin: str
-    base: Optional["TrianglePresentation"] = None  # pre-twist presentation
-    phi_name: Optional[str] = None
-    phi_perm: Optional[tuple[Point, ...]] = None  # the twisting collineation
 
 
 @dataclass(frozen=True)
@@ -132,14 +129,7 @@ def twist(
     triples = frozenset((x, perm[y], perm2[z]) for (x, y, z) in T.triples)
     lam = tuple(tuple(sorted(map(perm.__getitem__, line))) for line in T.lam)
     return TrianglePresentation(
-        q=T.q,
-        N=N,
-        lam=lam,
-        triples=triples,
-        origin=f"twisted:{name}:{T.origin}",
-        base=T,
-        phi_name=name,
-        phi_perm=tuple(perm),
+        q=T.q, N=N, lam=lam, triples=triples, origin=f"twisted:{name}:{T.origin}"
     )
 
 
@@ -223,11 +213,6 @@ class MSubsetResult:
         return self.subset is not None
 
 
-def _singer_orbit(N: int, triple: Triple) -> frozenset[Triple]:
-    points = list(range(N))
-    return frozenset(zip(*(_shifted(points, pt) for pt in triple)))
-
-
 def m_subset_occurrences(T: TrianglePresentation, subset: Iterable[Triple]) -> list[int]:
     counts = [0] * T.N
     for pt in chain.from_iterable(subset):
@@ -242,6 +227,20 @@ def _certified(T: TrianglePresentation, m: frozenset[Triple]) -> Optional[MSubse
     return None
 
 
+def _orbit(
+    T: TrianglePresentation, triple: Triple, g0: list[Point], g1: list[Point], g2: list[Point]
+) -> Optional[frozenset[Triple]]:
+    """The N triples (g0^i x, g1^i y, g2^i z), i < N, or None at the first one not in T."""
+    x, y, z = triple
+    orbit = []
+    for _ in range(T.N):
+        if (x, y, z) not in T.triples:
+            return None
+        orbit.append((x, y, z))
+        x, y, z = g0[x], g1[y], g2[z]
+    return frozenset(orbit)
+
+
 def find_m_subset(
     T: TrianglePresentation,
     budget: int = DEFAULT_BACKTRACK_BUDGET,
@@ -249,27 +248,26 @@ def find_m_subset(
 ) -> MSubsetResult:
     """Find M subset of T in which every point occurs exactly 3 times.
 
-    Tries, in turn, three orbits, each returned only when `_certified` accepts
-    it: the Singer orbit of the least triple; for a twist, the twisted image
-    of its base's Singer orbit; for a valid T, the orbit of its least triple
-    under a point-regular cyclic automorphism
-    (`automorphism.find_cyclic_automorphism`).  Last comes the exact-cover
-    search `_backtrack_m_subset`, over the table when T is valid.  The two searches
-    share `budget`: the finder counts each propagation as a node, O(Nq)
-    Python steps at most, and may spend half of it; the backtracker gets the
-    nodes left, so at least the other half.  `third` is the table
-    `validate(T)` fills; T is validated here when it is not given.
+    Tries orbits of the least triple first, each returned only when
+    `_certified` accepts it: under (x+1, y+c, z+c^2) mod N for c = 1, q, q^2,
+    the autotopisms of t0, t0dual and omega (c = 1) and of the frob1 (c = q)
+    and frob2 (c = q^2) twists; then, for a valid T, under a point-regular
+    cyclic automorphism g (`automorphism.find_cyclic_automorphism`).  Last
+    comes the exact-cover search `_backtrack_m_subset`, over the table when T
+    is valid.  The two searches share `budget`: the finder counts each
+    propagation as a node, O(Nq) Python steps at most, and may spend half of
+    it; the backtracker gets the nodes left, so at least the other half.
+    `third` is the table `validate(T)` fills; T is validated here when it is
+    not given.
     """
     # The least triple of a valid T starts its table.
     least = (0, T.lam[0][0], third[0]) if third is not None else min(T.triples, default=None)
-    if least and (found := _certified(T, _singer_orbit(T.N, least))):
-        return found
-    if T.base is not None and T.phi_perm is not None and T.base.triples:
-        perm = T.phi_perm
-        perm2 = [perm[perm[x]] for x in range(T.N)]
-        orbit = _singer_orbit(T.N, min(T.base.triples))
-        if found := _certified(T, frozenset((x, perm[y], perm2[z]) for (x, y, z) in orbit)):
-            return found
+    if least:
+        points = list(range(T.N))
+        for c in (1, T.q, T.q * T.q):
+            shifts = (_shifted(points, k % T.N) for k in (1, c, c * c))
+            if (orbit := _orbit(T, least, *shifts)) and (found := _certified(T, orbit)):
+                return found
     if third is None:
         report = validate(T)
         third = report.third if report.ok else None
@@ -279,13 +277,8 @@ def find_m_subset(
         from .automorphism import find_cyclic_automorphism
 
         g, nodes = find_cyclic_automorphism(T, third, budget // 2)
-        if g is not None:
-            x, y, z = least
-            orbit = []
-            for _ in range(T.N):
-                orbit.append((x, y, z))
-                x, y, z = g[x], g[y], g[z]
-            if found := _certified(T, frozenset(orbit)):
+        if g is not None and (orbit := _orbit(T, least, g, g, g)):
+            if found := _certified(T, orbit):
                 return found
         # A valid T's table lists its triples in sorted order, since each lam[x] is sorted.
         xs = chain.from_iterable(map(repeat, range(T.N), map(len, T.lam)))

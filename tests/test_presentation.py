@@ -353,9 +353,10 @@ def triple_sets(draw):
     N = draw(st.sampled_from([7, 13]))
     point = st.integers(0, N - 1)
     triples = set(draw(st.lists(st.tuples(point, point, point), max_size=2 * N)))
-    if draw(st.booleans()):  # plant a shift orbit: every point then occurs 3 times
+    if draw(st.booleans()):  # plant an orbit of (x+1, y+c, z+c^2): every point occurs 3 times
         x, y, z = draw(st.tuples(point, point, point))
-        triples |= {((x + k) % N, (y + k) % N, (z + k) % N) for k in range(N)}
+        c = draw(st.sampled_from([1, 2, 4] if N == 7 else [1, 3, 9]))
+        triples |= {((x + k) % N, (y + c * k) % N, (z + c * c * k) % N) for k in range(N)}
     return _bare_presentation(N, triples)
 
 
@@ -530,34 +531,46 @@ def test_finder_certifies_an_m_subset_of_relabellings(q, variant):
 
 # Not S-invariant, yet the Singer orbit of its least triple (0, 0, 0) is an M subset.
 SINGER_NOT_S_INVARIANT = _bare_presentation(7, {(k, k, k) for k in range(7)} | {(0, 0, 1)})
+# The orbit of (0, 1, 6) under (x+1, y+2, z+4), as in a q = 2 frob1 twist, and a stray
+# triple: only the c = q orbit of the least triple is an M subset.
+FROB1_ORBIT_AND_STRAY = _bare_presentation(
+    7, {(k, (1 + 2 * k) % 7, (6 + 4 * k) % 7) for k in range(7)} | {(0, 2, 5)}
+)
 
 
-def _certified_singer_orbit(T):
-    # The shifts of the least triple, when they lie in T and hold every point 3 times.
+def _certified_orbits(T):
+    # The orbits of the least triple under (x+1, y+c, z+c^2) mod N, c = 1, q, q^2, that
+    # lie in T and hold every point 3 times.
     if not T.triples:
-        return None
+        return []
     N, (x, y, z) = T.N, min(T.triples)
-    orbit = frozenset(((x + k) % N, (y + k) % N, (z + k) % N) for k in range(N))
-    counts = [0] * N
-    for t in orbit:
-        for pt in t:
-            counts[pt] += 1
-    return orbit if orbit <= T.triples and counts == [3] * N else None
+    orbits = []
+    for c in (1, T.q, T.q**2):
+        orbit = frozenset(((x + k) % N, (y + c * k) % N, (z + c * c * k) % N) for k in range(N))
+        counts = [0] * N
+        for t in orbit:
+            for pt in t:
+                counts[pt] += 1
+        if orbit <= T.triples and counts == [3] * N:
+            orbits.append(orbit)
+    return orbits
 
 
 @settings(max_examples=60, deadline=None)
 @example(FOUND_WITH_REPEATS, 60)
 @example(NO_M_SUBSET, 1)
-@example(_bare_presentation(7, ()), 0)  # no least triple, so no Singer orbit
+@example(_bare_presentation(7, ()), 0)  # no least triple, so no orbit
 @example(SINGER_NOT_S_INVARIANT, 0)
+@example(FROB1_ORBIT_AND_STRAY, 0)
 @given(triple_sets(), st.integers(0, 60))
 def test_find_m_subset_is_total_on_random_triples(T, budget):
-    # These T fail the triangle axioms, so only the Singer orbit and the backtracker run.
+    # These T fail the triangle axioms, so only the orbits of (x+1, y+c, z+c^2) and the
+    # backtracker run.
     result = find_m_subset(T, budget)
-    if (orbit := _certified_singer_orbit(T)) is None:
+    if not (orbits := _certified_orbits(T)):
         assert result == _backtrack_m_subset(T, budget)
-    else:  # found without a search, at any budget
-        assert result == MSubsetResult(orbit)
+    else:  # found without a search, at any budget: the first of c = 1, q, q^2
+        assert result == MSubsetResult(orbits[0])
     if result.found:
         assert result.subset <= T.triples
         assert all(c == 3 for c in m_subset_occurrences(T, result.subset))
@@ -565,15 +578,17 @@ def test_find_m_subset_is_total_on_random_triples(T, budget):
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_finder_nodes_count_against_the_budget(q):
-    # A frob1 twist read back without its base has no point-regular cyclic automorphism:
-    # the finder spends at most half the budget, and the backtracker gets the nodes left.
-    T = replace(twist_by_name(_plane(q), gen_t0(_plane(q)), "frob1"), base=None, phi_perm=None)
+    # A relabelled frob1 twist has no point-regular cyclic automorphism, and its autotopism
+    # is no longer (x+1, y+q, z+q^2): the finder spends at most half the budget, and the
+    # backtracker gets the nodes left.
+    T = _relabeled(twist_by_name(_plane(q), gen_t0(_plane(q)), "frob1"), {2: 3, 3: 5}[q])
     assert not is_s_invariant(T)
     third = validate(T).third
+    assert find_cyclic_automorphism(T, third, 10**6) == (None, {2: 26, 3: 61}[q])
     spent = [find_cyclic_automorphism(T, third, b // 2) for b in range(0, 121)]
     assert all(g is None for g, _ in spent)
     assert [n for _, n in spent[:6]] == [0, 0, 1, 1, 2, 2]
-    assert spent[-1][1] == {2: 26, 3: 60}[q]  # q = 3: stopped at half of 120, short of its 62
+    assert spent[-1][1] == {2: 26, 3: 60}[q]  # q = 3: stopped at half of 120, short of its 61
     results = [find_m_subset(T, b) for b in range(0, 121)]
     assert results == [reference_backtrack(T, b - n) for b, (_, n) in enumerate(spent)]
     assert results[-1].found  # and some budgets lose it to the finder's nodes:
@@ -607,6 +622,19 @@ def test_roundtrip(tmp_path, planes):
         assert back.q == T.q and back.N == T.N
         assert back.lam == T.lam
         assert back.triples == T.triples
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_a_presentation_holds_only_what_its_file_holds(tmp_path, q):
+    # Read back, every variant is the presentation that was written, origin aside.
+    plane = _plane(q)
+    presentations = {"t0": gen_t0(plane), "t0dual": gen_t0_dual(plane)}
+    for name in ("frob1", "frob2", "omega") if q % 3 == 1 else ("frob1", "frob2"):
+        presentations[name] = twist_by_name(plane, presentations["t0"], name)
+    for variant, T in presentations.items():
+        path = tmp_path / f"{variant}.a2tp"
+        write_presentation(T, path)
+        assert replace(read_presentation(path), origin=T.origin) == T, variant
 
 
 def test_read_rejects_short_lambda_line(tmp_path, planes):
