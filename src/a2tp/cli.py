@@ -49,6 +49,8 @@ def prime_powers_in(lo: int, hi: int) -> list[int]:
 
 
 def _require_prime_power(q: int) -> PrimePower:
+    if q > MAX_Q:  # before `factorize`: trial division of a large q takes minutes
+        raise UsageError(f"q = {q} exceeds the supported maximum {MAX_Q}")
     try:
         return prime_power(q)
     except ValueError:
@@ -174,13 +176,12 @@ def _table_rows_for_q(q: int) -> list[dict]:
 
 
 def cmd_table(args) -> int:
-    q_max = args.q_max if args.q_max is not None else (32 if args.extended else 16)
-    qs = prime_powers_in(args.q_min, q_max)
+    qs = prime_powers_in(args.q_min, min(args.q_max, MAX_Q))
+    past = range(max(args.q_min, MAX_Q + 1), args.q_max + 1)  # only its least prime power is sought
+    if too_big := next((q for q in past if len(factorize(q)) == 1), None):  # before any q runs
+        raise UsageError(f"q = {too_big} exceeds the supported maximum {MAX_Q}")
     if not qs:
-        raise UsageError(f"no prime powers in range {args.q_min}..{q_max}")
-    too_big = [q for q in qs if q > MAX_Q]
-    if too_big:  # rejected before any q is computed
-        raise UsageError(f"q = {too_big[0]} exceeds the supported maximum {MAX_Q}")
+        raise UsageError(f"no prime powers in range {args.q_min}..{args.q_max}")
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     jobs = min(args.jobs, os.cpu_count() or 1)
@@ -286,8 +287,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="reproduce the published table over a q range")
     p.add_argument("--q-min", type=int, default=2)
-    p.add_argument("--q-max", type=int, default=None)
-    p.add_argument("--extended", action="store_true", help="default q-max 32 instead of 16")
+    p.add_argument("--q-max", type=int, default=16)
     p.add_argument("--output", choices=("text", "json"), default="text")
     p.add_argument(
         "--jobs", type=int, default=1, help="worker processes, at most the CPU count"

@@ -224,15 +224,16 @@ def analyze(
     third = _valid_third(T)
     bcd = relation_matrix(T, third)
     n_tri = len(bcd.rows) - N - 1  # the triangle rows come first
+    eps_row = IntMatrix._trusted(N + 1, (((N, 1),),))  # e_eps, for both eps quotients
     tri = FpAbelianGroup(N + 1, IntMatrix._trusted(N + 1, bcd.rows[:n_tri]))
     grp = tri.quotient_by(IntMatrix._trusted(N + 1, bcd.rows[n_tri:]))  # A_T, rows built here
-    factors, free_rank = grp.invariants(), grp.free_rank
+    factors, free_rank = grp.snf.nontrivial_factors, grp.snf.free_rank
     epsilon_order = grp.order_of(eps_vec)
-    quot = grp.quotient_by(((N, 1),))
-    quot_factors, quot_order = quot.invariants(), quot.order()
+    quot = grp.quotient_by(eps_row).snf
+    quot_factors, quot_order = quot.nontrivial_factors, quot.group_order
     if free_rank:
         flags.append("InfiniteGroupUnexpected")
-    elif (ratio := grp.order() // quot_order) != epsilon_order:
+    elif (ratio := grp.snf.group_order // quot_order) != epsilon_order:
         # Independent algorithm guarding the headline number, at every q.
         raise InternalError(f"ord(eps) is {epsilon_order} but |A_T| / |A_T/<eps>| is {ratio}")
 
@@ -254,7 +255,7 @@ def analyze(
         "scheme_agreement": schemes_agree(T, bcd),
     }
 
-    gamma_order = tri.quotient_by(((N, 1),)).order()  # Z^N / <x+y+z> = tri / <eps>
+    gamma_order = tri.quotient_by(eps_row).snf.group_order  # Z^N / <x+y+z> = tri / <eps>
     if gamma_order is None:
         flags.append("GammaAbInfinite")
         checks["gamma_ab_divisibility"] = True  # vacuous

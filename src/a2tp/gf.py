@@ -28,19 +28,8 @@ class NoPrimitivePolynomial(RuntimeError):
     """No monic primitive polynomial was found (indicates an internal bug)."""
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of a positive integer by trial division."""
+    """Prime factorization of a positive integer by trial division; {} below 2."""
     out: dict[int, int] = {}
     d = 2
     while d * d <= n:
@@ -51,6 +40,10 @@ def factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def is_prime(n: int) -> bool:
+    return factorize(n) == {n: 1}
 
 
 @dataclass(frozen=True)

@@ -38,10 +38,6 @@ class PlaneContext:
     def q(self) -> int:
         return self.pp.q
 
-    def line(self, x: Point) -> list[Point]:
-        """The line lambda_0(x) as sorted point logs: public API, called in this repo by tests only."""
-        return sorted((x + d) % self.N for d in self.tz)
-
 
 def _verify_difference_set(tz, N, q):
     counts = [0] * N

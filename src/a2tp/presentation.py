@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain
 from typing import Callable, Iterable, Optional
 
 from .gf import BadInput
@@ -220,17 +220,11 @@ def m_subset_occurrences(T: TrianglePresentation, subset: Iterable[Triple]) -> l
     return counts
 
 
-def _certified(T: TrianglePresentation, m: frozenset[Triple]) -> Optional[MSubsetResult]:
-    """m as the result when it lies in T and holds every point exactly 3 times, else None."""
-    if m <= T.triples and all(c == 3 for c in m_subset_occurrences(T, m)):
-        return MSubsetResult(m)
-    return None
-
-
 def _orbit(
     T: TrianglePresentation, triple: Triple, g0: list[Point], g1: list[Point], g2: list[Point]
-) -> Optional[frozenset[Triple]]:
-    """The N triples (g0^i x, g1^i y, g2^i z), i < N, or None at the first one not in T."""
+) -> Optional[MSubsetResult]:
+    """The N triples (g0^i x, g1^i y, g2^i z), i < N, as the result when they hold every
+    point exactly 3 times; None at the first one not in T, or when they do not."""
     x, y, z = triple
     orbit = []
     for _ in range(T.N):
@@ -238,7 +232,8 @@ def _orbit(
             return None
         orbit.append((x, y, z))
         x, y, z = g0[x], g1[y], g2[z]
-    return frozenset(orbit)
+    m = frozenset(orbit)
+    return MSubsetResult(m) if all(c == 3 for c in m_subset_occurrences(T, m)) else None
 
 
 def find_m_subset(
@@ -248,15 +243,15 @@ def find_m_subset(
 ) -> MSubsetResult:
     """Find M subset of T in which every point occurs exactly 3 times.
 
-    Tries orbits of the least triple first, each returned only when
-    `_certified` accepts it: under (x+1, y+c, z+c^2) mod N for c = 1, q, q^2,
-    the autotopisms of t0, t0dual and omega (c = 1) and of the frob1 (c = q)
-    and frob2 (c = q^2) twists; then, for a valid T, under a point-regular
-    cyclic automorphism g (`automorphism.find_cyclic_automorphism`).  Last
-    comes the exact-cover search `_backtrack_m_subset`, over the table when T
-    is valid.  The two searches share `budget`: the finder counts each
-    propagation as a node, O(Nq) Python steps at most, and may spend half of
-    it; the backtracker gets the nodes left, so at least the other half.
+    Tries orbits of the least triple first, each returned only when `_orbit`
+    certifies it: under (x+1, y+c, z+c^2) mod N for c = 1, q, q^2, the
+    autotopisms of t0, t0dual and omega (c = 1) and of the frob1 (c = q) and
+    frob2 (c = q^2) twists; then, for a valid T, under a point-regular cyclic
+    automorphism g (`automorphism.find_cyclic_automorphism`).  Last comes the
+    exact-cover search `_backtrack_m_subset`.  The two searches share
+    `budget`: the finder counts each propagation as a node, O(Nq) Python
+    steps at most, and may spend half of it; the backtracker gets the nodes
+    left, so at least the other half.
     `third` is the table `validate(T)` fills; T is validated here when it is
     not given.
     """
@@ -266,29 +261,23 @@ def find_m_subset(
         points = list(range(T.N))
         for c in (1, T.q, T.q * T.q):
             shifts = (_shifted(points, k % T.N) for k in (1, c, c * c))
-            if (orbit := _orbit(T, least, *shifts)) and (found := _certified(T, orbit)):
+            if found := _orbit(T, least, *shifts):
                 return found
     if third is None:
         report = validate(T)
         third = report.third if report.ok else None
-    nodes, table = 0, None
+    nodes = 0
     if third is not None:
         # Imported on first use: no generated input needs it, and it imports this module.
         from .automorphism import find_cyclic_automorphism
 
         g, nodes = find_cyclic_automorphism(T, third, budget // 2)
-        if g is not None and (orbit := _orbit(T, least, g, g, g)):
-            if found := _certified(T, orbit):
-                return found
-        # A valid T's table lists its triples in sorted order, since each lam[x] is sorted.
-        xs = chain.from_iterable(map(repeat, range(T.N), map(len, T.lam)))
-        table = list(zip(xs, chain.from_iterable(T.lam), third))
-    return _backtrack_m_subset(T, budget - nodes, table)
+        if g is not None and (found := _orbit(T, least, g, g, g)):
+            return found
+    return _backtrack_m_subset(T, budget - nodes)
 
 
-def _backtrack_m_subset(
-    T: TrianglePresentation, budget: int, triples: Optional[list[Triple]] = None
-) -> MSubsetResult:
+def _backtrack_m_subset(T: TrianglePresentation, budget: int) -> MSubsetResult:
     """Bounded exact-cover search for an M subset, undoing each move from a log.
 
     Each node branches, in sorted order, on the usable triples through the
@@ -299,11 +288,9 @@ def _backtrack_m_subset(
     what no longer fits and logs it for its undo: O(q) steps, and a pick is
     one `min` and `index` over free, whatever the size of T.  Every node
     entered, the root included, counts against `budget`; the subset is proven
-    absent only when the tree is exhausted.  `triples` is `sorted(T.triples)`,
-    sorted here when not given.
+    absent only when the tree is exhausted.
     """
-    if triples is None:
-        triples = sorted(T.triples)
+    triples = sorted(T.triples)
     over: list[tuple[list[int], ...]] = [([], [], []) for _ in range(T.N)]
     for idx, (x, y, z) in enumerate(triples):  # slot k: the point's (k+1)-th copy
         over[x][0].append(idx)

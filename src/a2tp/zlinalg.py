@@ -64,11 +64,6 @@ class IntMatrix:
             if any(v == 0 for _, v in row):
                 raise ValueError("zero coefficient in sparse row")
 
-    @staticmethod
-    def from_rows(n_cols: int, rows: Iterable[Sequence[int]]) -> "IntMatrix":
-        packed = tuple(tuple((c, v) for c, v in enumerate(row) if v) for row in rows)
-        return IntMatrix(n_cols, packed)
-
     @classmethod
     def _trusted(cls, n_cols: int, rows: tuple[SparseRow, ...]) -> "IntMatrix":
         """A matrix of rows the program built in canonical form; they are not checked again."""
@@ -260,8 +255,9 @@ def cyclics_to_invariant_factors(orders: Sequence[int]) -> list[int]:
 
 @dataclass(frozen=True)
 class SnfResult:
+    """Z^n / L: the invariant factors, as many as the rank of L, and n - rank, the free rank."""
+
     invariant_factors: tuple[int, ...]  # d1 | d2 | ..., all positive, 1s kept
-    rank: int
     free_rank: int
 
     @property
@@ -344,16 +340,16 @@ def _combination(vectors: Sequence[Sequence[int]], row: SparseRow) -> Iterator[i
 
 
 class FpAbelianGroup:
-    """Finitely presented abelian group Z^n_gens / rowlattice(relations)."""
+    """Finitely presented abelian group Z^n_gens / rowlattice(relations), an IntMatrix.
 
-    def __init__(self, n_gens: int, relations: IntMatrix | Iterable):
+    Its structure is read from `snf` and its element orders from `order_of`.
+    """
+
+    def __init__(self, n_gens: int, relations: IntMatrix):
+        if relations.n_cols != n_gens:
+            raise ValueError("relation width does not match generator count")
         self.n_gens = n_gens
-        if isinstance(relations, IntMatrix):
-            if relations.n_cols != n_gens:
-                raise ValueError("relation width does not match generator count")
-            self.relations = relations
-        else:
-            self.relations = IntMatrix.from_rows(n_gens, relations)
+        self.relations = relations
         self._hnf: Optional[HnfBasis] = None
         self._smith: Optional[Smith] = None  # (diag, V) of _hnf, once computed
         self._snf: Optional[SnfResult] = None
@@ -377,20 +373,8 @@ class FpAbelianGroup:
                 self._smith = _diagonalize(core.rows(), core.n_cols)
             factors = [1] * (self.n_gens - core.n_cols)
             factors += cyclics_to_invariant_factors(self._smith[0])
-            self._snf = SnfResult(
-                tuple(factors), rank=len(factors), free_rank=self.n_gens - len(factors)
-            )
+            self._snf = SnfResult(tuple(factors), free_rank=self.n_gens - len(factors))
         return self._snf
-
-    def invariants(self) -> tuple[int, ...]:
-        return self.snf.nontrivial_factors
-
-    @property
-    def free_rank(self) -> int:
-        return self.snf.free_rank
-
-    def order(self) -> Optional[int]:
-        return self.snf.group_order
 
     def _sparse(self, element: Sequence[int]) -> SparseRow:
         if len(element) != self.n_gens:
@@ -447,10 +431,8 @@ class FpAbelianGroup:
 
         return check
 
-    def quotient_by(self, *rows: SparseRow | IntMatrix) -> "FpAbelianGroup":
-        """The quotient by the subgroup generated by the sparse `rows`, or by one IntMatrix's."""
-        one = len(rows) == 1 and isinstance(rows[0], IntMatrix)
-        extra = rows[0] if one else IntMatrix(self.n_gens, rows)  # an IntMatrix was checked
+    def quotient_by(self, extra: IntMatrix) -> "FpAbelianGroup":
+        """The quotient by the subgroup generated by the rows of `extra`."""
         if extra.n_cols != self.n_gens:
             raise ValueError("relation width does not match generator count")
         basis = self.hnf.copy()

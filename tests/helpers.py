@@ -72,16 +72,26 @@ def gamma_ab_matrix(T) -> IntMatrix:
     return IntMatrix(T.N, triangle_rows(T))
 
 
+def dense_matrix(n_cols: int, rows) -> IntMatrix:
+    """The IntMatrix of dense integer rows of width `n_cols`, checked like any caller's."""
+    return IntMatrix(n_cols, tuple(tuple((c, v) for c, v in enumerate(row) if v) for row in rows))
+
+
+def dense_group(n_gens: int, rows) -> FpAbelianGroup:
+    """Z^n_gens modulo the lattice of dense integer rows."""
+    return FpAbelianGroup(n_gens, dense_matrix(n_gens, rows))
+
+
 def order_by_quotient(group: FpAbelianGroup, element) -> int:
     """ord(element) as |A| / |A/<element>|: the oracle for `order_of` in finite groups.
 
     The quotient's order comes from its Smith diagonal, not from the Smith
     coordinates of `element` that `order_of` reads.
     """
-    total = group.order()
+    total = group.snf.group_order
     if total is None:
         raise ValueError("the quotient oracle requires a finite group")
-    return total // group.quotient_by(group._sparse(element)).order()
+    return total // group.quotient_by(dense_matrix(group.n_gens, [element])).snf.group_order
 
 
 def hnf_contains(basis: HnfBasis, row) -> bool:

@@ -22,8 +22,8 @@ from a2tp.presentation import (
     twist_by_name,
     validate,
 )
-from a2tp.zlinalg import FpAbelianGroup, IntMatrix
-from helpers import acb_matrix, order_by_quotient
+from a2tp.zlinalg import FpAbelianGroup
+from helpers import acb_matrix, dense_group, order_by_quotient
 
 QS = prime_powers_in(2, 16)
 
@@ -183,7 +183,7 @@ def test_criterion_5_snf_oracle_equivalence():
         nr = rng.randint(1, 6)
         nc = rng.randint(1, 6)
         rows = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
-        result = FpAbelianGroup(nc, IntMatrix.from_rows(nc, rows)).snf
+        result = dense_group(nc, rows).snf
         if result.invariant_factors != minor_gcd_snf(rows, nc):
             ok = False
         if any(b % a for a, b in zip(result.invariant_factors, result.invariant_factors[1:])):
@@ -217,7 +217,7 @@ def test_criterion_6_element_order_cross_validation(presentations):
             continue
         n = len(factors)
         rows = [[factors[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        g = FpAbelianGroup(n, rows)
+        g = dense_group(n, rows)
         e = [rng.randrange(d) for d in factors]
         qo = order_by_quotient(g, e)
         mo = g.order_of(e)

@@ -434,6 +434,36 @@ def test_a_value_error_from_a_bug_is_not_bad_input(capsys, monkeypatch):
         main(["analyze", "--q", "2"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--q", "10000000000000061"],
+        ["verify", "--q", "10000000000000061"],
+        ["gen", "--q", "10000000000000061", "--out", "never-written.a2tp"],
+        ["analyze", "--q", "100"],  # not a prime power, and past the maximum
+        ["table", "--q-max", "2000000"],
+    ],
+)
+def test_q_past_the_maximum_is_rejected_before_it_is_factorized(capsys, monkeypatch, argv):
+    def small_only(n, _real=gf.factorize):
+        if n > 10**4:
+            raise AssertionError(f"{n} was factorized")
+        return _real(n)
+
+    monkeypatch.setattr(gf, "factorize", small_only)
+    monkeypatch.setattr(cli, "factorize", small_only)
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert f"exceeds the supported maximum {gf.MAX_Q}\n" in err
+
+
+def test_omega_at_q7_fails_the_conjecture_and_no_check(capsys):
+    code, stdout, _ = run(capsys, "analyze", "--q", "7", "--variant", "omega")
+    assert code == 0 and stdout.endswith(": CONJECTURE-FAILS\n")
+    code, stdout, _ = run(capsys, "verify", "--q", "7", "--variant", "omega")
+    assert code == 0 and stdout.endswith("\nconjecture: CONJECTURE-FAILS\n")
+
+
 def test_analyze_past_the_maximum_q_is_a_usage_error(capsys):
     code, stdout, err = run(capsys, "analyze", "--q", "128")
     assert (code, stdout) == (2, "")

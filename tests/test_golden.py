@@ -129,9 +129,9 @@ def test_gamma_ab_oracle(q, variant, quotient):
     N = T.N
     bcd = relation_matrix(T)  # tri as `analyze` builds it: the triple rows come first
     tri = FpAbelianGroup(N + 1, IntMatrix(N + 1, bcd.rows[: len(bcd.rows) - N - 1]))
-    gamma_order = FpAbelianGroup(N, gamma_ab_matrix(T)).order()
+    gamma_order = FpAbelianGroup(N, gamma_ab_matrix(T)).snf.group_order
     assert gamma_order is not None
-    assert gamma_order == tri.quotient_by(((N, 1),)).order()
+    assert gamma_order == tri.quotient_by(IntMatrix(N + 1, (((N, 1),),))).snf.group_order
     assert gamma_order % math.prod(int(d) for d in quotient) == 0
 
 

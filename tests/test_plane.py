@@ -17,6 +17,11 @@ from helpers import reference_lines_form_plane
 SMALL_Q = [2, 3, 4, 5, 7, 8]
 
 
+def line(ctx, x):
+    """The Singer line lambda_0(x) = x + tz as sorted points."""
+    return sorted((x + d) % ctx.N for d in ctx.tz)
+
+
 @pytest.fixture(scope="module")
 def planes():
     return {q: build_plane(q) for q in SMALL_Q}
@@ -54,7 +59,7 @@ def test_perfect_difference_set(planes):
 
 def test_unique_line_through_two_points(planes):
     for q, ctx in planes.items():
-        lines = [frozenset(ctx.line(x)) for x in range(ctx.N)]
+        lines = [frozenset(line(ctx, x)) for x in range(ctx.N)]
         for a in range(ctx.N):
             for b in range(a + 1, ctx.N):
                 assert sum(1 for l in lines if a in l and b in l) == 1
@@ -62,7 +67,7 @@ def test_unique_line_through_two_points(planes):
 
 def test_unique_intersection_of_two_lines(planes):
     for q, ctx in planes.items():
-        lines = [frozenset(ctx.line(x)) for x in range(ctx.N)]
+        lines = [frozenset(line(ctx, x)) for x in range(ctx.N)]
         for i in range(ctx.N):
             for j in range(i + 1, ctx.N):
                 assert len(lines[i] & lines[j]) == 1
@@ -70,41 +75,41 @@ def test_unique_intersection_of_two_lines(planes):
 
 def test_lambda_bijective(planes):
     for q, ctx in planes.items():
-        assert len({frozenset(ctx.line(x)) for x in range(ctx.N)}) == ctx.N
+        assert len({frozenset(line(ctx, x)) for x in range(ctx.N)}) == ctx.N
 
 
 def test_lines_have_q_plus_1_points(planes):
     for q, ctx in planes.items():
-        assert all(len(set(ctx.line(x))) == q + 1 for x in range(ctx.N))
+        assert all(len(set(line(ctx, x))) == q + 1 for x in range(ctx.N))
 
 
 def test_self_incidence_depends_on_characteristic():
     ctx3 = build_plane(3)
-    assert all(x in ctx3.line(x) for x in range(ctx3.N))  # Tr(1) = 0 in char 3
+    assert all(x in line(ctx3, x) for x in range(ctx3.N))  # Tr(1) = 0 in char 3
     ctx2 = build_plane(2)
-    assert not any(x in ctx2.line(x) for x in range(ctx2.N))
+    assert not any(x in line(ctx2, x) for x in range(ctx2.N))
 
 
 def test_column_sums_q2():
     ctx = build_plane(2)
     for y in range(ctx.N):
-        assert sum(1 for x in range(ctx.N) if y not in ctx.line(x)) == 4
+        assert sum(1 for x in range(ctx.N) if y not in line(ctx, x)) == 4
 
 
 def test_column_sums_general(planes):
     for q, ctx in planes.items():
         for y in range(ctx.N):
-            missed = sum(1 for x in range(ctx.N) if y not in ctx.line(x))
+            missed = sum(1 for x in range(ctx.N) if y not in line(ctx, x))
             assert missed == q * q
 
 
 def test_singer_shift():
     # the shift by k maps lambda_0(x) onto lambda_0(x + k); k = 0 and k = N fix every line
     ctx = build_plane(2)
-    assert ctx.line(2) == sorted((y + 4) % ctx.N for y in ctx.line(5))  # 5 + 4 = 9 = 2 mod 7
+    assert line(ctx, 2) == sorted((y + 4) % ctx.N for y in line(ctx, 5))  # 5 + 4 = 9 = 2 mod 7
     for x in range(ctx.N):
-        assert sorted((y + 0) % ctx.N for y in ctx.line(x)) == ctx.line(x)
-        assert sorted((y + ctx.N) % ctx.N for y in ctx.line(x)) == ctx.line(x)
+        assert sorted((y + 0) % ctx.N for y in line(ctx, x)) == line(ctx, x)
+        assert sorted((y + ctx.N) % ctx.N for y in line(ctx, x)) == line(ctx, x)
 
 
 def test_shift_preserves_incidence(planes):
@@ -112,7 +117,7 @@ def test_shift_preserves_incidence(planes):
         rng = random.Random(q)
         for _ in range(50):
             x, y, k = (rng.randrange(ctx.N) for _ in range(3))
-            assert (y in ctx.line(x)) == ((y + k) % ctx.N in ctx.line((x + k) % ctx.N))
+            assert (y in line(ctx, x)) == ((y + k) % ctx.N in line(ctx, (x + k) % ctx.N))
 
 
 def test_frobenius_collineation(planes):
@@ -134,11 +139,11 @@ def test_frobenius_fixed_points_q4():
 
 def test_collineations_map_lines_to_lines(planes):
     for q, ctx in planes.items():
-        lines = {frozenset(ctx.line(x)) for x in range(ctx.N)}
+        lines = {frozenset(line(ctx, x)) for x in range(ctx.N)}
         for x in range(ctx.N):
-            image = frozenset(frobenius_collineation(ctx, y) for y in ctx.line(x))
+            image = frozenset(frobenius_collineation(ctx, y) for y in line(ctx, x))
             assert image in lines
-            shifted = frozenset((y + 5) % ctx.N for y in ctx.line(x))
+            shifted = frozenset((y + 5) % ctx.N for y in line(ctx, x))
             assert shifted in lines
 
 
@@ -163,7 +168,7 @@ NEIGHBOUR_LINES_Q2 = [sorted({(x - 1) % 7, x, (x + 1) % 7}) for x in range(7)]
 @functools.cache
 def _singer_lines(q):
     ctx = build_plane(q)
-    return [ctx.line(x) for x in range(ctx.N)]
+    return [line(ctx, x) for x in range(ctx.N)]
 
 
 @st.composite
@@ -208,7 +213,7 @@ def test_lines_form_plane_matches_the_pair_count(table):
 def test_lines_form_plane_rejects_the_neighbour_lines_and_takes_every_singer_plane(planes):
     assert not lines_form_plane(NEIGHBOUR_LINES_Q2, 2)
     for q, ctx in planes.items():
-        assert lines_form_plane([ctx.line(x) for x in range(ctx.N)], q)
+        assert lines_form_plane([line(ctx, x) for x in range(ctx.N)], q)
     lines = _singer_lines(2)
     assert not lines_form_plane([[p - 7 for p in lines[0]]] + lines[1:], 2)  # out of range
     assert not lines_form_plane([[p + 7 for p in lines[0]]] + lines[1:], 2)

@@ -11,7 +11,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from a2tp.automorphism import find_cyclic_automorphism, is_cyclic_automorphism
+from a2tp.cli import main
 from a2tp.plane import build_plane, frobenius_collineation
+from a2tp.presentation import _orbit as certified_orbit
 from a2tp.presentation import (
     DEFAULT_BACKTRACK_BUDGET,
     InconsistentHeader,
@@ -21,7 +23,6 @@ from a2tp.presentation import (
     PhiNotOrder3,
     TrianglePresentation,
     _backtrack_m_subset,
-    _certified,
     find_m_subset,
     gen_t0,
     gen_t0_dual,
@@ -595,6 +596,17 @@ def test_finder_nodes_count_against_the_budget(q):
     assert any(r != reference_backtrack(T, b) for b, r in enumerate(results))
 
 
+def test_verify_and_analyze_disagree_on_a_search_out_of_budget(tmp_path, capsys):
+    # The relabelled q = 2 frob1 twist at budget 1: no orbit certifies, and the search
+    # stops short.  `verify` reports NOT-FOUND and passes; `analyze` fails its check.
+    path = tmp_path / "frob1_q2.a2tp"
+    write_presentation(_relabeled(twist_by_name(_plane(2), gen_t0(_plane(2)), "frob1"), 3), path)
+    assert main(["verify", "--file", str(path), "--budget", "1"]) == 0
+    assert "\nm-subset: NOT-FOUND\n" in capsys.readouterr().out
+    assert main(["analyze", "--file", str(path), "--budget", "1"]) == 1
+    assert "\ncheck m_subset_found: FAIL\n" in capsys.readouterr().out
+
+
 def test_is_cyclic_automorphism_holds_for_point_regular_ones_only(planes):
     T = gen_t0(planes[4])  # N = 21: x -> x + k is an automorphism, an N-cycle iff gcd(k, 21) = 1
     shift = [[(x + k) % T.N for x in range(T.N)] for k in range(4)]
@@ -606,11 +618,13 @@ def test_is_cyclic_automorphism_holds_for_point_regular_ones_only(planes):
 def test_certified_rejects_a_subset_outside_t(planes):
     T = _relabeled(gen_t0(planes[3]), 0)
     x, y, z = min(t for t in T.triples if len(set(t)) == 3)
-    shifted = frozenset(((x + k) % T.N, (y + k) % T.N, (z + k) % T.N) for k in range(T.N))
+    identity, shift = list(range(T.N)), list(range(1, T.N)) + [0]
+    shifted = _orbit(shift, (x, y, z), T.N)
     assert all(c == 3 for c in m_subset_occurrences(T, shifted)) and not shifted <= T.triples
-    assert _certified(T, shifted) is None
+    assert certified_orbit(T, (x, y, z), shift, shift, shift) is None
+    assert certified_orbit(T, (x, y, z), *[identity] * 3) is None  # in T, each point once
     g, _ = find_cyclic_automorphism(T, validate(T).third, 200)
-    assert _certified(T, _orbit(g, (x, y, z), T.N)) == MSubsetResult(_orbit(g, (x, y, z), T.N))
+    assert certified_orbit(T, (x, y, z), g, g, g) == MSubsetResult(_orbit(g, (x, y, z), T.N))
 
 
 def test_roundtrip(tmp_path, planes):

@@ -1,0 +1,41 @@
+"""The package is pure Python on the standard library, and parses as its oldest Python.
+
+The syntax check is best-effort: it catches syntax newer than `requires-python`,
+not calls to library functions added later.
+"""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).parent.parent
+MODULES = sorted((ROOT / "src" / "a2tp").glob("*.py"))
+REQUIRES = re.search(r'requires-python = ">=(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text())
+OLDEST = tuple(map(int, REQUIRES.groups()))
+
+
+def test_every_module_is_checked():
+    assert OLDEST == (3, 10)
+    assert {"cli.py", "zlinalg.py"} <= {path.name for path in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_imports_only_the_standard_library(path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:  # not a relative import
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top = name.split(".")[0]
+            assert top == "__future__" or top in sys.stdlib_module_names, (path.name, name)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_parses_as_the_oldest_supported_python(path):
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=OLDEST)

@@ -13,7 +13,7 @@ from a2tp.zlinalg import (
     SnfResult,
     cyclics_to_invariant_factors,
 )
-from helpers import hnf_contains, order_by_quotient
+from helpers import dense_group, dense_matrix, hnf_contains, order_by_quotient
 
 
 # --- independent oracles -----------------------------------------------------
@@ -127,7 +127,7 @@ def test_hnf_membership():
 
 
 def _snf(n_cols, rows):
-    return FpAbelianGroup(n_cols, IntMatrix.from_rows(n_cols, rows)).snf
+    return dense_group(n_cols, rows).snf
 
 
 def test_snf_identity():
@@ -156,8 +156,7 @@ def test_snf_divisibility_chain_and_oracle():
         assert result.invariant_factors == minor_gcd_snf(rows, nc)
         for a, b in zip(result.invariant_factors, result.invariant_factors[1:]):
             assert b % a == 0
-        assert result.rank == len(result.invariant_factors)
-        assert result.free_rank == nc - result.rank
+        assert result.free_rank == nc - len(result.invariant_factors)
 
 
 @settings(max_examples=100, deadline=None)
@@ -191,38 +190,38 @@ def test_determinant_preservation():
 
 
 def test_group_free():
-    g = FpAbelianGroup(1, [])
+    g = dense_group(1, [])
     assert g.snf.free_rank == 1
-    assert g.order() is None
+    assert g.snf.group_order is None
 
 
 def test_group_z6():
-    g = FpAbelianGroup(2, [[2, 0], [0, 3]])
+    g = dense_group(2, [[2, 0], [0, 3]])
     result = g.snf
     assert result.invariant_factors == (1, 6)
     assert result.nontrivial_factors == (6,)
     assert result.free_rank == 0
-    assert g.order() == 6
+    assert g.snf.group_order == 6
 
 
 def test_group_z2_cubed():
-    g = FpAbelianGroup(3, [[2, 0, 0], [0, 2, 0], [0, 0, 2]])
+    g = dense_group(3, [[2, 0, 0], [0, 2, 0], [0, 0, 2]])
     assert g.snf.invariant_factors == (2, 2, 2)
 
 
 def test_element_order_worked_examples():
-    g = FpAbelianGroup(2, [[2, 0], [0, 3]])
+    g = dense_group(2, [[2, 0], [0, 3]])
     for order in (order_by_quotient, FpAbelianGroup.order_of):
         assert order(g, [1, 1]) == 6
         assert order(g, [0, 0]) == 1
-    assert FpAbelianGroup(1, []).order_of([1]) is None
+    assert dense_group(1, []).order_of([1]) is None
 
 
 def test_element_order_rejects_bad_requests():
     with pytest.raises(ValueError, match="finite group"):
-        order_by_quotient(FpAbelianGroup(1, []), [1])
+        order_by_quotient(dense_group(1, []), [1])
     with pytest.raises(ValueError, match="element width"):
-        FpAbelianGroup(2, [[2, 0]]).order_of([1])
+        dense_group(2, [[2, 0]]).order_of([1])
 
 
 def test_element_order_methods_agree():
@@ -237,8 +236,8 @@ def test_element_order_methods_agree():
         # scramble with random unimodular-ish extra relations
         for _ in range(rng.randint(0, 2)):
             rows.append([rng.randint(-4, 4) for _ in range(n)])
-        g = FpAbelianGroup(n, rows)
-        if g.free_rank:
+        g = dense_group(n, rows)
+        if g.snf.free_rank:
             continue
         e = [rng.randint(-6, 6) for _ in range(n)]
         a = order_by_quotient(g, e)
@@ -248,7 +247,7 @@ def test_element_order_methods_agree():
 
 
 def test_element_order_infinite_component():
-    g = FpAbelianGroup(2, [[2, 0]])
+    g = dense_group(2, [[2, 0]])
     assert g.order_of([0, 1]) is None
     assert g.order_of([1, 0]) == 2
 
@@ -266,16 +265,12 @@ def test_element_order_brute_force_synthetic():
             row = [0] * n
             row[i] = d
             rows.append(row)
-        g = FpAbelianGroup(n, rows)
+        g = dense_group(n, rows)
         e = [rng.randrange(d) for d in factors]
         expected = math.lcm(*[d // math.gcd(d, c) for d, c in zip(factors, e)])
         assert order_by_quotient(g, e) == expected
         assert g.order_of(e) == expected
         assert brute_force_order(full_width_basis(n, rows), e, expected) == expected
-
-
-def _sparse(row):
-    return tuple((c, v) for c, v in enumerate(row) if v)
 
 
 UNIT_RICH = st.sampled_from([0, 0, 1, 1, -1, -1, 2, -2, 3, -4])
@@ -295,7 +290,7 @@ def test_unit_elimination_against_full_width_hnf(data):
     # the substitution map is checked against an HNF of all columns, and orders by k-scanning
     rows, e, coeffs = data
     n = len(e)
-    g = FpAbelianGroup(n, rows)
+    g = dense_group(n, rows)
     full = full_width_basis(n, rows)
     in_lattice = [sum(k * row[j] for k, row in zip(coeffs, rows)) for j in range(n)]
     assert g.order_of(in_lattice) == 1 and hnf_contains(full, in_lattice)
@@ -303,9 +298,9 @@ def test_unit_elimination_against_full_width_hnf(data):
     for v in (e, [x + y for x, y in zip(e, in_lattice)], [2 * x for x in e]):
         assert g.order_of(v) == brute_force_order(full, v, torsion)
     expected = brute_force_order(full, e, torsion)
-    if g.free_rank == 0:
+    if g.snf.free_rank == 0:
         assert order_by_quotient(g, e) == expected
-        assert g.quotient_by(_sparse(e)).order() == torsion // expected
+        assert g.quotient_by(dense_matrix(n, [e])).snf.group_order == torsion // expected
 
 
 @st.composite
@@ -350,11 +345,11 @@ def test_peeling_against_full_width_hnf(data):
     # Peeling against an HNF of all columns, the minor-gcd SNF and k-scanning.
     rows, e, coeffs = data
     n = len(e)
-    g = FpAbelianGroup(n, rows)
+    g = dense_group(n, rows)
     full = full_width_basis(n, rows)
     oracle = minor_gcd_snf(rows, n)
     assert g.snf.invariant_factors == oracle
-    assert g.free_rank == n - len(oracle)
+    assert g.snf.free_rank == n - len(oracle)
     in_lattice = [sum(k * row[j] for k, row in zip(coeffs, rows)) for j in range(n)]
     for v in (in_lattice, *rows, e, [x + y for x, y in zip(e, in_lattice)], [2 * x for x in e]):
         assert g.order_of(v) == brute_force_order(full, v, math.prod(oracle))
@@ -404,43 +399,41 @@ def test_long_runs_against_one_row_at_a_time(data):
     gens, run, changes, e = data
     rows = gens + run + changes
     width = len(e)
-    g = FpAbelianGroup(width, rows)
+    g = dense_group(width, rows)
     full = full_width_basis(width, rows)
     oracle = minor_gcd_snf(gens + changes, width)
     assert g.snf.invariant_factors == oracle  # run adds nothing
     for v in (*rows, e, [2 * x for x in e], [x + y for x, y in zip(e, changes[0])]):
         assert g.order_of(v) == brute_force_order(full, v, max(oracle, default=1))
-    assert FpAbelianGroup(width, gens).quotient_by(*map(_sparse, run + changes)).snf == g.snf
+    assert dense_group(width, gens).quotient_by(dense_matrix(width, run + changes)).snf == g.snf
     with_e = minor_gcd_snf(gens + changes + [e], width)
     expected = math.prod(with_e) if len(with_e) == width else None
-    assert g.quotient_by(_sparse(e)).order() == expected
+    assert g.quotient_by(dense_matrix(width, [e])).snf.group_order == expected
 
 
 def test_quotient_by():
-    g = FpAbelianGroup(2, [[4, 0], [0, 4]])
-    q = g.quotient_by(((0, 2), (1, 2)))
-    assert q.order() == 8
+    g = dense_group(2, [[4, 0], [0, 4]])
+    q = g.quotient_by(IntMatrix(2, (((0, 2), (1, 2)),)))
+    assert q.snf.group_order == 8
     assert order_by_quotient(g, [2, 2]) == 2
     for wrong in ([2], [2, 2, 2]):
         with pytest.raises(ValueError, match="element width"):
             g.order_of(wrong)
     for bad in (((2, 2),), ((-1, 2),)):  # rows are checked like any caller's
         with pytest.raises(ValueError, match="column index out of range"):
-            g.quotient_by(((0, 2),), bad)
+            g.quotient_by(IntMatrix(2, (((0, 2),), bad)))
 
 
 def test_quotient_by_takes_a_built_matrix_and_checks_sparse_rows():
-    g = FpAbelianGroup(2, [[4, 0], [0, 4]])
+    g = dense_group(2, [[4, 0], [0, 4]])
     rows = (((0, 2), (1, 2)), ((1, 2),))
-    assert g.quotient_by(IntMatrix(2, rows)).snf == g.quotient_by(*rows).snf
+    assert g.quotient_by(IntMatrix(2, rows)).snf == dense_group(2, [[4, 0], [0, 4], [2, 2], [0, 2]]).snf
     with pytest.raises(ValueError, match="relation width"):
         g.quotient_by(IntMatrix(3, rows))
     bad_rows = [((0, 1), (0, 1)), ((1, 0),), ((0, 1), (2, 1))]
     for bad, message in zip(bad_rows, ["duplicate column", "zero coefficient", "out of range"]):
         with pytest.raises(ValueError, match=message):
-            g.quotient_by(bad)
-        with pytest.raises(ValueError, match=message):
-            IntMatrix(2, (bad,))  # a matrix of it cannot be built either
+            IntMatrix(2, (bad,))  # a caller's rows are checked before any quotient is built
 
 
 @settings(max_examples=150, deadline=None)
@@ -458,13 +451,13 @@ def test_quotient_by_takes_a_built_matrix_and_checks_sparse_rows():
 def test_quotient_by_equals_the_group_built_from_scratch(data):
     rows, extra, e = data
     n = len(e)
-    g = FpAbelianGroup(n, rows)
-    quot = g.quotient_by(*(_sparse(row) for row in extra))
-    whole = FpAbelianGroup(n, rows + extra)
+    g = dense_group(n, rows)
+    quot = g.quotient_by(dense_matrix(n, extra))
+    whole = dense_group(n, rows + extra)
     oracle = minor_gcd_snf(rows + extra, n)
     assert quot.snf == whole.snf
     assert quot.snf.invariant_factors == oracle
-    assert quot.order() == whole.order()
+    assert quot.snf.group_order == whole.snf.group_order
     full = full_width_basis(n, rows + extra)
     for v in (e, [2 * x for x in e], *extra):
         expected = brute_force_order(full, v, math.prod(oracle))
@@ -481,6 +474,6 @@ def test_intmatrix_validation():
 
 
 def test_snf_result_group_order():
-    r = SnfResult((1, 2, 6), rank=3, free_rank=0)
+    r = SnfResult((1, 2, 6), free_rank=0)
     assert r.group_order == 12
-    assert SnfResult((2,), rank=1, free_rank=1).group_order is None
+    assert SnfResult((2,), free_rank=1).group_order is None
