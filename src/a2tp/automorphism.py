@@ -13,13 +13,7 @@ from itertools import accumulate
 from typing import Iterator, Optional
 
 from .plane import Point
-from .presentation import TrianglePresentation
-
-
-def is_automorphism(T: TrianglePresentation, g: list[Point]) -> bool:
-    """g maps every triple of T into T: O(|T|) lookups."""
-    triples = T.triples
-    return all((g[x], g[y], g[z]) in triples for x, y, z in triples)
+from .presentation import TrianglePresentation, is_automorphism
 
 
 def is_cyclic_automorphism(T: TrianglePresentation, g: list[Point]) -> bool:

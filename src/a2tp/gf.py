@@ -63,10 +63,12 @@ class PrimePower:
 
 
 def prime_power(q: int) -> PrimePower:
-    """Factor q as p^r, raising ValueError if q is not a prime power."""
-    f = factorize(q) if q >= 2 else {}
+    """Factor q as p^r; UnsupportedSize past MAX_Q, BadInput if q is no prime power."""
+    if q > MAX_Q:  # before `factorize`: trial division of a large q takes minutes
+        raise UnsupportedSize(f"q = {q} exceeds the supported maximum {MAX_Q}")
+    f = factorize(q)
     if len(f) != 1:
-        raise ValueError(f"{q} is not a prime power")
+        raise BadInput(f"{q} is not a prime power")
     ((p, r),) = f.items()
     return PrimePower(p, r)
 
@@ -134,7 +136,7 @@ def _primitive_modulus(pp: PrimePower) -> list[int]:
     products.
     """
     q = pp.q
-    if q > MAX_Q:
+    if q > MAX_Q:  # a PrimePower built directly has not passed `prime_power`'s gate
         raise UnsupportedSize(f"q = {q} exceeds the supported maximum {MAX_Q}")
     p = pp.p
     d = 3 * pp.r

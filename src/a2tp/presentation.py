@@ -124,7 +124,7 @@ def twist(
     if any(perm[perm2[x]] != x for x in range(N)):
         raise PhiNotOrder3("phi does not have order dividing 3")
     # phi is a bijection, so the image of T is T when it lies in T
-    if not T.triples.issuperset((perm[x], perm[y], perm[z]) for (x, y, z) in T.triples):
+    if not is_automorphism(T, perm):
         raise PhiDoesNotFixT("phi does not map the presentation to itself")
     triples = frozenset((x, perm[y], perm2[z]) for (x, y, z) in T.triples)
     lam = tuple(tuple(sorted(map(perm.__getitem__, line))) for line in T.lam)
@@ -198,9 +198,15 @@ def validate(T: TrianglePresentation) -> ValidationReport:
     )
 
 
+def is_automorphism(T: TrianglePresentation, g: list[Point]) -> bool:
+    """g maps every triple of T into T: O(|T|) lookups, stopping at the first miss."""
+    triples = T.triples
+    return all((g[x], g[y], g[z]) in triples for x, y, z in triples)
+
+
 def is_s_invariant(T: TrianglePresentation) -> bool:
-    N = T.N
-    return all(((x + 1) % N, (y + 1) % N, (z + 1) % N) in T.triples for (x, y, z) in T.triples)
+    """T is invariant under the Singer cycle x -> x+1 mod N."""
+    return is_automorphism(T, _shifted(list(range(T.N)), 1))
 
 
 @dataclass(frozen=True)

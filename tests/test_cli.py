@@ -265,6 +265,13 @@ def test_table_rejects_q_past_the_maximum_before_computing(monkeypatch, capsys):
     assert f"q = 67 exceeds the supported maximum {gf.MAX_Q}" in err
 
 
+@pytest.mark.parametrize("q_min, q_max", [("2", "65"), ("65", "66"), ("2", "2000000")])
+def test_table_names_its_q_max_when_past_the_maximum(capsys, q_min, q_max):
+    code, stdout, err = run(capsys, "table", "--q-min", q_min, "--q-max", q_max)
+    assert (code, stdout) == (2, "")
+    assert err == f"error: q = {q_max} exceeds the supported maximum {gf.MAX_Q}\n"
+
+
 @pytest.mark.parametrize("command", ["analyze", "verify"])
 def test_negative_budget_is_a_usage_error(tmp_path, capsys, command):
     path = tmp_path / "t0_q2.a2tp"
@@ -290,6 +297,35 @@ def test_verify_twist(capsys):
     assert code == 0
     assert "s-invariance: FALSE" in stdout
     assert "m-subset: PASS" in stdout
+
+
+VERIFY_CHECKS = (
+    "triangle-axioms: PASS\ns-invariance: {s}\nm-subset: PASS\nlemma_q2: PASS\nlower_bound: PASS\n"
+    "scheme_agreement: PASS\ngamma_ab: PASS\nconjecture: CONJECTURE-HOLDS\n"
+)
+GENERATED_PLANE = "plane-axioms: PASS\ndifference-set: PASS\n"
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        (["--q", "4"], GENERATED_PLANE + VERIFY_CHECKS.format(s="TRUE")),
+        (["--q", "2", "--variant", "frob1"], GENERATED_PLANE + VERIFY_CHECKS.format(s="FALSE")),
+        (["--file"], "plane-axioms: PASS\n" + VERIFY_CHECKS.format(s="FALSE")),
+    ],
+)
+def test_verify_prints_every_check_in_order(tmp_path, capsys, source, expected):
+    if source == ["--file"]:
+        path = tmp_path / "frob1_q2.a2tp"
+        assert run(capsys, "gen", "--q", "2", "--variant", "frob1", "--out", str(path))[0] == 0
+        source = ["--file", str(path)]
+    assert run(capsys, "verify", *source) == (0, expected, "")
+
+
+def test_verify_has_no_output_option(capsys):
+    code, stdout, err = _exit_and_output(capsys, ["verify", "--q", "2", "--output", "json"])
+    assert (code, stdout) == (2, "")
+    assert "unrecognized arguments: --output json" in err
 
 
 def test_verify_user_file(tmp_path, capsys):
@@ -442,6 +478,7 @@ def test_a_value_error_from_a_bug_is_not_bad_input(capsys, monkeypatch):
         ["gen", "--q", "10000000000000061", "--out", "never-written.a2tp"],
         ["analyze", "--q", "100"],  # not a prime power, and past the maximum
         ["table", "--q-max", "2000000"],
+        ["table", "--q-min", "10000000000000061", "--q-max", "10000000000000061"],
     ],
 )
 def test_q_past_the_maximum_is_rejected_before_it_is_factorized(capsys, monkeypatch, argv):
@@ -518,7 +555,7 @@ def test_the_cached_parser_carries_no_state_between_calls(capsys, monkeypatch):
 def test_analyze_finds_an_m_subset_of_relabelled_files_at_q27(tmp_path, capsys, variant, seed):
     # In characteristic 3 every (x, x, x) lies in T, so the Singer orbit of
     # (0, 0, 0), the diagonal, is an M-subset found within the 200-node budget.
-    _, T = cli.build_variant(27, variant)
+    T = cli.build_variant(27, variant)
     path = tmp_path / f"{variant}_q27_{seed}.a2tp"
     presentation.write_presentation(relabelled(T, random.Random(seed)), path)
     code, stdout, _ = run(capsys, "analyze", "--file", str(path), "--budget", "200", "--output", "json")

@@ -4,8 +4,11 @@ from pathlib import Path
 
 import pytest
 
+import a2tp
+from a2tp import gf
 from a2tp.gf import (
     MAX_Q,
+    BadInput,
     PrimePower,
     UnsupportedSize,
     _digits,
@@ -94,6 +97,20 @@ def test_prime_power_validates():
 def test_unsupported_size():
     with pytest.raises(UnsupportedSize):
         trace_zero_logs(PrimePower(2, 7))  # q = 128
+
+
+def test_q_past_the_maximum_is_rejected_before_it_is_factorized(monkeypatch):
+    def small_only(n, _real=gf.factorize):
+        if n > 10**4:
+            raise AssertionError(f"{n} was factorized")
+        return _real(n)
+
+    monkeypatch.setattr(gf, "factorize", small_only)
+    for q in (65, 10000000000000061):
+        with pytest.raises(UnsupportedSize, match=f"q = {q} exceeds the supported maximum 64"):
+            a2tp.build_plane(q)
+    with pytest.raises(BadInput, match="^6 is not a prime power$"):
+        a2tp.build_plane(6)
 
 
 def test_q2_zeta_order_seven():
