@@ -10,25 +10,28 @@ core, so mapping a row to the core is a column-wise sum of them.  The
 images of the rows not used as pivots go into an incremental row-style
 Hermite normal form (`HnfBasis`) only until it settles.  Then its rows H
 are diagonalized once, U H V = diag(d_i), and every later row is certified
-instead of reduced: its image times V must be 0 mod d_i where d_i != 1,
-and 0 on the free coordinates.  A row that fails goes into the HNF, so
-each row is in the HNF or proven to lie in its lattice.  The Smith normal
-form is diagonalized from the HNF rows with the smallest-pivot rule.
-`quotient_by` puts more rows into a copy of the core HNF the same way: a
-quotient is never eliminated again.  Each group keeps the pair (diag, V) of
-its settled core basis, and element orders are read in the same Smith
-coordinates: with w an element's core image times V, its order is
-lcm_i d_i / gcd(d_i, w_i), infinite when w is nonzero on a free coordinate
-(Cohen, GTM 138, 2.4).  Everything runs on Python's arbitrary-precision
-integers.
+instead of reduced: its image times V must be 0 mod d_i where d_i != 1, and
+0 on the free coordinates.  Those coordinates are packed into one integer
+per generator, in slots sized from the rows' coefficients, so a row costs
+one short big-integer sum (Kronecker substitution; Harvey, J. Symbolic
+Comput. 44, 2009).  A row that fails goes into the HNF, so each row is in
+the HNF or proven to lie in its lattice.  The Smith normal form is
+diagonalized from the HNF rows with the smallest-pivot rule.  `quotient_by`
+puts more rows into a copy of the core HNF the same way: a quotient is
+never eliminated again.  Each group keeps the pair (diag, V) of its settled
+core basis, and element orders are read in the same Smith coordinates:
+with w an element's core image times V, its order is lcm_i d_i / gcd(d_i,
+w_i), infinite when w is nonzero on a free coordinate (Cohen, GTM 138,
+2.4).  Everything runs on Python's arbitrary-precision integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from math import gcd, lcm, prod
-from operator import mul
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from operator import add, itemgetter, mod, mul
+from typing import Callable, Iterator, Optional, Sequence
 
 SparseRow = tuple[tuple[int, int], ...]  # sorted (col, coeff), no zero coeffs
 Smith = tuple[list[int], list[list[int]]]  # (diag, V) of a basis H: U H V = diag, padded with 0s
@@ -385,7 +388,7 @@ class FpAbelianGroup:
         """The core vector congruent to the sparse `row` modulo the relations."""
         return list(_combination(self._image, row)) or [0] * self._hnf.n_cols
 
-    def _add_rows(self, basis: HnfBasis, rows: Iterable[SparseRow]) -> Optional[Smith]:
+    def _add_rows(self, basis: HnfBasis, rows: Sequence[SparseRow]) -> Optional[Smith]:
         """Put the sparse `rows` into the lattice of `basis`, a core HNF.
 
         Rows are reduced into the HNF until `basis.n_cols` of them in a row
@@ -395,11 +398,13 @@ class FpAbelianGroup:
         in its lattice, and the canonical HNF does not depend on the rule.
         Returns (diag, V) of the final basis if the check was built from it.
         """
+        coefficients = map(abs, map(itemgetter(1), chain.from_iterable(rows)))
+        bound = max(map(len, rows), default=0) * max(coefficients, default=0)  # >= sum |v| of a row
         unchanged, smith, check = 0, None, None
         for row in rows:
             if smith is None and unchanged >= basis.n_cols:
                 smith = _diagonalize(basis.rows(), basis.n_cols)
-                check = self._smith_check(smith)
+                check = self._smith_check(smith, bound)
             if smith is not None and check(row):
                 continue
             if basis.add(self._to_core(row)):
@@ -408,26 +413,54 @@ class FpAbelianGroup:
                 unchanged += 1
         return smith
 
-    def _smith_check(self, smith: Smith) -> Callable[[SparseRow], bool]:
+    def _smith_check(self, smith: Smith, bound: int) -> Callable[[SparseRow], bool]:
         """A membership test of sparse rows in the lattice of a core basis with Smith pair `smith`.
 
         With U * H * V = diag(d_i) for the basis rows H, v is in the lattice
-        iff (v V)_i is 0 mod d_i for i < rank and 0 for i >= rank.  Only the
-        coordinates with d_i != 1 are kept, and each generator's image
-        times V is computed once, so a row costs one short vector sum.
+        iff w_i = (v V)_i is 0 mod d_i where d_i != 1 and 0 where i >= rank
+        (free).  With L the lcm of those d_i, w_i * L / d_i is 0 mod L iff w_i
+        is 0 mod d_i.  Each generator's coordinates are packed into one
+        integer: the free ones signed at the bottom, the finite ones above,
+        offset by L * K >= bound * (L - 1), `bound` being at least sum |v| of
+        each row checked.  So no slot of a row's sum overflows: the free ones
+        are 0 iff the low `base` bits are, and each finite digit D is in
+        [0, 2LK], below 2^lo.  As L * 2^lo <= 2^width and base-2^width digits
+        are unique, the finite part is L times a number with digits below 2^lo
+        iff every D is a multiple of L.
         """
         diag, transform = smith
-        padded = diag + [0] * (len(transform) - len(diag))  # a free coordinate must be 0
-        keep = [i for i, d in enumerate(padded) if d != 1]
-        mods = [padded[i] for i in keep]
-        columns = [[v[k] for v in transform] for k in keep]
-        images = [
-            [x % d if d else x for x, d in zip((sum(map(mul, image, col)) for col in columns), mods)]
-            for image in self._image
-        ]
+        padded = diag + [0] * (len(transform) - len(diag))
+        columns = list(zip(*self._image))  # core column -> its entry in each generator's image
+
+        def coordinate(t: int) -> list[int]:  # generator -> its image times column t of V
+            w = [0] * self.n_gens
+            for column, row in zip(columns, transform):
+                if row[t]:
+                    w = list(map(add, w, map(mul, column, repeat(row[t]))))
+            return w
+
+        free = [coordinate(t) for t, d in enumerate(padded) if d == 0]
+        finite = [(coordinate(t), d) for t, d in enumerate(padded) if d > 1]
+        mod_l = lcm(*(d for _, d in finite))
+        fw = (bound * max(map(abs, chain.from_iterable(free)), default=0)).bit_length() + 2
+        base = fw * len(free)
+        k = -(-bound * (mod_l - 1) // mod_l)
+        lo = (2 * mod_l * k).bit_length()
+        width = lo + mod_l.bit_length()
+        packed = [0] * self.n_gens
+        for i, w in enumerate(free):
+            packed = list(map(add, packed, map(mul, w, repeat(1 << fw * i))))
+        for i, (w, d) in enumerate(finite):
+            scaled = map(mod, map(mul, w, repeat(mod_l // d)), repeat(mod_l))
+            packed = list(map(add, packed, map(mul, scaled, repeat(1 << base + width * i))))
+        mask = (1 << base) - 1
+        offset = sum(mod_l * k << width * i for i in range(len(finite)))
+        high = ~sum((1 << lo) - 1 << width * i for i in range(len(finite)))  # all but the digits
 
         def check(row: SparseRow) -> bool:
-            return not any(x % d if d else x for x, d in zip(_combination(images, row), mods))
+            s = sum([packed[c] * v for c, v in row])
+            qq, r = divmod((s >> base) + offset, mod_l)
+            return not (s & mask or r or qq & high)
 
         return check
 

@@ -1,5 +1,7 @@
 """Helpers shared by several test modules; the program itself never needs them."""
 
+from operator import mul
+
 from a2tp.coinv import AnalysisReport
 from a2tp.gf import _digits, _is_one, _poly_pow_mod, factorize
 from a2tp.presentation import (
@@ -12,7 +14,7 @@ from a2tp.presentation import (
     is_s_invariant,
     m_subset_occurrences,
 )
-from a2tp.zlinalg import FpAbelianGroup, HnfBasis, IntMatrix
+from a2tp.zlinalg import FpAbelianGroup, HnfBasis, IntMatrix, _combination
 
 
 def report_from_dict(d: dict) -> AnalysisReport:
@@ -111,6 +113,30 @@ def hnf_contains(basis: HnfBasis, row) -> bool:
             return False
         work[j:] = [x - qq * y for x, y in zip(work[j:], piv[j:])]
     return True
+
+
+def reference_smith_check(group: FpAbelianGroup, smith, bound=None):
+    """Membership in a settled core lattice one Smith coordinate at a time: the oracle for
+    `FpAbelianGroup._smith_check`, with its signature; `bound` is not needed here.
+
+    Each generator's core image times V is kept on the coordinates with d_i != 1,
+    reduced mod d_i, and a row is in the lattice iff the sum of its generators'
+    short vectors is 0 mod d_i on each torsion coordinate and 0 on each free one.
+    """
+    diag, transform = smith
+    padded = diag + [0] * (len(transform) - len(diag))  # a free coordinate must be 0
+    keep = [i for i, d in enumerate(padded) if d != 1]
+    mods = [padded[i] for i in keep]
+    columns = [[v[k] for v in transform] for k in keep]
+    images = [
+        [x % d if d else x for x, d in zip((sum(map(mul, image, col)) for col in columns), mods)]
+        for image in group._image
+    ]
+
+    def check(row) -> bool:
+        return not any(x % d if d else x for x, d in zip(_combination(images, row), mods))
+
+    return check
 
 
 def reference_lines_form_plane(lines, q: int) -> bool:

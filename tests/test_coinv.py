@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter
 from dataclasses import replace
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from a2tp import coinv, presentation, zlinalg
+from a2tp.cli import VARIANTS, build_variant, prime_powers_in
 from a2tp.coinv import (
     InternalError,
     InvalidPresentation,
@@ -21,9 +23,16 @@ from a2tp.gf import BadInput
 from a2tp.plane import build_plane
 from a2tp.presentation import gen_t0, gen_t0_dual, read_presentation, twist_by_name
 from a2tp.zlinalg import FpAbelianGroup, IntMatrix
-from helpers import acb_matrix, gamma_ab_matrix, report_from_dict, triangle_rows
+from helpers import (
+    acb_matrix,
+    gamma_ab_matrix,
+    reference_smith_check,
+    report_from_dict,
+    triangle_rows,
+)
 
 GOLDEN_FILES = Path(__file__).parent / "golden" / "files"
+GOLDEN_FILE_ENTRIES = json.loads((GOLDEN_FILES.parent / "analyze_files.json").read_text())
 
 
 @pytest.fixture(scope="module")
@@ -307,6 +316,48 @@ def test_analyze_runs_one_unit_pivot_elimination(planes, monkeypatch):
     monkeypatch.setattr(zlinalg, "_eliminate_units", counted)
     assert analyze(gen_t0(planes[7])).all_checks_pass
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("q, variant", [(7, "t0"), (8, "t0dual"), (13, "frob1")])
+def test_packed_check_sends_the_same_rows_to_the_hnf(q, variant, monkeypatch):
+    # The packed membership test accepts exactly the rows the per-coordinate one does,
+    # so the same rows reach the HNF and the report does not move.
+    T = build_variant(q, variant)
+    added = []
+    real = zlinalg.HnfBasis.add
+
+    def counted(self, row):
+        added.append(1)
+        return real(self, row)
+
+    monkeypatch.setattr(zlinalg.HnfBasis, "add", counted)
+    packed = analyze(T).to_json(), len(added)
+    added.clear()
+    monkeypatch.setattr(FpAbelianGroup, "_smith_check", reference_smith_check)
+    assert (analyze(T).to_json(), len(added)) == packed
+    assert packed[1] > 0
+
+
+def _m_subset_inputs():
+    for q in prime_powers_in(2, 13):
+        for variant in VARIANTS:
+            if variant != "omega" or q % 3 == 1:
+                yield build_variant(q, variant), 200
+    for entry in GOLDEN_FILE_ENTRIES:
+        yield read_presentation(GOLDEN_FILES / entry["file"]), entry.get("budget", 200)
+
+
+def test_an_m_subset_makes_n_minus_3_kill_epsilon():
+    # Summing the N rows x + y + z = eps of an M-subset gives 3 nu = N eps, and nu = eps
+    # by the all-points row: so (N - 3) eps = 0, N - 3 = (q - 1)(q + 2), whenever one is found.
+    found = 0
+    for T, budget in _m_subset_inputs():
+        report = analyze(T, budget)
+        if report.checks["m_subset_found"]:
+            found += 1
+            assert report.epsilon_order is not None, T.origin
+            assert (T.q - 1) * (T.q + 2) % report.epsilon_order == 0, T.origin
+    assert found == 47  # all 48 but the golden file searched with a budget of 1
 
 
 def test_analyze_cross_checks_epsilon_order_above_q8(monkeypatch):

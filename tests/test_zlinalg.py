@@ -13,7 +13,13 @@ from a2tp.zlinalg import (
     SnfResult,
     cyclics_to_invariant_factors,
 )
-from helpers import dense_group, dense_matrix, hnf_contains, order_by_quotient
+from helpers import (
+    dense_group,
+    dense_matrix,
+    hnf_contains,
+    order_by_quotient,
+    reference_smith_check,
+)
 
 
 # --- independent oracles -----------------------------------------------------
@@ -409,6 +415,71 @@ def test_long_runs_against_one_row_at_a_time(data):
     with_e = minor_gcd_snf(gens + changes + [e], width)
     expected = math.prod(with_e) if len(with_e) == width else None
     assert g.quotient_by(dense_matrix(width, [e])).snf.group_order == expected
+
+
+def test_packed_check_sizes_its_slots_from_the_rows():
+    # Past the warm-up, [512, -2] is certified in slots sized from its coefficients;
+    # slots sized from the generator count alone overflow and accept it, giving (3, 3).
+    rows = [[3, 0], [0, 3], [3, 0], [0, 3], [512, -2]]
+    assert dense_group(2, rows).snf.invariant_factors == minor_gcd_snf(rows, 2) == (1, 3)
+
+
+@st.composite
+def settled_lattices(draw):
+    """A settled core lattice with mixed moduli and free columns, then rows up to +-2^80.
+
+    The lattice is diag(d_i) W for a random unimodular W, the d_i mixing
+    small moduli, a 61-bit prime and up to two 0s (free columns).  More
+    integer combinations of its rows than it has columns follow, so the HNF
+    settles, and last the rows to certify: combinations with coefficients
+    up to 2^80, some moved off the lattice by a multiple of a unit vector.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    n = rng.randint(2, 4)
+    n_free = rng.randint(0, min(2, n - 1))
+    mods = [0] * n_free + [rng.choice([1, 2, 3, 4, 6, 9, 12, 2**61 - 1]) for _ in range(n - n_free)]
+    rng.shuffle(mods)
+    w = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(rng.randint(0, 2 * n)):
+        i, j = rng.sample(range(n), 2)
+        k = rng.randint(-3, 3)
+        for row in w:
+            row[j] += k * row[i]
+    gens = [[d * x for x in row] for d, row in zip(mods, w) if d]
+
+    def combination(size):
+        ks = [rng.randint(-size, size) for _ in gens]
+        return [sum(k * row[c] for k, row in zip(ks, gens)) for c in range(n)]
+
+    run = [combination(3) for _ in range(n + 1)]
+    certified = []
+    for _ in range(rng.randint(1, 4)):
+        row = combination(2**80)
+        if rng.random() < 0.4:
+            row[rng.randrange(n)] += rng.choice([1, -1, 2, 3, 2**40])
+        certified.append(row)
+    return n, gens, run, certified
+
+
+@settings(max_examples=100, deadline=None)
+@given(settled_lattices())
+def test_packed_check_against_one_coordinate_at_a_time(data):
+    # The packed test, the per-coordinate test and an HNF walk agree on every row,
+    # and the group certified with it is the minor-gcd SNF of its lattice.
+    n, gens, run, certified = data
+    settled = dense_group(n, gens + run)
+    settled.snf  # the settled basis and its Smith pair
+    rows = dense_matrix(n, certified).rows
+    bound = max(map(len, rows)) * max((abs(v) for row in rows for _, v in row), default=0)
+    packed = settled._smith_check(settled._smith, bound)
+    reference = reference_smith_check(settled, settled._smith)
+    full = full_width_basis(n, gens)
+    members = [hnf_contains(full, row) for row in certified]
+    assert [packed(row) for row in rows] == [reference(row) for row in rows] == members
+    outside = [row for row, member in zip(certified, members) if not member]
+    group = dense_group(n, gens + run + certified)
+    assert group.snf.invariant_factors == minor_gcd_snf(gens + outside, n)
+    assert group.snf.free_rank == n - len(group.snf.invariant_factors)
 
 
 def test_quotient_by():
