@@ -10,7 +10,7 @@ relabellings of t0/t0dual in `golden/files/` (q = 4, 5, two per
 entry's `budget`, 1 for the one entry whose search runs out of it.
 `golden/analyze_q19_twists.json` holds the same for
 `--q 19` and the variants frob1 and omega, the inputs of the twists
-benchmark.  A change that moves any byte of a report must regenerate the
+benchmark, and `golden/analyze_q32.json` for `--q 32` and t0/t0dual.  A change that moves any byte of a report must regenerate the
 file and say why.
 
 `analyze` reads Γ_ab from the triple lattice it shares with A_T, so
@@ -36,6 +36,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = json.loads((GOLDEN_DIR / "analyze_q16.json").read_text())
 GOLDEN_FILES = json.loads((GOLDEN_DIR / "analyze_files.json").read_text())
 GOLDEN_Q19 = json.loads((GOLDEN_DIR / "analyze_q19_twists.json").read_text())
+GOLDEN_Q32 = json.loads((GOLDEN_DIR / "analyze_q32.json").read_text())
 
 
 def test_golden_covers_every_prime_power_and_variant_up_to_16():
@@ -46,7 +47,7 @@ def test_golden_covers_every_prime_power_and_variant_up_to_16():
 
 
 @pytest.mark.parametrize(
-    "entry", GOLDEN + GOLDEN_Q19, ids=lambda e: f"q{e['q']}-{e['variant']}"
+    "entry", GOLDEN + GOLDEN_Q19 + GOLDEN_Q32, ids=lambda e: f"q{e['q']}-{e['variant']}"
 )
 def test_analyze_json_is_byte_identical(entry, capsys):
     code = main(["analyze", "--q", str(entry["q"]), "--variant", entry["variant"], "--output", "json"])
