@@ -15,13 +15,14 @@ from .presentation import (
     validate,
     write_presentation,
 )
-from .zlinalg import FpAbelianGroup, IntMatrix, SnfResult
+from .zlinalg import FpAbelianGroup, IntMatrix, PointRows, SnfResult
 
 __all__ = [
     "AnalysisReport",
     "FpAbelianGroup",
     "IntMatrix",
     "PlaneContext",
+    "PointRows",
     "PrimePower",
     "SnfResult",
     "TrianglePresentation",

@@ -9,21 +9,20 @@ relation schemes:
   bcd: triangle rows and the all-points row, plus for each x the row
        x + sum over y on lambda(x) of y = eps.
 
-The triangle row x + y + z = eps depends only on the multiset {x, y, z}, so
-the rotations of a triple share one row, read once from the validated table.
-
-`relation_matrix` builds the bcd rows only (q+2 nonzeros per x-row against
-N-q-1 for acb); `schemes_agree` proves the two lattices equal row by row,
-reading each acb x-row from lambda(x).  One unit-pivot elimination runs,
-on the triple lattice tri = Z^(N+1) / <x+y+z-eps>; every group is a
-quotient of it: A_T by the all-points row and the x-rows, A_T/<eps> by eps
-on top, and the abelianized triangle group Gamma_ab = Z^N / <x+y+z> as
-tri/<eps>.
+`analyze` builds the bcd rows only, each a sum of points minus eps, as
+point rows (`PointRows`): a triangle row per multiset {x, y, z}, read from
+the validated third-point table, the all-points row and the x-rows.
+`schemes_agree` proves the two lattices equal row by row, reading each acb
+x-row from lambda(x).  One unit-pivot elimination runs, on the triple
+lattice tri = Z^(N+1) / <x+y+z-eps>; every group is a quotient of it: A_T by
+the all-points row and the x-rows, A_T/<eps> by eps on top, and the
+abelianized triangle group Gamma_ab = Z^N / <x+y+z> as tri/<eps>.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 from typing import Optional
@@ -37,7 +36,7 @@ from .presentation import (
     m_subset_occurrences,
     validate,
 )
-from .zlinalg import FpAbelianGroup, IntMatrix, SparseRow, cyclics_to_invariant_factors
+from .zlinalg import FpAbelianGroup, IntMatrix, PointRow, PointRows, cyclics_to_invariant_factors
 
 
 class InternalError(RuntimeError):
@@ -48,23 +47,23 @@ class InvalidPresentation(BadInput):
     """The presentation fails the triangle axioms."""
 
 
-def _triangle_rows(T: TrianglePresentation, third: list[Point]) -> list[SparseRow]:
+def _triangle_rows(T: TrianglePresentation, third: list[Point]) -> list[PointRow]:
     """x + y + z - eps once per point multiset of a valid T, read from its third-point table.
 
     A rotation class gives the row of its least rotation: (x, y, z) with x < y, z, or
     (x, x, z) with x <= z.  The classes of (x, y, z) and (x, z, y) share a multiset,
-    and only the lesser gives it.  The table, and so the rows, are in sorted order.
+    and only the lesser gives it, as (x, a, b) with a <= b.  The table, and so the
+    rows, are in sorted order.
     """
-    e, rows, k = (T.N, -1), [], 0
+    rows, k = [], 0
     for x, line in enumerate(T.lam):
         zs = dict(zip(line, third[k : k + len(line)]))  # y -> z over the triples (x, y, z)
         k += len(line)
         for y, z in zs.items():
             if x < y and x < z and (y <= z or zs.get(z) != y):
-                a, b = (y, z) if y < z else (z, y)
-                rows.append(((x, 1), (a, 1), (b, 1), e) if a < b else ((x, 1), (a, 2), e))
+                rows.append((x, y, z) if y <= z else (x, z, y))
             elif x == y <= z:
-                rows.append(((x, 2), (z, 1), e) if x < z else ((x, 3), e))
+                rows.append((x, x, z))
     return rows
 
 
@@ -79,24 +78,22 @@ def _valid_third(T: TrianglePresentation) -> list[Point]:
     return report.third
 
 
-def relation_matrix(T: TrianglePresentation, third: Optional[list[Point]] = None) -> IntMatrix:
-    """The bcd rows over N+1 columns (points 0..N-1, eps at column N) of a valid T.
-
-    The triangle rows, read from `third`, the table of `_valid_third(T)` (found
-    here when not given), then the all-points row and the x-rows.  Raises
-    InvalidPresentation for an invalid T.
+def _point_rows(T: TrianglePresentation, third: list[Point]) -> tuple[PointRow, ...]:
+    """The bcd rows of a valid T with third-point table `third`, as point rows: the triangle
+    rows, the all-points row, then each x with lambda(x) as a set, sorted (x twice if on it).
     """
-    if third is None:
-        third = _valid_third(T)
-    N = T.N
-    minus_eps = ((N, -1),)
-    rows = _triangle_rows(T, third)
-    rows.append(tuple((y, 1) for y in range(N)) + minus_eps)
-    rows += (  # e_x + the points of lambda(x)
-        tuple(sorted({**dict.fromkeys(line, 1), x: 1 + (x in line)}.items())) + minus_eps
-        for x, line in enumerate(T.lam)
-    )
-    return IntMatrix._trusted(N + 1, tuple(rows))
+    x_rows = (tuple(sorted([x, *set(line)])) for x, line in enumerate(T.lam))
+    return (*_triangle_rows(T, third), tuple(range(T.N)), *x_rows)
+
+
+def relation_matrix(T: TrianglePresentation, third: Optional[list[Point]] = None) -> IntMatrix:
+    """The bcd point rows of a valid T as an IntMatrix over N+1 columns, eps at column N.
+
+    `third` is the table of `_valid_third(T)`, found here when not given; an invalid T
+    raises InvalidPresentation.
+    """
+    rows = _point_rows(T, _valid_third(T) if third is None else third)
+    return IntMatrix(T.N + 1, tuple(tuple(Counter(row).items()) + ((T.N, -1),) for row in rows))
 
 
 @dataclass(frozen=True)
@@ -145,90 +142,68 @@ def check_lemma_q2(q: int, epsilon_order: Optional[int]) -> bool:
     return epsilon_order is not None and (q * q - 1) % epsilon_order == 0
 
 
-def check_lower_bound(q: int, relations: IntMatrix, epsilon_order: Optional[int]) -> bool:
+def check_lower_bound(
+    q: int, relations: IntMatrix | PointRows, epsilon_order: Optional[int]
+) -> bool:
     """ord(eps) >= (q-1)/(q-1,3), plus the mod-(q^2-1) row annihilation test.
 
-    The witnessing map sends every point to q+1 and eps (the last column) to
-    3(q+1); it must kill every row of `relations` mod q^2 - 1.  So it sends
-    a row v to (q+1)(sum of v + 2 v_eps).
+    The witnessing map sends every point to q+1 and eps (the last column) to 3(q+1),
+    a point row r so to (q+1)(len(r) - 3) and a sparse row v to (q+1)(sum of v + 2 v_eps);
+    it must kill every row of `relations` mod q^2 - 1.
     """
-    modulus = q * q - 1
     eps = relations.n_cols - 1
-    for row in relations.rows:
-        total = 0
-        for c, v in row:
-            total += 3 * v if c == eps else v
-        if (q + 1) * total % modulus:
-            return False
-    bound = expected_epsilon_order(q)
-    return epsilon_order is None or epsilon_order >= bound
+    if isinstance(relations, PointRows):
+        totals = {n - 3 for n in map(len, relations.rows)}
+    else:
+        totals = {sum(v + 2 * v * (c == eps) for c, v in row) for row in relations.rows}
+    annihilated = not any((q + 1) * total % (q * q - 1) for total in totals)
+    return annihilated and (epsilon_order is None or epsilon_order >= expected_epsilon_order(q))
 
 
-def schemes_agree(T: TrianglePresentation, bcd: IntMatrix) -> bool:
-    """True when the acb rows of T and the bcd rows `bcd` span the same lattice.
+def schemes_agree(T: TrianglePresentation, bcd: PointRows) -> bool:
+    """True when the acb rows of T and the bcd point rows `bcd` span the same lattice.
 
-    T must be valid (`validate`), so closed under rotation (axiom (ii)).
-    Exact and elimination-free, and no acb matrix is built: the triangle rows
-    and the all-points row of `bcd` must be those of T, which both schemes
-    share, and acb_x + bcd_x must equal the all-points row for every x.  The
-    triangle rows are T's when each is the canonical row of a multiset of a
-    triple of T, no two alike, and the triples they account for are all of T.
-    The orders of a multiset's points that T holds are whole rotation
-    classes, so one lookup per class counts them: (a, b, c) and (a, c, b) for
-    three distinct points, (a, b, b), (a, a, b) or (a, a, a) otherwise.
-    acb_x is 1 off lambda(x) minus e_x, so the rest reads
-    bcd_x = e_x + 1_{lambda(x) as a set} - e_eps.  Then each x-row of one
-    scheme is the all-points row minus an x-row of the other, so each
-    lattice contains the other.
+    T must be valid (`validate`), so closed under rotation (axiom (ii)); no
+    acb matrix is built.  The triangle rows and the all-points row, which
+    both schemes share, must be T's: each triangle row a sorted multiset of
+    a triple of T, no two alike, accounting for all of T.  The orders of a
+    multiset that T holds are whole rotation classes, so one lookup per class
+    counts them: (a, b, c) and (a, c, b) for three distinct points, the row
+    itself otherwise.  acb_x is 1 off lambda(x) minus e_x, so bcd_x must be
+    e_x + 1_{lambda(x) as a set} - e_eps: then each x-row of one scheme is
+    the all-points row minus an x-row of the other.
     """
-    N, triples, covered, eps = T.N, T.triples, 0, (T.N, -1)
+    N, triples, covered = T.N, T.triples, 0
     n_tri = len(bcd.rows) - N - 1
-    all_points = tuple((y, 1) for y in range(N)) + (eps,)
-    if n_tri < 0 or bcd.n_cols != N + 1 or bcd.rows[n_tri] != all_points:
+    if n_tri < 0 or bcd.n_cols != N + 1 or bcd.rows[n_tri] != tuple(range(N)):
         return False
-    if len(set(bcd.rows[:n_tri])) != n_tri:
+    tri = bcd.rows[:n_tri]
+    if len(set(tri)) != n_tri or any(len(row) != 3 for row in tri):
         return False
-    for row in bcd.rows[:n_tri]:
-        match row:
-            case ((a, 1), (b, 1), (c, 1), last) if a < b < c:
-                found = 3 * (((a, b, c) in triples) + ((a, c, b) in triples))
-            case ((a, 1), (b, 2), last) if a < b:
-                found = 3 * ((a, b, b) in triples)
-            case ((a, 2), (b, 1), last) if a < b:
-                found = 3 * ((a, a, b) in triples)
-            case ((a, 3), last):
-                found = (a, a, a) in triples
-            case _:
-                return False
-        if last != eps or not found:
+    for a, b, c in tri:
+        found = ((a, b, c) in triples) * (1 if a == c else 3)
+        found += 3 * (a < b < c and (a, c, b) in triples)
+        if not (a <= b <= c and found):
             return False
         covered += found
-    if covered != len(triples):
-        return False
-    for x, row in enumerate(bcd.rows[n_tri + 1 :]):
-        expected = dict.fromkeys(T.lam[x], 1)  # lambda(x) as a set
-        expected[x] = expected.get(x, 0) + 1
-        expected[N] = -1
-        if dict(row) != expected:
-            return False
-    return True
+    x_rows = tuple(tuple(sorted([x, *set(line)])) for x, line in enumerate(T.lam))
+    return covered == len(triples) and bcd.rows[n_tri + 1 :] == x_rows
 
 
 def analyze(
     T: TrianglePresentation, m_budget: int = DEFAULT_BACKTRACK_BUDGET
 ) -> AnalysisReport:
     q, N = T.q, T.N
-    eps_vec = [0] * N + [1]
     flags: list[str] = []
 
     third = _valid_third(T)
-    bcd = relation_matrix(T, third)
+    bcd = PointRows(N + 1, _point_rows(T, third))
     n_tri = len(bcd.rows) - N - 1  # the triangle rows come first
-    eps_row = IntMatrix._trusted(N + 1, (((N, 1),),))  # e_eps, for both eps quotients
-    tri = FpAbelianGroup(N + 1, IntMatrix._trusted(N + 1, bcd.rows[:n_tri]))
-    grp = tri.quotient_by(IntMatrix._trusted(N + 1, bcd.rows[n_tri:]))  # A_T, rows built here
+    eps_row = PointRows(N + 1, ((),))  # -e_eps, for both eps quotients
+    tri = FpAbelianGroup(N + 1, PointRows(N + 1, bcd.rows[:n_tri]))
+    grp = tri.quotient_by(PointRows(N + 1, bcd.rows[n_tri:]))  # A_T
     factors, free_rank = grp.snf.nontrivial_factors, grp.snf.free_rank
-    epsilon_order = grp.order_of(eps_vec)
+    epsilon_order = grp.order_of([0] * N + [1])
     quot = grp.quotient_by(eps_row).snf
     quot_factors, quot_order = quot.nontrivial_factors, quot.group_order
     if free_rank:
@@ -257,12 +232,10 @@ def analyze(
 
     gamma_order = tri.quotient_by(eps_row).snf.group_order  # Z^N / <x+y+z> = tri / <eps>
     if gamma_order is None:
-        flags.append("GammaAbInfinite")
-        checks["gamma_ab_divisibility"] = True  # vacuous
-    else:
-        checks["gamma_ab_divisibility"] = (
-            quot_order is not None and gamma_order % quot_order == 0
-        )
+        flags.append("GammaAbInfinite")  # and the divisibility check is vacuous
+    checks["gamma_ab_divisibility"] = gamma_order is None or (
+        quot_order is not None and gamma_order % quot_order == 0
+    )
 
     conjecture = epsilon_order == expected_epsilon_order(q)
     return AnalysisReport(

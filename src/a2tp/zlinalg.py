@@ -1,39 +1,37 @@
 """Exact integer linear algebra over Z.
 
-`FpAbelianGroup` is the one reduction path, in two stages.  Peeling first
-gives every generator its value over a few core columns without writing to
-any row: a row with one unresolved column and a +-1 coefficient there
-determines that column, and when no such row is left one column is
-inactivated and becomes the next core column (structured Gaussian
-elimination; inactivation decoding).  The values are dense lists over the
-core, so mapping a row to the core is a column-wise sum of them.  The
-images of the rows not used as pivots go into an incremental row-style
-Hermite normal form (`HnfBasis`) only until it settles.  Then its rows H
-are diagonalized once, U H V = diag(d_i), and every later row is certified
-instead of reduced: its image times V must be 0 mod d_i where d_i != 1, and
-0 on the free coordinates.  Those coordinates are packed into one integer
-per generator, in slots sized from the rows' coefficients, so a row costs
-one short big-integer sum (Kronecker substitution; Harvey, J. Symbolic
-Comput. 44, 2009).  A row that fails goes into the HNF, so each row is in
-the HNF or proven to lie in its lattice.  The Smith normal form is
-diagonalized from the HNF rows with the smallest-pivot rule.  `quotient_by`
-puts more rows into a copy of the core HNF the same way: a quotient is
-never eliminated again.  Each group keeps the pair (diag, V) of its settled
-core basis, and element orders are read in the same Smith coordinates:
-with w an element's core image times V, its order is lcm_i d_i / gcd(d_i,
-w_i), infinite when w is nonzero on a free coordinate (Cohen, GTM 138,
-2.4).  Everything runs on Python's arbitrary-precision integers.
+`FpAbelianGroup` is the one reduction path.  Its relations are point rows
+(`PointRows`: tuples of points, repeats allowed, each for the sum of its points'
+unit vectors minus e_eps, eps the last column), the form of every relation of
+A_T, or (column, coefficient) rows (`IntMatrix`).  Point rows are peeled first,
+writing no row: a row with one unresolved column and a +-1 coefficient there
+determines that column, and when no such row is left one column is inactivated
+and becomes the next core column (structured Gaussian elimination; inactivation
+decoding).  An IntMatrix is not peeled.  The core images of the other rows go
+into an incremental row-style Hermite normal form (`HnfBasis`) only until it
+settles.  Then its rows H are diagonalized once, U H V = diag(d_i), and every
+later row is certified instead of reduced: its image times V must be 0 mod d_i
+where d_i != 1 and 0 on the free coordinates, tested with one short sum of big
+integers, each generator's coordinates packed into one (Kronecker substitution;
+Harvey, J. Symbolic Comput. 44, 2009).  A row that fails goes into the HNF.
+`quotient_by` puts more rows into a copy of the core HNF the same way.  Each
+group keeps the pair (diag, V) of its settled core basis, and element orders are
+read in the same Smith coordinates: with w an element's core image times V, its
+order is lcm_i d_i / gcd(d_i, w_i), infinite when w is nonzero on a free
+coordinate (Cohen, GTM 138, 2.4).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import chain, repeat
 from math import gcd, lcm, prod
 from operator import add, itemgetter, mod, mul
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 SparseRow = tuple[tuple[int, int], ...]  # sorted (col, coeff), no zero coeffs
+PointRow = tuple[int, ...]  # points, repeats allowed: their sum minus e_eps
 Smith = tuple[list[int], list[list[int]]]  # (diag, V) of a basis H: U H V = diag, padded with 0s
 
 
@@ -67,13 +65,44 @@ class IntMatrix:
             if any(v == 0 for _, v in row):
                 raise ValueError("zero coefficient in sparse row")
 
-    @classmethod
-    def _trusted(cls, n_cols: int, rows: tuple[SparseRow, ...]) -> "IntMatrix":
-        """A matrix of rows the program built in canonical form; they are not checked again."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "n_cols", n_cols)
-        object.__setattr__(m, "rows", rows)
-        return m
+    @staticmethod
+    def combine(values: Sequence[int], row: SparseRow) -> int:
+        """The image of `row` under the map sending generator c to values[c]."""
+        return sum([values[c] * v for c, v in row])
+
+    @staticmethod
+    def lift(vectors: Sequence[list[int]], row: SparseRow) -> list[int]:
+        """The same, with vectors of one length for values."""
+        zero = [0] * len(vectors[0]) if vectors else []
+        return list(map(sum, zip(zero, *([v * y for y in vectors[c]] for c, v in row))))
+
+    @staticmethod
+    def bound(rows: Sequence[SparseRow]) -> int:
+        """A bound on sum |v| of each of `rows`."""
+        coefficients = map(abs, map(itemgetter(1), chain.from_iterable(rows)))
+        return max(map(len, rows), default=0) * max(coefficients, default=0)
+
+
+@dataclass(frozen=True)
+class PointRows:
+    """Relations over points 0..n_cols-2 and eps = n_cols-1: each row a tuple of points,
+    repeats allowed, for the sum of their unit vectors minus e_eps (`()` for -e_eps).
+    The rows are not checked."""
+
+    n_cols: int
+    rows: tuple[PointRow, ...]
+
+    @staticmethod
+    def combine(values: Sequence[int], row: PointRow) -> int:
+        return sum(map(values.__getitem__, row)) - values[-1]
+
+    @staticmethod
+    def lift(vectors: Sequence[list[int]], row: PointRow) -> list[int]:
+        return list(map(sum, zip([-x for x in vectors[-1]], *map(vectors.__getitem__, row))))
+
+    @staticmethod
+    def bound(rows: Sequence[PointRow]) -> int:
+        return max(map(len, rows), default=0) + 1
 
 
 class HnfBasis:
@@ -274,37 +303,44 @@ class SnfResult:
 
 
 def _eliminate_units(
-    n_cols: int, rows: Sequence[SparseRow]
-) -> tuple[list[list[int]], int, list[SparseRow]]:
-    """Peel the rows: give each column its value over the core columns.
+    n_cols: int, rows: Sequence[PointRow]
+) -> tuple[list[list[int]], int, list[PointRow]]:
+    """Peel point rows: give each column its value over the core columns.
 
-    No row is ever written.  A row whose one unresolved column c has a +-1
-    coefficient u gives x_c = -u * (rest of the row), every column of the
-    rest being resolved already.  When no such row is left, one unresolved
-    column is inactivated: it becomes the next core column, taken from a
-    row with the fewest unresolved columns, the one that occurs in the most
-    rows (structured Gaussian elimination, LaMacchia-Odlyzko, CRYPTO '90;
-    inactivation decoding, Shokrollahi, IEEE Trans. Inf. Theory 52, 2006).
-    The pivot rows are triangular with unit diagonal, so Z^n / L is
-    Z^core / <images of the other rows>.  Returns every column's image as a
-    dense list over the core, the core size, and the rows not used as pivots.
+    A row whose one unresolved column has a +-1 coefficient (eps always, a point if
+    it occurs once) gives that column's value from the rest of the row.  When no
+    such row is left, a column is inactivated as the next core column: of the
+    least-index row among those with the fewest unresolved columns above 1 (a heap
+    per count), the column in the most rows (structured Gaussian elimination,
+    LaMacchia-Odlyzko, CRYPTO '90; inactivation decoding, Shokrollahi, IEEE Trans.
+    Inf. Theory 52, 2006).  The pivot rows are triangular with unit diagonal, so
+    Z^n / L is Z^core / <images of the other rows>.  Returns each column's image, a
+    list over the core, the core size, and the rows not used as pivots.
     """
+    eps = n_cols - 1
     occ: list[list[int]] = [[] for _ in range(n_cols)]  # column -> the rows it occurs in
+    left = []  # unresolved columns per row
     for i, row in enumerate(rows):
-        for c, _ in row:
+        points = set(row)
+        for c in points:
             occ[c].append(i)
-    left = [len(row) for row in rows]  # unresolved columns per row
+        left.append(len(points) + 1)
+    occ[eps] = list(range(len(rows)))
     ready = [i for i, n in enumerate(left) if n == 1]
+    heaps: list[list[int]] = [[] for _ in range(max(left, default=0) + 1)]
+    for i, n in enumerate(left):
+        heaps[n].append(i)
     image: list[Optional[list[int]]] = [None] * n_cols
-    pivot = [False] * len(rows)
-    core = 0
+    pivot, core = [False] * len(rows), 0
 
     def resolve(c: int, value: list[int]) -> None:
         image[c] = value
         for i in occ[c]:
-            left[i] -= 1
-            if left[i] == 1:
+            n = left[i] = left[i] - 1
+            if n == 1:
                 ready.append(i)
+            elif n:
+                heappush(heaps[n], i)
 
     while True:
         while ready:
@@ -312,43 +348,40 @@ def _eliminate_units(
             if left[i] != 1:
                 continue  # its last column was resolved by another row
             row = rows[i]
-            c, u = next((c, u) for c, u in row if image[c] is None)
-            if u != 1 and u != -1:
+            c = eps if image[eps] is None else next(c for c in row if image[c] is None)
+            if c != eps and row.count(c) != 1:
                 continue  # a relation on the core once c is resolved
-            value = [0] * core
-            for j, v in row:
-                if j != c:
-                    f = -u * v
-                    value[: len(image[j])] = [x + f * y for x, y in zip(value, image[j])]
+            image[c] = [0] * core
+            rest = PointRows.lift(image, row)  # the row's image with x_c = 0
             pivot[i] = True
-            resolve(c, value)
+            resolve(c, rest if c == eps else [-x for x in rest])
         if None not in image:
             break
-        fewest = min((n for n in left if n > 1), default=None)
-        if fewest is None:
-            c = image.index(None)
+        for n, heap in enumerate(heaps[2:], 2):
+            while heap and left[heap[0]] != n:
+                heappop(heap)
+            if heap:
+                row = (*rows[heap[0]], eps)
+                c = max((c for c in row if image[c] is None), key=lambda c: len(occ[c]))
+                break
         else:
-            row = rows[left.index(fewest)]
-            c = max((c for c, _ in row if image[c] is None), key=lambda c: len(occ[c]))
-        resolve(c, [0] * core + [1])
+            c = image.index(None)
+        for value in image:  # every value is kept as long as the core
+            if value is not None:
+                value.append(0)
         core += 1
-    for value in image:
-        value.extend([0] * (core - len(value)))
+        resolve(c, [0] * (core - 1) + [1])
     return image, core, [row for row, used in zip(rows, pivot) if not used]
 
 
-def _combination(vectors: Sequence[Sequence[int]], row: SparseRow) -> Iterator[int]:
-    """The sum of x * vectors[c] over the entries (c, x) of `row`; empty if `row` is."""
-    return map(sum, zip(*(vectors[c] if x == 1 else [x * y for y in vectors[c]] for c, x in row)))
-
-
 class FpAbelianGroup:
-    """Finitely presented abelian group Z^n_gens / rowlattice(relations), an IntMatrix.
+    """Finitely presented abelian group Z^n_gens / rowlattice(relations).
 
-    Its structure is read from `snf` and its element orders from `order_of`.
+    Point rows are peeled before the HNF; an IntMatrix is not, each generator being its
+    own core column.  Its structure is read from `snf`, its element orders from `order_of`.
     """
 
-    def __init__(self, n_gens: int, relations: IntMatrix):
+    def __init__(self, n_gens: int, relations: IntMatrix | PointRows):
         if relations.n_cols != n_gens:
             raise ValueError("relation width does not match generator count")
         self.n_gens = n_gens
@@ -360,11 +393,16 @@ class FpAbelianGroup:
 
     @property
     def hnf(self) -> HnfBasis:
-        """Hermite basis of the core lattice left by peeling."""
+        """Hermite basis of the core lattice, the one left by peeling for point rows."""
         if self._hnf is None:
-            self._image, core, rest = _eliminate_units(self.n_gens, self.relations.rows)
+            rows = self.relations.rows
+            if isinstance(self.relations, PointRows):
+                self._image, core, rows = _eliminate_units(self.n_gens, rows)
+            else:
+                core = self.n_gens
+                self._image = [[int(i == j) for j in range(core)] for i in range(core)]
             self._hnf = HnfBasis(core)
-            self._smith = self._add_rows(self._hnf, rest)
+            self._smith = self._add_rows(self._hnf, self.relations, rows)
         return self._hnf
 
     @property
@@ -379,17 +417,10 @@ class FpAbelianGroup:
             self._snf = SnfResult(tuple(factors), free_rank=self.n_gens - len(factors))
         return self._snf
 
-    def _sparse(self, element: Sequence[int]) -> SparseRow:
-        if len(element) != self.n_gens:
-            raise ValueError("element width does not match generator count")
-        return tuple((c, x) for c, x in enumerate(element) if x)
-
-    def _to_core(self, row: SparseRow) -> list[int]:
-        """The core vector congruent to the sparse `row` modulo the relations."""
-        return list(_combination(self._image, row)) or [0] * self._hnf.n_cols
-
-    def _add_rows(self, basis: HnfBasis, rows: Sequence[SparseRow]) -> Optional[Smith]:
-        """Put the sparse `rows` into the lattice of `basis`, a core HNF.
+    def _add_rows(
+        self, basis: HnfBasis, form: IntMatrix | PointRows, rows: Sequence
+    ) -> Optional[Smith]:
+        """Put `rows`, in the form of `form`, into the lattice of `basis`, a core HNF.
 
         Rows are reduced into the HNF until `basis.n_cols` of them in a row
         leave it unchanged.  Every later row is certified instead, by
@@ -398,35 +429,32 @@ class FpAbelianGroup:
         in its lattice, and the canonical HNF does not depend on the rule.
         Returns (diag, V) of the final basis if the check was built from it.
         """
-        coefficients = map(abs, map(itemgetter(1), chain.from_iterable(rows)))
-        bound = max(map(len, rows), default=0) * max(coefficients, default=0)  # >= sum |v| of a row
+        bound = form.bound(rows)  # >= sum |v| of a row
         unchanged, smith, check = 0, None, None
         for row in rows:
             if smith is None and unchanged >= basis.n_cols:
                 smith = _diagonalize(basis.rows(), basis.n_cols)
-                check = self._smith_check(smith, bound)
+                check = self._smith_check(smith, bound, form.combine)
             if smith is not None and check(row):
                 continue
-            if basis.add(self._to_core(row)):
+            if basis.add(form.lift(self._image, row)):  # the row's core image
                 unchanged, smith = 0, None
             else:
                 unchanged += 1
         return smith
 
-    def _smith_check(self, smith: Smith, bound: int) -> Callable[[SparseRow], bool]:
-        """A membership test of sparse rows in the lattice of a core basis with Smith pair `smith`.
+    def _smith_check(self, smith: Smith, bound: int, combine: Callable) -> Callable[..., bool]:
+        """A test of rows, read by `combine`, for membership in a core with Smith pair `smith`.
 
-        With U * H * V = diag(d_i) for the basis rows H, v is in the lattice
-        iff w_i = (v V)_i is 0 mod d_i where d_i != 1 and 0 where i >= rank
-        (free).  With L the lcm of those d_i, w_i * L / d_i is 0 mod L iff w_i
-        is 0 mod d_i.  Each generator's coordinates are packed into one
-        integer: the free ones signed at the bottom, the finite ones above,
-        offset by L * K >= bound * (L - 1), `bound` being at least sum |v| of
-        each row checked.  So no slot of a row's sum overflows: the free ones
-        are 0 iff the low `base` bits are, and each finite digit D is in
-        [0, 2LK], below 2^lo.  As L * 2^lo <= 2^width and base-2^width digits
-        are unique, the finite part is L times a number with digits below 2^lo
-        iff every D is a multiple of L.
+        With U * H * V = diag(d_i) for the basis rows H, v is in the lattice iff
+        w_i = (v V)_i is 0 mod d_i where d_i != 1 and 0 where i >= rank (free); with L
+        the lcm of those d_i, iff w_i * L / d_i is 0 mod L.  Each generator's coordinates
+        are packed into one integer: the free ones signed at the bottom, the finite ones
+        above, offset by L * K >= bound * (L - 1), `bound` being at least sum |v| of each
+        row checked.  So no slot of a row's sum overflows: the free ones are 0 iff the
+        low `base` bits are, and each finite digit D is in [0, 2LK], below 2^lo.  As
+        L * 2^lo <= 2^width and base-2^width digits are unique, the finite part is L
+        times a number with digits below 2^lo iff every D is a multiple of L.
         """
         diag, transform = smith
         padded = diag + [0] * (len(transform) - len(diag))
@@ -457,22 +485,21 @@ class FpAbelianGroup:
         offset = sum(mod_l * k << width * i for i in range(len(finite)))
         high = ~sum((1 << lo) - 1 << width * i for i in range(len(finite)))  # all but the digits
 
-        def check(row: SparseRow) -> bool:
-            s = sum([packed[c] * v for c, v in row])
+        def check(row) -> bool:
+            s = combine(packed, row)
             qq, r = divmod((s >> base) + offset, mod_l)
             return not (s & mask or r or qq & high)
 
         return check
 
-    def quotient_by(self, extra: IntMatrix) -> "FpAbelianGroup":
-        """The quotient by the subgroup generated by the rows of `extra`."""
-        if extra.n_cols != self.n_gens:
-            raise ValueError("relation width does not match generator count")
+    def quotient_by(self, extra: IntMatrix | PointRows) -> "FpAbelianGroup":
+        """The quotient by the subgroup generated by the rows of `extra`, in the group's form."""
+        if extra.n_cols != self.n_gens or type(extra) is not type(self.relations):
+            raise ValueError("relation width or form does not match the group's")
         basis = self.hnf.copy()
-        smith = self._add_rows(basis, extra.rows)
-        quot = FpAbelianGroup(
-            self.n_gens, IntMatrix._trusted(self.n_gens, self.relations.rows + extra.rows)
-        )
+        smith = self._add_rows(basis, extra, extra.rows)
+        rows = self.relations.rows + extra.rows
+        quot = FpAbelianGroup(self.n_gens, type(extra)(self.n_gens, rows))
         quot._hnf, quot._image, quot._smith = basis, self._image, smith
         return quot
 
@@ -483,10 +510,11 @@ class FpAbelianGroup:
         of `element` times V, the order is lcm_i d_i / gcd(d_i, w_i), and it is
         infinite when w is nonzero on a free coordinate.
         """
-        row = self._sparse(element)
+        if len(element) != self.n_gens:
+            raise ValueError("element width does not match generator count")
         self.snf  # computes the core, its image map and (diag, V) when missing
         diag, transform = self._smith
-        core = self._to_core(row)
+        core = IntMatrix.lift(self._image, tuple((c, x) for c, x in enumerate(element) if x))
         w = [sum(map(mul, core, col)) for col in zip(*transform)]
         if any(w[len(diag) :]):
             return None

@@ -1,8 +1,9 @@
 """Helpers shared by several test modules; the program itself never needs them."""
 
+from collections import Counter
 from operator import mul
 
-from a2tp.coinv import AnalysisReport
+from a2tp.coinv import AnalysisReport, _point_rows, _valid_third
 from a2tp.gf import _digits, _is_one, _poly_pow_mod, factorize
 from a2tp.presentation import (
     AxiomResult,
@@ -14,7 +15,7 @@ from a2tp.presentation import (
     is_s_invariant,
     m_subset_occurrences,
 )
-from a2tp.zlinalg import FpAbelianGroup, HnfBasis, IntMatrix, _combination
+from a2tp.zlinalg import FpAbelianGroup, HnfBasis, IntMatrix, PointRows
 
 
 def report_from_dict(d: dict) -> AnalysisReport:
@@ -63,6 +64,26 @@ def acb_matrix(T) -> IntMatrix:
     )
     all_points = tuple((y, 1) for y in range(N)) + ((N, -1),)
     return IntMatrix(N + 1, x_rows + triangle_rows(T, ((N, -1),)) + (all_points,))
+
+
+def bcd_point_rows(T) -> PointRows:
+    """The point rows `analyze` reduces for a valid T: the triangle rows, the all-points
+    row, then the x-rows, over the N points and eps."""
+    return PointRows(T.N + 1, _point_rows(T, _valid_third(T)))
+
+
+def triangle_lattice(T) -> FpAbelianGroup:
+    """The triple lattice as `analyze` builds it, from the triangle point rows."""
+    rows = bcd_point_rows(T).rows
+    return FpAbelianGroup(T.N + 1, PointRows(T.N + 1, rows[: len(rows) - T.N - 1]))
+
+
+def point_matrix(rows: PointRows) -> IntMatrix:
+    """The (column, coefficient) rows of point rows: each point's count, then -1 at eps.
+
+    The points keep the order in which each first occurs in its row."""
+    eps = ((rows.n_cols - 1, -1),)
+    return IntMatrix(rows.n_cols, tuple(tuple(Counter(row).items()) + eps for row in rows.rows))
 
 
 def gamma_ab_matrix(T) -> IntMatrix:
@@ -115,26 +136,27 @@ def hnf_contains(basis: HnfBasis, row) -> bool:
     return True
 
 
-def reference_smith_check(group: FpAbelianGroup, smith, bound=None):
+def reference_smith_check(group: FpAbelianGroup, smith, bound, combine):
     """Membership in a settled core lattice one Smith coordinate at a time: the oracle for
     `FpAbelianGroup._smith_check`, with its signature; `bound` is not needed here.
 
     Each generator's core image times V is kept on the coordinates with d_i != 1,
-    reduced mod d_i, and a row is in the lattice iff the sum of its generators'
-    short vectors is 0 mod d_i on each torsion coordinate and 0 on each free one.
+    reduced mod d_i, and a row is in the lattice iff `combine` of those values, one
+    coordinate at a time, is 0 mod d_i on each torsion coordinate and 0 on each free one.
     """
     diag, transform = smith
     padded = diag + [0] * (len(transform) - len(diag))  # a free coordinate must be 0
     keep = [i for i, d in enumerate(padded) if d != 1]
     mods = [padded[i] for i in keep]
     columns = [[v[k] for v in transform] for k in keep]
-    images = [
-        [x % d if d else x for x, d in zip((sum(map(mul, image, col)) for col in columns), mods)]
-        for image in group._image
+    coordinates = [
+        [x % d if d else x for x in (sum(map(mul, image, col)) for image in group._image)]
+        for col, d in zip(columns, mods)
     ]
 
     def check(row) -> bool:
-        return not any(x % d if d else x for x, d in zip(_combination(images, row), mods))
+        values = (combine(coordinate, row) for coordinate in coordinates)
+        return not any(x % d if d else x for x, d in zip(values, mods))
 
     return check
 

@@ -22,10 +22,12 @@ from a2tp.coinv import (
 from a2tp.gf import BadInput
 from a2tp.plane import build_plane
 from a2tp.presentation import gen_t0, gen_t0_dual, read_presentation, twist_by_name
-from a2tp.zlinalg import FpAbelianGroup, IntMatrix
+from a2tp.zlinalg import FpAbelianGroup, IntMatrix, PointRows
 from helpers import (
     acb_matrix,
+    bcd_point_rows,
     gamma_ab_matrix,
+    point_matrix,
     reference_smith_check,
     report_from_dict,
     triangle_rows,
@@ -77,11 +79,15 @@ def test_one_triangle_row_per_point_multiset(planes):
         triangles = relation_matrix(T).rows[: -N - 1]
         multisets = {tuple(sorted(t)) for t in T.triples}
         assert len(triangles) == len(set(triangles)) == len(multisets), T.origin
-        points = ((c for c, v in row[:-1] for _ in range(v)) for row in triangles)
+        points = tuple(tuple(c for c, v in row[:-1] for _ in range(v)) for row in triangles)
         assert set(map(tuple, map(sorted, points))) == multisets, T.origin
         assert all(row[-1] == (N, -1) for row in triangles), T.origin
         # the order too: where the sorted triples first give each multiset
         assert triangles == triangle_rows(T, ((N, -1),)), T.origin
+        # the point rows the engine reads: each multiset sorted, then the same rows
+        bcd = bcd_point_rows(T)
+        assert bcd.rows[: len(triangles)] == points, T.origin
+        assert point_matrix(bcd).rows == relation_matrix(T).rows, T.origin
 
 
 def test_analyze_never_scans_for_s_invariance(planes, monkeypatch):
@@ -251,57 +257,70 @@ def test_scheme_lattices_equal_on_every_variant(planes):
                 dense = ([dict(row).get(c, 0) for c in range(g.n_gens)] for row in g.relations.rows)
                 assert all(h.order_of(v) == 1 for v in dense), T.origin
             assert a.snf.nontrivial_factors == b.snf.nontrivial_factors, T.origin
-            acb, bcd = acb_matrix(T), relation_matrix(T)
-            assert schemes_agree(T, bcd) is _rowwise_agree(acb, bcd) is True, T.origin
+            acb, bcd = acb_matrix(T), bcd_point_rows(T)
+            assert schemes_agree(T, bcd) is _rowwise_agree(acb, point_matrix(bcd)) is True, T.origin
 
 
 def _replaced(m, i, row):
     rows = list(m.rows)
     rows[i] = row
-    return IntMatrix(m.n_cols, tuple(rows))
+    return type(m)(m.n_cols, tuple(rows))
 
 
 def _doubled(m, i):
-    return _replaced(m, i, tuple((c, 2 * v) for c, v in m.rows[i]))
+    """Row i of point rows with each point twice; of an IntMatrix, times 2."""
+    row = m.rows[i]
+    doubled = tuple(sorted(row * 2)) if isinstance(m, PointRows) else tuple((c, 2 * v) for c, v in row)
+    return _replaced(m, i, doubled)
 
 
 def test_schemes_agree_rejects_corrupted_rows(planes):
+    # Each corruption of the point rows fails the check, and the acb reference agrees.
     T = gen_t0(planes[3])
-    acb, bcd = acb_matrix(T), relation_matrix(T)
+    acb, bcd = acb_matrix(T), bcd_point_rows(T)
     n_shared = 26 + 1  # 13 triples (x, x, x) and 13 rotation classes of 3, then all points
-    assert schemes_agree(T, bcd) and _rowwise_agree(acb, bcd)
+    assert schemes_agree(T, bcd) and _rowwise_agree(acb, point_matrix(bcd))
     # rows i < j each account for the 3 rotations of a triple with distinct points
-    i, j = [k for k, row in enumerate(bcd.rows[: n_shared - 1]) if len(row) == 4][:2]
+    i, j = [k for k, row in enumerate(bcd.rows[: n_shared - 1]) if len(set(row)) == 3][:2]
     corrupted = [
         _doubled(bcd, n_shared),  # first bcd x-row
         _doubled(bcd, -1),  # last bcd x-row
         _doubled(bcd, 0),  # a shared triple row
         _doubled(bcd, n_shared - 1),  # the all-points row
-        IntMatrix(bcd.n_cols, bcd.rows[:-1]),  # an x-row missing
-        IntMatrix(bcd.n_cols, bcd.rows[1:]),  # a triangle row missing
+        PointRows(bcd.n_cols, bcd.rows[:-1]),  # an x-row missing
+        PointRows(bcd.n_cols, bcd.rows[1:]),  # a triangle row missing
         _replaced(bcd, j, bcd.rows[i]),  # row i twice, row j missing
-        _replaced(bcd, i, bcd.rows[i][2::-1] + bcd.rows[i][3:]),  # row i, points out of order
+        _replaced(bcd, i, bcd.rows[i][::-1]),  # row i, points out of order
+        _replaced(bcd, n_shared, bcd.rows[n_shared][1:]),  # an x-row missing a point
+        _replaced(bcd, n_shared - 1, tuple(range(T.N - 1))),  # all points but the last
     ]
     for bad in corrupted:
         assert not schemes_agree(T, bad)
-        assert not _rowwise_agree(acb, bad)
-    assert not _rowwise_agree(_doubled(acb, 0), bcd)  # an acb x-row
+        assert not _rowwise_agree(acb, point_matrix(bad))
+    assert not _rowwise_agree(_doubled(acb, 0), point_matrix(bcd))  # an acb x-row
     # lambda(0) repeats a point: bcd counts it twice, acb reads lambda(0) as a set
     line = T.lam[0]
     R = replace(T, lam=((line[0],) + line[:-1],) + T.lam[1:])
     with pytest.raises(ValueError, match="failed triangle axioms"):
         relation_matrix(R)  # R is no presentation: lambda(0) misses a point of its triples
-    x0 = tuple(sorted(Counter((0, *R.lam[0])).items())) + ((T.N, -1),)  # R's x-row for 0
-    bcd_R = _replaced(bcd, n_shared, x0)
+    bcd_R = _replaced(bcd, n_shared, tuple(sorted((0, *R.lam[0]))))  # R's x-row for 0
     assert not schemes_agree(R, bcd_R)
-    assert not _rowwise_agree(acb_matrix(R), bcd_R)
+    assert not _rowwise_agree(acb_matrix(R), point_matrix(bcd_R))
 
 
 def test_analyze_reports_corrupted_scheme(planes, monkeypatch):
+    # Each corruption of the point rows analyze builds and reduces is caught in its report.
     T = gen_t0(planes[3])
-    real = coinv.relation_matrix
-    monkeypatch.setattr(coinv, "relation_matrix", lambda T, *table: _doubled(real(T, *table), -1))
-    assert not analyze(T).checks["scheme_agreement"]
+    real, N = coinv._point_rows, T.N
+    corruptions = [
+        lambda rows: rows[:1] + rows,  # a triangle row twice
+        lambda rows: rows[:-1] + (rows[-1][1:],),  # the last x-row missing a point
+        lambda rows: rows[:-1] + (tuple(sorted(rows[-1] * 2)),),  # the last x-row doubled
+        lambda rows: rows[: -N - 1] + (tuple(range(1, N)),) + rows[-N:],  # all points but 0
+    ]
+    for corrupt in corruptions:
+        monkeypatch.setattr(coinv, "_point_rows", lambda T, third, f=corrupt: f(real(T, third)))
+        assert not analyze(T).checks["scheme_agreement"]
 
 
 def test_analyze_runs_one_unit_pivot_elimination(planes, monkeypatch):
@@ -388,8 +407,12 @@ def test_lemma_q2():
 def test_lower_bound_row_annihilation(planes):
     for q, pl in planes.items():
         T = gen_t0(pl)
-        for relations in (acb_matrix(T), relation_matrix(T)):
+        for relations in (acb_matrix(T), relation_matrix(T), bcd_point_rows(T)):
             assert check_lower_bound(q, relations, expected_epsilon_order(q))
+        if q > 2:  # 2 points - eps goes to -(q+1), nonzero mod q^2 - 1 once q > 2
+            bad = PointRows(T.N + 1, bcd_point_rows(T).rows + ((0, 1),))
+            assert not check_lower_bound(q, bad, expected_epsilon_order(q))
+            assert not check_lower_bound(q, point_matrix(bad), expected_epsilon_order(q))
 
 
 def test_lower_bound_3c_row_arithmetic():

@@ -26,11 +26,10 @@ from pathlib import Path
 import pytest
 
 from a2tp.cli import main
-from a2tp.coinv import relation_matrix
 from a2tp.plane import build_plane
 from a2tp.presentation import gen_t0, gen_t0_dual, twist_by_name
-from a2tp.zlinalg import FpAbelianGroup, IntMatrix
-from helpers import gamma_ab_matrix
+from a2tp.zlinalg import FpAbelianGroup, PointRows
+from helpers import gamma_ab_matrix, triangle_lattice
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = json.loads((GOLDEN_DIR / "analyze_q16.json").read_text())
@@ -128,11 +127,10 @@ def test_gamma_ab_oracle(q, variant, quotient):
         if variant != "t0":
             T = twist_by_name(plane, T, variant)
     N = T.N
-    bcd = relation_matrix(T)  # tri as `analyze` builds it: the triple rows come first
-    tri = FpAbelianGroup(N + 1, IntMatrix(N + 1, bcd.rows[: len(bcd.rows) - N - 1]))
-    gamma_order = FpAbelianGroup(N, gamma_ab_matrix(T)).snf.group_order
+    tri = triangle_lattice(T)  # as `analyze` builds it, from the triangle point rows
+    gamma_order = FpAbelianGroup(N, gamma_ab_matrix(T)).snf.group_order  # no peeling
     assert gamma_order is not None
-    assert gamma_order == tri.quotient_by(IntMatrix(N + 1, (((N, 1),),))).snf.group_order
+    assert gamma_order == tri.quotient_by(PointRows(N + 1, ((),))).snf.group_order
     assert gamma_order % math.prod(int(d) for d in quotient) == 0
 
 
@@ -142,8 +140,7 @@ def test_every_triple_row_of_the_q19_frob1_lattice_is_zero():
     plane = _plane(19)
     T = twist_by_name(plane, gen_t0(plane), "frob1")
     N = T.N
-    bcd = relation_matrix(T)
-    tri = FpAbelianGroup(N + 1, IntMatrix(N + 1, bcd.rows[: -N - 1]))
+    tri = triangle_lattice(T)
     assert len(tri.relations.rows) == 2485 < len(T.triples) == 7620
     for t in T.triples:
         dense = [0] * N + [-1]

@@ -6,10 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from a2tp import zlinalg
+from a2tp.cli import build_variant
+from a2tp.coinv import analyze
 from a2tp.zlinalg import (
     FpAbelianGroup,
     HnfBasis,
     IntMatrix,
+    PointRows,
     SnfResult,
     cyclics_to_invariant_factors,
 )
@@ -309,57 +313,76 @@ def test_unit_elimination_against_full_width_hnf(data):
         assert g.quotient_by(dense_matrix(n, [e])).snf.group_order == torsion // expected
 
 
+def dense_point_row(n_cols, row):
+    """A point row as a dense row: the count of each point, and -1 at eps, the last column."""
+    dense = [0] * n_cols
+    for p in row:
+        dense[p] += 1
+    dense[-1] -= 1
+    return dense
+
+
 @st.composite
 def peeling_cases(draw):
-    """Relation matrices with the shapes peeling must get right.
+    """Point rows with the shapes peeling must get right.
 
-    Triple-like rows x + y + z - eps (2x + z - eps when a point repeats),
-    sparse rows whose entries include +-2 (so the last unresolved column of
-    a ready row can lack a unit), duplicate rows, empty rows, and columns
-    that occur in no row, placed among the others.
+    Triple-like rows x + y + z - eps, points repeated in a row (2x + z - eps
+    and 3x - eps, so the last unresolved point of a ready row can lack a
+    unit), single points, longer rows, the row () for -eps, duplicate rows,
+    and points that occur in no row; mostly sorted, as `analyze` builds them.
     """
     rng = draw(st.randoms(use_true_random=False))
-    n_used = rng.randint(2, 5)  # the last used column plays eps
+    n_points = rng.randint(1, 5)
     rows = []
-    for _ in range(rng.randint(0, 4)):
-        if rng.random() < 0.5:
-            t = [rng.randrange(n_used - 1) for _ in range(3)]
-            rows.append([t.count(c) for c in range(n_used - 1)] + [-1])
-        else:
-            rows.append([rng.choice([0, 0, 1, -1, 2, -2, 3]) for _ in range(n_used)])
+    for _ in range(rng.randint(0, 5)):
+        row = [rng.randrange(n_points) for _ in range(rng.choice([0, 1, 2, 3, 3, 3, 5]))]
+        rows.append(tuple(row if rng.random() < 0.2 else sorted(row)))
     rows += [rng.choice(rows) for _ in range(rng.randint(0, 2))] if rows else []
-    rows += [[0] * n_used] * rng.randint(0, 1)
     rng.shuffle(rows)
-    n = n_used + rng.randint(0, 2)  # the extra columns occur in no row
-    cols = rng.sample(range(n), n_used)
-    spread = []
-    for row in rows:
-        wide = [0] * n
-        for c, v in zip(cols, row):
-            wide[c] = v
-        spread.append(wide)
-    e = [rng.randint(-3, 3) for _ in range(n)]
-    return spread, e, [rng.randint(-2, 2) for _ in spread]
+    e = [rng.randint(-3, 3) for _ in range(n_points + 1)]
+    return n_points + 1, rows, e, [rng.randint(-2, 2) for _ in rows]
 
 
 @settings(max_examples=100, deadline=None)
 @given(peeling_cases())
-@example(([[2, 1, -1], [0, 2, -1], [1, 1, -1]], [1, 0, 0], [1, 1, 1]))  # 2x + z - eps rows
-# a ready row with a 2 on its last column, a duplicate, an empty row, columns 0 and 2 unused
-@example(([[0, 1, 0, 1], [0, 1, 0, 2], [0, 1, 0, 1], [0, 0, 0, 0]], [0, 1, 0, 0], [1, 0, 2, 1]))
+# 2x0 + x1 - eps twice: once x1 and eps are resolved, the ready row has 2 on x0
+@example((3, [(1,), (0, 0, 1), (0, 0, 1)], [1, 0, 0], [1, 1, 1]))
+# (), 3x2 - eps, a duplicate, and points 0 and 3 in no row
+@example((5, [(1,), (1, 1, 2), (), (2, 2, 2), (1,)], [1, 0, 1, 1, 1], [1, 0, 2, 1, -1]))
 def test_peeling_against_full_width_hnf(data):
-    # Peeling against an HNF of all columns, the minor-gcd SNF and k-scanning.
-    rows, e, coeffs = data
-    n = len(e)
-    g = dense_group(n, rows)
-    full = full_width_basis(n, rows)
-    oracle = minor_gcd_snf(rows, n)
+    # Peeling point rows against an HNF of all columns, the minor-gcd SNF and k-scanning.
+    n, rows, e, coeffs = data
+    g = FpAbelianGroup(n, PointRows(n, tuple(rows)))
+    dense = [dense_point_row(n, row) for row in rows]
+    full = full_width_basis(n, dense)
+    oracle = minor_gcd_snf(dense, n)
     assert g.snf.invariant_factors == oracle
     assert g.snf.free_rank == n - len(oracle)
-    in_lattice = [sum(k * row[j] for k, row in zip(coeffs, rows)) for j in range(n)]
-    for v in (in_lattice, *rows, e, [x + y for x, y in zip(e, in_lattice)], [2 * x for x in e]):
+    in_lattice = [sum(k * row[j] for k, row in zip(coeffs, dense)) for j in range(n)]
+    for v in (in_lattice, *dense, e, [x + y for x, y in zip(e, in_lattice)], [2 * x for x in e]):
         assert g.order_of(v) == brute_force_order(full, v, math.prod(oracle))
-    assert g.order_of(in_lattice) == 1 and all(g.order_of(row) == 1 for row in rows)
+    assert g.order_of(in_lattice) == 1 and all(g.order_of(row) == 1 for row in dense)
+    quotient = g.quotient_by(PointRows(n, ((),)))  # by eps
+    assert quotient.snf.invariant_factors == minor_gcd_snf(dense + [dense_point_row(n, ())], n)
+
+
+@pytest.mark.parametrize(
+    "q, variant, adds",
+    [(7, "t0", 21), (16, "t0", 56), (16, "t0dual", 44), (19, "frob1", 31), (19, "omega", 36)],
+)
+def test_rows_that_reach_the_hnf_per_analysis(q, variant, adds, monkeypatch):
+    # Peeling inactivates a column of the least-index row among those with the fewest
+    # unresolved columns; the core, and so the rows that reach the HNF, hang on that rule.
+    added = []
+    real = HnfBasis.add
+
+    def counted(self, row):
+        added.append(1)
+        return real(self, row)
+
+    monkeypatch.setattr(zlinalg.HnfBasis, "add", counted)
+    assert analyze(build_variant(q, variant)).all_checks_pass
+    assert len(added) == adds
 
 
 @st.composite
@@ -424,6 +447,15 @@ def test_packed_check_sizes_its_slots_from_the_rows():
     assert dense_group(2, rows).snf.invariant_factors == minor_gcd_snf(rows, 2) == (1, 3)
 
 
+def test_packed_check_sizes_point_row_slots_from_the_longest_row():
+    # 3 x0 = x0 = eps and 32 x1 = eps give Z_64.  Past the warm-up the long row is certified;
+    # slots sized for rows of 3 points overflow on its 32 and accept it, leaving x1 free.
+    rows = [(0, 0, 0), (0,), (0,), (0,), (1,) * 32]
+    group = FpAbelianGroup(3, PointRows(3, tuple(rows)))
+    oracle = minor_gcd_snf([dense_point_row(3, row) for row in rows], 3)
+    assert group.snf.invariant_factors == oracle == (1, 1, 64)
+
+
 @st.composite
 def settled_lattices(draw):
     """A settled core lattice with mixed moduli and free columns, then rows up to +-2^80.
@@ -471,8 +503,8 @@ def test_packed_check_against_one_coordinate_at_a_time(data):
     settled.snf  # the settled basis and its Smith pair
     rows = dense_matrix(n, certified).rows
     bound = max(map(len, rows)) * max((abs(v) for row in rows for _, v in row), default=0)
-    packed = settled._smith_check(settled._smith, bound)
-    reference = reference_smith_check(settled, settled._smith)
+    packed = settled._smith_check(settled._smith, bound, IntMatrix.combine)
+    reference = reference_smith_check(settled, settled._smith, bound, IntMatrix.combine)
     full = full_width_basis(n, gens)
     members = [hnf_contains(full, row) for row in certified]
     assert [packed(row) for row in rows] == [reference(row) for row in rows] == members
