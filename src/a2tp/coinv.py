@@ -9,14 +9,13 @@ relation schemes:
   bcd: triangle rows and the all-points row, plus for each x the row
        x + sum over y on lambda(x) of y = eps.
 
-`analyze` builds the bcd rows only, each a sum of points minus eps, as
-point rows (`PointRows`): a triangle row per multiset {x, y, z}, read from
-the validated third-point table, the all-points row and the x-rows.
-`schemes_agree` proves the two lattices equal row by row, reading each acb
-x-row from lambda(x).  One unit-pivot elimination runs, on the triple
-lattice tri = Z^(N+1) / <x+y+z-eps>; every group is a quotient of it: A_T by
-the all-points row and the x-rows, A_T/<eps> by eps on top, and the
-abelianized triangle group Gamma_ab = Z^N / <x+y+z> as tri/<eps>.
+`analyze` builds the bcd rows only, each a sum of points minus eps, as point
+rows (`PointRows`): a triangle row per multiset {x, y, z}, read from the
+validated third-point table, the all-points row and the x-rows; `schemes_agree`
+proves the two lattices equal row by row, reading each acb x-row from lambda(x).
+One unit-pivot elimination runs, on the triple lattice tri = Z^(N+1) /
+<x+y+z-eps>; every group is a quotient of it: A_T by the all-points row and the
+x-rows, A_T/<eps> by eps on top, and Gamma_ab = Z^N / <x+y+z> as tri/<eps>.
 """
 
 from __future__ import annotations
@@ -87,11 +86,8 @@ def _point_rows(T: TrianglePresentation, third: list[Point]) -> tuple[PointRow, 
 
 
 def relation_matrix(T: TrianglePresentation, third: Optional[list[Point]] = None) -> IntMatrix:
-    """The bcd point rows of a valid T as an IntMatrix over N+1 columns, eps at column N.
-
-    `third` is the table of `_valid_third(T)`, found here when not given; an invalid T
-    raises InvalidPresentation.
-    """
+    """The bcd point rows of a valid T as an IntMatrix over N+1 columns, eps at column N;
+    `third`, the table of `_valid_third(T)`, is found here when not given."""
     rows = _point_rows(T, _valid_third(T) if third is None else third)
     return IntMatrix(T.N + 1, tuple(tuple(Counter(row).items()) + ((T.N, -1),) for row in rows))
 
@@ -178,11 +174,11 @@ def schemes_agree(T: TrianglePresentation, bcd: PointRows) -> bool:
     if n_tri < 0 or bcd.n_cols != N + 1 or bcd.rows[n_tri] != tuple(range(N)):
         return False
     tri = bcd.rows[:n_tri]
-    if len(set(tri)) != n_tri or any(len(row) != 3 for row in tri):
+    if len(set(tri)) != n_tri or set(map(len, tri)) - {3}:
         return False
-    for a, b, c in tri:
-        found = ((a, b, c) in triples) * (1 if a == c else 3)
-        found += 3 * (a < b < c and (a, c, b) in triples)
+    for row in tri:
+        a, b, c = row
+        found = (row in triples) * (1 if a == c else 3) + 3 * (a < b < c and (a, c, b) in triples)
         if not (a <= b <= c and found):
             return False
         covered += found
@@ -194,6 +190,7 @@ def analyze(
     T: TrianglePresentation, m_budget: int = DEFAULT_BACKTRACK_BUDGET
 ) -> AnalysisReport:
     q, N = T.q, T.N
+    eps_vec = [0] * N + [1]
     flags: list[str] = []
 
     third = _valid_third(T)
@@ -203,7 +200,7 @@ def analyze(
     tri = FpAbelianGroup(N + 1, PointRows(N + 1, bcd.rows[:n_tri]))
     grp = tri.quotient_by(PointRows(N + 1, bcd.rows[n_tri:]))  # A_T
     factors, free_rank = grp.snf.nontrivial_factors, grp.snf.free_rank
-    epsilon_order = grp.order_of([0] * N + [1])
+    epsilon_order = grp.order_of(eps_vec)
     quot = grp.quotient_by(eps_row).snf
     quot_factors, quot_order = quot.nontrivial_factors, quot.group_order
     if free_rank:
@@ -232,10 +229,12 @@ def analyze(
 
     gamma_order = tri.quotient_by(eps_row).snf.group_order  # Z^N / <x+y+z> = tri / <eps>
     if gamma_order is None:
-        flags.append("GammaAbInfinite")  # and the divisibility check is vacuous
-    checks["gamma_ab_divisibility"] = gamma_order is None or (
-        quot_order is not None and gamma_order % quot_order == 0
-    )
+        flags.append("GammaAbInfinite")
+        checks["gamma_ab_divisibility"] = True  # vacuous
+    else:
+        checks["gamma_ab_divisibility"] = (
+            quot_order is not None and gamma_order % quot_order == 0
+        )
 
     conjecture = epsilon_order == expected_epsilon_order(q)
     return AnalysisReport(

@@ -85,9 +85,9 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class PointRows:
-    """Relations over points 0..n_cols-2 and eps = n_cols-1: each row a tuple of points,
-    repeats allowed, for the sum of their unit vectors minus e_eps (`()` for -e_eps).
-    The rows are not checked."""
+    """Relations over points 0..n_cols-2 and eps = n_cols-1: each row, an unchecked tuple of
+    points with repeats allowed, stands for their unit vectors' sum minus e_eps.
+    """
 
     n_cols: int
     rows: tuple[PointRow, ...]
