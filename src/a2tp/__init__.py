@@ -15,14 +15,13 @@ from .presentation import (
     validate,
     write_presentation,
 )
-from .zlinalg import FpAbelianGroup, IntMatrix, PointRows, SnfResult
+from .zlinalg import FpAbelianGroup, IntMatrix, SnfResult
 
 __all__ = [
     "AnalysisReport",
     "FpAbelianGroup",
     "IntMatrix",
     "PlaneContext",
-    "PointRows",
     "PrimePower",
     "SnfResult",
     "TrianglePresentation",

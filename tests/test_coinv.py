@@ -1,6 +1,5 @@
 import json
 import math
-from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 

@@ -10,8 +10,9 @@ relabellings of t0/t0dual in `golden/files/` (q = 4, 5, two per
 entry's `budget`, 1 for the one entry whose search runs out of it.
 `golden/analyze_q19_twists.json` holds the same for
 `--q 19` and the variants frob1 and omega, the inputs of the twists
-benchmark, and `golden/analyze_q32.json` for `--q 32` and t0/t0dual.  A change that moves any byte of a report must regenerate the
-file and say why.
+benchmark, and `golden/analyze_q32.json` for `--q 32` and t0/t0dual.  A
+change that moves any byte of a report must regenerate the file and say
+why.
 
 `analyze` reads Γ_ab from the triple lattice it shares with A_T, so
 `test_gamma_ab_oracle` reduces Γ_ab on its own, for the golden inputs with
