@@ -143,9 +143,9 @@ def check_lower_bound(
 ) -> bool:
     """ord(eps) >= (q-1)/(q-1,3), plus the mod-(q^2-1) row annihilation test.
 
-    The witnessing map sends every point to q+1 and eps (the last column) to 3(q+1),
-    a point row r so to (q+1)(len(r) - 3) and a sparse row v to (q+1)(sum of v + 2 v_eps);
-    it must kill every row of `relations` mod q^2 - 1.
+    The witnessing map sends every point to q+1 and eps (the last column) to 3(q+1), so a
+    point row r to (q+1)(len(r) - 3) and a sparse row v to (q+1)(sum of v + 2 v_eps); it
+    must kill every row of `relations` mod q^2 - 1.
     """
     eps = relations.n_cols - 1
     if isinstance(relations, PointRows):

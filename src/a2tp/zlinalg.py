@@ -13,12 +13,14 @@ settles.  Then its rows H are diagonalized once, U H V = diag(d_i), and every
 later row is certified instead of reduced: its image times V must be 0 mod d_i
 where d_i != 1 and 0 on the free coordinates, tested with one short sum of big
 integers, each generator's coordinates packed into one (Kronecker substitution;
-Harvey, J. Symbolic Comput. 44, 2009).  A row that fails goes into the HNF.
-`quotient_by` puts more rows into a copy of the core HNF the same way.  Each
-group keeps the pair (diag, V) of its settled core basis, and element orders are
-read in the same Smith coordinates: with w an element's core image times V, its
-order is lcm_i d_i / gcd(d_i, w_i), infinite when w is nonzero on a free
-coordinate (Cohen, GTM 138, 2.4).
+Harvey, J. Symbolic Comput. 44, 2009).  A row that fails goes into the HNF, so
+each row is in the HNF or proven to lie in its lattice.  The Smith normal form is
+diagonalized from the HNF rows with the smallest-pivot rule.  `quotient_by` puts
+more rows into a copy of the core HNF the same way: a quotient is never
+eliminated again.  Each group keeps the pair (diag, V) of its settled core basis,
+and element orders are read in the same Smith coordinates: with w an element's
+core image times V, its order is lcm_i d_i / gcd(d_i, w_i), infinite when w is
+nonzero on a free coordinate (Cohen, GTM 138, 2.4).
 """
 
 from __future__ import annotations
