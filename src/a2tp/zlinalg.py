@@ -85,14 +85,14 @@ class IntMatrix:
         return max(map(len, rows), default=0) * max(coefficients, default=0)
 
 
+@dataclass(frozen=True)
 class PointRows:
     """Relations over points 0..n_cols-2 and eps = n_cols-1: each row, an unchecked tuple of
-    points with repeats allowed, stands for their unit vectors' sum minus e_eps.  A plain
-    class: a frozen dataclass costs 0.7 ms more on each import of the module.
+    points with repeats allowed, stands for their unit vectors' sum minus e_eps.
     """
 
-    def __init__(self, n_cols: int, rows: tuple[PointRow, ...]):
-        self.n_cols, self.rows = n_cols, rows
+    n_cols: int
+    rows: tuple[PointRow, ...]
 
     @staticmethod
     def combine(values: Sequence[int], row: PointRow) -> int:
