@@ -8,10 +8,10 @@ from .presentation import (
     find_m_subset,
     gen_t0,
     gen_t0_dual,
+    gen_variant,
     is_s_invariant,
     read_presentation,
     twist,
-    twist_by_name,
     validate,
     write_presentation,
 )
@@ -31,12 +31,12 @@ __all__ = [
     "find_m_subset",
     "gen_t0",
     "gen_t0_dual",
+    "gen_variant",
     "is_s_invariant",
     "prime_power",
     "read_presentation",
     "relation_matrix",
     "twist",
-    "twist_by_name",
     "validate",
     "write_presentation",
 ]

@@ -22,12 +22,13 @@ from .gf import MAX_Q, BadInput, NoPrimitivePolynomial, factorize, prime_power
 from .plane import NotAPlane, PlaneAxiomViolation, PlaneContext, build_plane, lines_form_plane
 from .presentation import (
     DEFAULT_BACKTRACK_BUDGET,
+    VARIANTS,
     TrianglePresentation,
     gen_t0,
     gen_t0_dual,
+    gen_variant,
     is_s_invariant,
     read_presentation,
-    twist_by_name,
     validate,
     write_presentation,
 )
@@ -36,8 +37,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
-
-VARIANTS = ("t0", "t0dual", "frob1", "frob2", "omega")
 
 
 class UsageError(BadInput):
@@ -52,11 +51,7 @@ def build_variant(q: int, variant: str) -> TrianglePresentation:
     pp = prime_power(q)
     if variant == "omega" and q % 3 != 1:
         raise UsageError(f"variant omega requires q = 1 mod 3, got q = {q}")
-    plane = build_plane(pp)
-    if variant == "t0dual":
-        return gen_t0_dual(plane)
-    T = gen_t0(plane)
-    return T if variant == "t0" else twist_by_name(plane, T, variant)
+    return gen_variant(build_plane(pp), variant)
 
 
 def _load_presentation(args) -> TrianglePresentation:

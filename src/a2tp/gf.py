@@ -131,6 +131,8 @@ def _primitive_modulus(pp: PrimePower) -> list[int]:
     has multiplicative order exactly q^3 - 1, which simultaneously certifies
     irreducibility and primitivity.  A candidate with a root a in F_p has the
     factor t - a, so it is rejected by evaluation, O(p d), before any power.
+    Before that, f(0) is skipped unless (-1)^d f(0), the norm t^((q^3-1)/(p-1)) of t, is a
+    primitive root mod p, as it is for a primitive t.
     t^(q^3 - 1) = 1 is tested as t^(q^3) = t, t being a unit (the constant
     term is nonzero): when p = 2 the exponent has one bit, so about half the
     products.
@@ -142,12 +144,13 @@ def _primitive_modulus(pp: PrimePower) -> list[int]:
     d = 3 * pp.r
     m = q**3 - 1
     m_primes = list(factorize(m))
+    orders = [(p - 1) // ell for ell in factorize(p - 1)]
+    constants = {(-1) ** d * a % p for a in range(1, p) if all(pow(a, e, p) != 1 for e in orders)}
     t = [0, 1] + [0] * (d - 2)
     for n in range(1, p**d):
-        lower = _digits(n, p, d)
-        if lower[0] == 0:
-            continue  # t would divide the candidate
-        candidate = lower + [1]
+        if n % p not in constants:
+            continue  # the constant term is n mod p
+        candidate = _digits(n, p, d) + [1]
         if any(_has_root(candidate, a, p) for a in range(1, p)):
             continue
         if _poly_pow_mod(t, m + 1, candidate, p) != t:

@@ -5,6 +5,11 @@ F_q^x * zeta^k), and lines are the translates of the trace-zero difference
 set that `gf.trace_zero_logs` finds.  Construction verifies the
 difference-set property eagerly; `lines_form_plane` checks the axioms of a
 line table read from a file.
+
+The maps x -> q^i * x + c mod N are collineations: multiplication by q is the
+Frobenius, which fixes the trace-zero set, and a translation moves each line to
+a line.  `presentation.VARIANTS` twists by those of order 3 (q*x, q^2*x, and
+x + N/3 when 3 | N).
 """
 
 from __future__ import annotations
@@ -22,10 +27,6 @@ class PlaneAxiomViolation(RuntimeError):
 
 class NotAPlane(BadInput):
     """A line table read from a file fails the projective-plane axioms."""
-
-
-class NotApplicable(ValueError):
-    """The requested collineation does not exist for this q."""
 
 
 @dataclass(frozen=True)
@@ -87,13 +88,3 @@ def build_plane(pp: PrimePower | int) -> PlaneContext:
     # quadrilateral for q >= 2, so no further axiom check is needed.
     _verify_difference_set(tz, N, q)
     return PlaneContext(pp=pp, N=N, tz=tz)
-
-
-def frobenius_collineation(ctx: PlaneContext, x: Point) -> Point:
-    return (ctx.q * x) % ctx.N
-
-
-def mult_by_omega(ctx: PlaneContext, x: Point) -> Point:
-    if ctx.N % 3 != 0:
-        raise NotApplicable(f"q = {ctx.q} is not 1 mod 3; no order-3 Singer element")
-    return (x + ctx.N // 3) % ctx.N

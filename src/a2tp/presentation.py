@@ -7,7 +7,7 @@ from itertools import chain
 from typing import Callable, Iterable, Optional
 
 from .gf import BadInput
-from .plane import PlaneContext, Point, frobenius_collineation, mult_by_omega
+from .plane import PlaneContext, Point
 
 Triple = tuple[Point, Point, Point]
 
@@ -78,34 +78,54 @@ def _shifted(points: list[Point], s: int) -> list[Point]:
     return points[s:] + points[:s]
 
 
-def _lambda0(plane: PlaneContext) -> tuple[tuple[Point, ...], ...]:
-    """lambda0(x) = the sorted points x + d mod N, d in the trace-zero set, for every x."""
-    points = list(range(plane.N))
-    return tuple(map(tuple, map(sorted, zip(*(_shifted(points, d) for d in plane.tz)))))
+# name -> (j, i, t): the triples (x, phi(x + d), phi^2(x + k*d)) mod N for x < N and d in
+# the trace-zero set, with k = q^j + 1 and the collineation phi(x) = q^i * x + t * N/3 mod N
+VARIANTS = {"t0": (1, 0, 0), "t0dual": (2, 0, 0), "frob1": (1, 1, 0), "frob2": (1, 2, 0),
+            "omega": (1, 0, 1)}
 
 
-def _difference_orbits(plane: PlaneContext, k: int) -> frozenset[Triple]:
-    """The triples (i, i + d, i + k*d) mod N for i < N and d in the trace-zero set."""
-    N, points = plane.N, list(range(plane.N))
-    return frozenset(
+def _collineation(points: list[Point], a: int, c: int) -> list[Point]:
+    """x -> a*x + c mod N for x < N, given points = list(range(N)), sharing its int objects."""
+    N = len(points)
+    return _shifted(points, c % N) if a == 1 else [points[(a * x + c) % N] for x in points]
+
+
+def gen_variant(plane: PlaneContext, name: str) -> TrianglePresentation:
+    """The variant `name` of `VARIANTS`, straight from the plane: lambda(x) is the sorted
+    phi-image of lambda0(x) = {x + d}, and the triples are those of t0 (k = q+1) or t0dual
+    (k = q^2+1) with phi applied to y and phi^2 to z, which is `twist` of that base by phi.
+
+    Nothing here checks that phi maps the base into itself: the twist of a T closed under
+    rotation by an order-3 phi is closed under rotation exactly when phi(T) lies in T: the
+    rotation (phi y, phi^2 z, x) of a twisted triple is the twist of (phi y, phi z, phi x),
+    the phi-image of the rotation of (x, y, z).  So axiom (ii) of `validate` rejects any
+    slip.  omega needs 3 | N, that is q = 1 mod 3.
+    """
+    N, q = plane.N, plane.q
+    j, i, t = VARIANTS[name]
+    if t and N % 3:
+        raise PhiNotOrder3(f"q = {q} is not 1 mod 3; x -> x + N/3 does not have order 3")
+    a, c, k = q**i, t * N // 3, q**j + 1
+    points = list(range(N))
+    phi, phi2 = _collineation(points, a, c), _collineation(points, a * a, (a + 1) * c)
+    triples = frozenset(
         chain.from_iterable(
-            zip(points, _shifted(points, d % N), _shifted(points, k * d % N)) for d in plane.tz
+            zip(points, _shifted(phi, d), _shifted(phi2, k * d % N)) for d in plane.tz
         )
     )
+    lam = tuple(map(tuple, map(sorted, zip(*(_shifted(phi, d) for d in plane.tz)))))
+    origin = f"twisted:{name}:t0" if i or t else name
+    return TrianglePresentation(q=q, N=N, lam=lam, triples=triples, origin=origin)
 
 
 def gen_t0(plane: PlaneContext) -> TrianglePresentation:
-    """The Tits-type presentation: triples (x, x*xi, x*xi^(q+1}), Tr(xi)=0."""
-    N, q = plane.N, plane.q
-    triples = _difference_orbits(plane, q + 1)
-    return TrianglePresentation(q=q, N=N, lam=_lambda0(plane), triples=triples, origin="t0")
+    """The Tits-type presentation: triples (x, x*xi, x*xi^(q+1)), Tr(xi)=0."""
+    return gen_variant(plane, "t0")
 
 
 def gen_t0_dual(plane: PlaneContext) -> TrianglePresentation:
     """The inverted variant: triples (x, x*xi, x*xi^(q^2+1)), Tr(xi)=0."""
-    N, q = plane.N, plane.q
-    triples = _difference_orbits(plane, q * q + 1)
-    return TrianglePresentation(q=q, N=N, lam=_lambda0(plane), triples=triples, origin="t0dual")
+    return gen_variant(plane, "t0dual")
 
 
 def twist(
@@ -114,7 +134,8 @@ def twist(
     """Twisted presentation {(x, phi(y), phi^2(z))}, compatible with phi o lambda.
 
     phi must be an order-3 collineation (the identity is accepted as a
-    degenerate case) that fixes T triple-wise.
+    degenerate case) that fixes T triple-wise.  The general construction, for
+    any T and phi; `gen_variant` builds the named twists of t0 without a base.
     """
     N = T.N
     perm = [phi(x) for x in range(N)]
@@ -131,19 +152,6 @@ def twist(
     return TrianglePresentation(
         q=T.q, N=N, lam=lam, triples=triples, origin=f"twisted:{name}:{T.origin}"
     )
-
-
-def twist_by_name(plane: PlaneContext, T: TrianglePresentation, name: str) -> TrianglePresentation:
-    """Twist by one of the supported collineation families."""
-    if name == "frob1":
-        return twist(T, lambda x: frobenius_collineation(plane, x), name)
-    if name == "frob2":
-        return twist(
-            T, lambda x: frobenius_collineation(plane, frobenius_collineation(plane, x)), name
-        )
-    if name == "omega":
-        return twist(T, lambda x: mult_by_omega(plane, x), name)
-    raise ValueError(f"unknown twist {name!r} (expected frob1, frob2 or omega)")
 
 
 def validate(T: TrianglePresentation) -> ValidationReport:

@@ -486,9 +486,11 @@ class FpAbelianGroup:
         mask = (1 << base) - 1
         offset = sum(mod_l * k << width * i for i in range(len(finite)))
         high = ~sum((1 << lo) - 1 << width * i for i in range(len(finite)))  # all but the digits
+        points, get = combine is PointRows.combine, packed.__getitem__
+        eps = packed[-1] if points else 0  # a point row's sum is inlined: one call per row
 
         def check(row) -> bool:
-            s = combine(packed, row)
+            s = sum(map(get, row)) - eps if points else combine(packed, row)
             qq, r = divmod((s >> base) + offset, mod_l)
             return not (s & mask or r or qq & high)
 

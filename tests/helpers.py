@@ -14,6 +14,7 @@ from a2tp.presentation import (
     find_m_subset,
     is_s_invariant,
     m_subset_occurrences,
+    twist,
 )
 from a2tp.zlinalg import FpAbelianGroup, HnfBasis, IntMatrix, PointRows
 
@@ -242,6 +243,34 @@ def reference_primitive_modulus(pp) -> list[int]:
             if not any(_is_one(_poly_pow_mod(t, m // ell, candidate, p)) for ell in factorize(m)):
                 return candidate
     raise AssertionError(f"no primitive modulus for p={p}, degree {d}")
+
+
+def twist_map(plane, name):
+    """The collineation of the twist `name`, by its definition: the Frobenius x -> q x
+    (frob1), its square (frob2), or x -> x + N/3 (omega, 3 | N), on the points mod N.
+    """
+    q, N = plane.q, plane.N
+    a, c = {"frob1": (q, 0), "frob2": (q * q, 0), "omega": (1, N // 3)}[name]
+    return lambda x: (a * x + c) % N
+
+
+def reference_variant(plane, name) -> TrianglePresentation:
+    """The variant `name` by its definition, the oracle for `presentation.gen_variant`:
+    the difference orbits (x, x + d, x + k d), d in the trace-zero set, with k = q^2 + 1
+    for t0dual and q + 1 otherwise, under `twist` by `twist_map` for frob1, frob2, omega.
+    """
+    q, N, tz = plane.q, plane.N, plane.tz
+    k = q * q + 1 if name == "t0dual" else q + 1
+    base = TrianglePresentation(
+        q=q,
+        N=N,
+        lam=tuple(tuple(sorted((x + d) % N for d in tz)) for x in range(N)),
+        triples=frozenset((x, (x + d) % N, (x + k * d) % N) for x in range(N) for d in tz),
+        origin="t0dual" if name == "t0dual" else "t0",
+    )
+    if name in ("t0", "t0dual"):
+        return base
+    return twist(base, twist_map(plane, name), name)
 
 
 def reference_read_presentation(path) -> TrianglePresentation:

@@ -19,7 +19,7 @@ from a2tp.presentation import (
     TrianglePresentation,
     gen_t0,
     gen_t0_dual,
-    twist_by_name,
+    gen_variant,
     validate,
 )
 from a2tp.zlinalg import FpAbelianGroup
@@ -42,13 +42,12 @@ def planes():
 def presentations(planes):
     out = {}
     for q, pl in planes.items():
-        t0 = gen_t0(pl)
-        out[(q, "t0")] = t0
+        out[(q, "t0")] = gen_t0(pl)
         out[(q, "t0dual")] = gen_t0_dual(pl)
-        out[(q, "frob1")] = twist_by_name(pl, t0, "frob1")
-        out[(q, "frob2")] = twist_by_name(pl, t0, "frob2")
+        out[(q, "frob1")] = gen_variant(pl, "frob1")
+        out[(q, "frob2")] = gen_variant(pl, "frob2")
         if q % 3 == 1:
-            out[(q, "omega")] = twist_by_name(pl, t0, "omega")
+            out[(q, "omega")] = gen_variant(pl, "omega")
     return out
 
 

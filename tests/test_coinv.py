@@ -20,7 +20,7 @@ from a2tp.coinv import (
 )
 from a2tp.gf import BadInput
 from a2tp.plane import build_plane
-from a2tp.presentation import gen_t0, gen_t0_dual, read_presentation, twist_by_name
+from a2tp.presentation import gen_t0, gen_t0_dual, gen_variant, read_presentation
 from a2tp.zlinalg import FpAbelianGroup, IntMatrix, PointRows
 from helpers import (
     acb_matrix,
@@ -68,7 +68,7 @@ def _triangle_row_inputs(planes):
     for q, pl in planes.items():
         yield from (gen_t0(pl), gen_t0_dual(pl))  # q = 3: t0 holds the (x, x, x) triples
         twists = ("frob1", "frob2", "omega") if q % 3 == 1 else ("frob1", "frob2")
-        yield from (twist_by_name(pl, gen_t0(pl), name) for name in twists)
+        yield from (gen_variant(pl, name) for name in twists)
     yield read_presentation(GOLDEN_FILES / "t0dual_q5_s31.a2tp")  # relabelled
 
 
@@ -97,7 +97,7 @@ def test_analyze_never_scans_for_s_invariance(planes, monkeypatch):
     monkeypatch.setattr(presentation, "is_s_invariant", scan)
     pl = planes[7]
     inputs = [gen_t0(pl), gen_t0_dual(pl)]
-    inputs += [twist_by_name(pl, gen_t0(pl), name) for name in ("frob1", "frob2", "omega")]
+    inputs += [gen_variant(pl, name) for name in ("frob1", "frob2", "omega")]
     inputs.append(read_presentation(GOLDEN_FILES / "t0dual_q5_s31.a2tp"))  # relabelled
     for T in inputs:
         assert analyze(T).checks["m_subset_found"], T.origin
@@ -125,7 +125,7 @@ def test_analyze_diagonalizes_each_core_basis_once(planes, monkeypatch):
         return real(rows, n_cols)
 
     monkeypatch.setattr(zlinalg, "_diagonalize", counted)
-    for T in (gen_t0(planes[7]), twist_by_name(planes[5], gen_t0(planes[5]), "frob1")):
+    for T in (gen_t0(planes[7]), gen_variant(planes[5], "frob1")):
         calls.clear()
         assert analyze(T).all_checks_pass
         # tri's and A_T's settled bases, then the snf of A_T/<eps> and of tri/<eps>
@@ -247,7 +247,7 @@ def test_scheme_lattices_equal_on_every_variant(planes):
     for q in (2, 3, 4, 5):
         pl = planes[q]
         variants = [gen_t0(pl), gen_t0_dual(pl)] + [
-            twist_by_name(pl, gen_t0(pl), name)
+            gen_variant(pl, name)
             for name in ("frob1", "frob2") + (("omega",) if q % 3 == 1 else ())
         ]
         for T in variants:
@@ -389,7 +389,7 @@ def test_analyze_cross_checks_epsilon_order_above_q8(monkeypatch):
 def test_twisted_analysis(planes):
     pl = planes[4]
     for name in ("frob1", "frob2", "omega"):
-        rep = analyze(twist_by_name(pl, gen_t0(pl), name))
+        rep = analyze(gen_variant(pl, name))
         assert rep.all_checks_pass, (name, rep.checks)
         assert rep.epsilon_order is not None
         assert (pl.q - 1) % rep.epsilon_order == 0

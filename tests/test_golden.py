@@ -14,12 +14,18 @@ benchmark, and `golden/analyze_q32.json` for `--q 32` and t0/t0dual.  A
 change that moves any byte of a report must regenerate the file and say
 why.
 
+The reports cannot see a relabelling of the points, so
+`golden/gen_sha256.json` holds the sha256 of the file that
+`a2tp gen --q Q --variant V` writes, for every prime power Q <= 19 and every
+variant that applies to it (53 files).
+
 `analyze` reads Γ_ab from the triple lattice it shares with A_T, so
 `test_gamma_ab_oracle` reduces Γ_ab on its own, for the golden inputs with
 q <= 13, q = 16 t0/t0dual and the q = 19 twists.
 """
 
 import functools
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -28,7 +34,7 @@ import pytest
 
 from a2tp.cli import main
 from a2tp.plane import build_plane
-from a2tp.presentation import gen_t0, gen_t0_dual, twist_by_name
+from a2tp.presentation import gen_variant
 from a2tp.zlinalg import FpAbelianGroup, PointRows
 from helpers import gamma_ab_matrix, triangle_lattice
 
@@ -37,6 +43,7 @@ GOLDEN = json.loads((GOLDEN_DIR / "analyze_q16.json").read_text())
 GOLDEN_FILES = json.loads((GOLDEN_DIR / "analyze_files.json").read_text())
 GOLDEN_Q19 = json.loads((GOLDEN_DIR / "analyze_q19_twists.json").read_text())
 GOLDEN_Q32 = json.loads((GOLDEN_DIR / "analyze_q32.json").read_text())
+GOLDEN_GEN = json.loads((GOLDEN_DIR / "gen_sha256.json").read_text())
 
 
 def test_golden_covers_every_prime_power_and_variant_up_to_16():
@@ -55,6 +62,21 @@ def test_analyze_json_is_byte_identical(entry, capsys):
     assert (code, captured.out, captured.err) == (
         entry["exit_code"], entry["stdout"], entry["stderr"]
     )
+
+
+def test_gen_golden_covers_every_prime_power_and_variant_up_to_19():
+    keys = [(e["q"], e["variant"]) for e in GOLDEN_GEN]
+    assert len(keys) == len(set(keys)) == 53
+    assert {q for q, _ in keys} == {2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19}
+    assert {q for q, v in keys if v == "omega"} == {4, 7, 13, 16, 19}
+
+
+@pytest.mark.parametrize("entry", GOLDEN_GEN, ids=lambda e: f"q{e['q']}-{e['variant']}")
+def test_gen_writes_the_pinned_bytes(entry, tmp_path, capsys):
+    path = tmp_path / "out.a2tp"
+    code = main(["gen", "--q", str(entry["q"]), "--variant", entry["variant"], "--out", str(path)])
+    assert code == entry["exit_code"]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == entry["sha256"]
 
 
 def test_golden_files_cover_found_and_out_of_budget():
@@ -120,13 +142,7 @@ def _plane(q):
 def test_gamma_ab_oracle(q, variant, quotient):
     # `analyze` reads |Γ_ab| as tri/<eps>, tri the triple lattice it shares with A_T;
     # here Γ_ab = Z^N / <x+y+z> is reduced on its own, from the bare triple rows.
-    plane = _plane(q)
-    if variant == "t0dual":
-        T = gen_t0_dual(plane)
-    else:
-        T = gen_t0(plane)
-        if variant != "t0":
-            T = twist_by_name(plane, T, variant)
+    T = gen_variant(_plane(q), variant)
     N = T.N
     tri = triangle_lattice(T)  # as `analyze` builds it, from the triangle point rows
     gamma_order = FpAbelianGroup(N, gamma_ab_matrix(T)).snf.group_order  # no peeling
@@ -138,8 +154,7 @@ def test_gamma_ab_oracle(q, variant, quotient):
 def test_every_triple_row_of_the_q19_frob1_lattice_is_zero():
     # Peeling uses some rows as pivots and maps the others to the core: each is 0 in tri,
     # and so is x + y + z - eps for every triple, one row per multiset having been fed in.
-    plane = _plane(19)
-    T = twist_by_name(plane, gen_t0(plane), "frob1")
+    T = gen_variant(_plane(19), "frob1")
     N = T.N
     tri = triangle_lattice(T)
     assert len(tri.relations.rows) == 2485 < len(T.triples) == 7620

@@ -5,13 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from a2tp.plane import (
-    NotApplicable,
-    build_plane,
-    frobenius_collineation,
-    lines_form_plane,
-    mult_by_omega,
-)
+from a2tp.plane import build_plane, lines_form_plane
+from a2tp.presentation import gen_t0, gen_variant
 from helpers import reference_lines_form_plane
 
 SMALL_Q = [2, 3, 4, 5, 7, 8]
@@ -120,44 +115,22 @@ def test_shift_preserves_incidence(planes):
             assert (y in line(ctx, x)) == ((y + k) % ctx.N in line(ctx, (x + k) % ctx.N))
 
 
-def test_frobenius_collineation(planes):
-    ctx = build_plane(2)
-    assert frobenius_collineation(ctx, 3) == 6
-    for q, c in planes.items():
-        for x in range(c.N):
-            y = frobenius_collineation(
-                c, frobenius_collineation(c, frobenius_collineation(c, x))
-            )
-            assert y == x
-
-
 def test_frobenius_fixed_points_q4():
+    # The Frobenius x -> 4x fixes the trace-zero set, so it sends lambda0(x) to
+    # lambda0(4x): the frob1 lines are t0's exactly at its fixed points.
     ctx = build_plane(4)
-    fixed = [x for x in range(ctx.N) if frobenius_collineation(ctx, x) == x]
-    assert fixed == [0, 7, 14]
+    t0, frob1 = gen_t0(ctx), gen_variant(ctx, "frob1")
+    assert [x for x in range(ctx.N) if frob1.lam[x] == t0.lam[x]] == [0, 7, 14]
 
 
 def test_collineations_map_lines_to_lines(planes):
     for q, ctx in planes.items():
         lines = {frozenset(line(ctx, x)) for x in range(ctx.N)}
         for x in range(ctx.N):
-            image = frozenset(frobenius_collineation(ctx, y) for y in line(ctx, x))
+            image = frozenset(q * y % ctx.N for y in line(ctx, x))  # the Frobenius
             assert image in lines
             shifted = frozenset((y + 5) % ctx.N for y in line(ctx, x))
             assert shifted in lines
-
-
-def test_mult_by_omega():
-    ctx4 = build_plane(4)
-    assert mult_by_omega(ctx4, 0) == 7
-    x = 3
-    for _ in range(3):
-        x = mult_by_omega(ctx4, x)
-    assert x == 3
-    ctx7 = build_plane(7)
-    assert mult_by_omega(ctx7, 10) == 29
-    with pytest.raises(NotApplicable):
-        mult_by_omega(build_plane(5), 0)
 
 
 # lambda(x) = {x-1, x, x+1} mod 7: the triangle axioms hold for the rotations of

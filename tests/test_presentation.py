@@ -11,11 +11,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from a2tp.automorphism import find_cyclic_automorphism, is_cyclic_automorphism
-from a2tp.cli import main
-from a2tp.plane import build_plane, frobenius_collineation
+from a2tp.cli import main, prime_powers_in
+from a2tp.plane import build_plane
 from a2tp.presentation import _orbit as certified_orbit
 from a2tp.presentation import (
     DEFAULT_BACKTRACK_BUDGET,
+    VARIANTS,
     InconsistentHeader,
     MSubsetResult,
     ParseError,
@@ -26,15 +27,15 @@ from a2tp.presentation import (
     find_m_subset,
     gen_t0,
     gen_t0_dual,
+    gen_variant,
     is_s_invariant,
     m_subset_occurrences,
     read_presentation,
     twist,
-    twist_by_name,
     validate,
     write_presentation,
 )
-from helpers import reference_read_presentation, reference_validate
+from helpers import reference_read_presentation, reference_validate, reference_variant, twist_map
 
 
 @pytest.fixture(scope="module")
@@ -115,24 +116,24 @@ def test_twist_by_identity(planes):
 def test_twist_frobenius_q2(planes):
     pl = planes[2]
     T = gen_t0(pl)
-    tw = twist_by_name(pl, T, "frob1")
+    tw = gen_variant(pl, "frob1")
     assert validate(tw).ok
     assert not is_s_invariant(tw)
     # the twisted correspondence is lambda0 composed with Frobenius
     for x in range(pl.N):
-        assert set(tw.lam[x]) == {frobenius_collineation(pl, y) for y in T.lam[x]}
+        assert set(tw.lam[x]) == {2 * y % pl.N for y in T.lam[x]}
 
 
 def test_twist_omega_q4(planes):
     pl = planes[4]
-    tw = twist_by_name(pl, gen_t0(pl), "omega")
+    tw = gen_variant(pl, "omega")
     assert validate(tw).ok
 
 
 def test_triple_twist_returns_original(planes):
     pl = planes[2]
     T = gen_t0(pl)
-    phi = lambda x: frobenius_collineation(pl, x)
+    phi = lambda x: 2 * x % pl.N  # Frobenius at q = 2
     tw = T
     for _ in range(3):
         tw = twist(tw, phi, "frob1")
@@ -154,7 +155,56 @@ def test_twist_rejects_phi_not_fixing_t(planes):
     relabeled = _relabeled(T, 0)
     assert validate(relabeled).ok
     with pytest.raises(PhiDoesNotFixT):
-        twist(relabeled, lambda x: frobenius_collineation(pl, x), "frob1")
+        twist(relabeled, lambda x: 4 * x % pl.N, "frob1")
+
+
+VARIANTS_UP_TO_19 = [
+    (q, v) for q in prime_powers_in(2, 19) for v in VARIANTS if v != "omega" or q % 3 == 1
+]
+
+
+@pytest.mark.parametrize(
+    "q, variant", VARIANTS_UP_TO_19, ids=[f"q{q}-{v}" for q, v in VARIANTS_UP_TO_19]
+)
+def test_gen_variant_is_the_twist_of_its_base(q, variant):
+    T, reference = gen_variant(_plane(q), variant), reference_variant(_plane(q), variant)
+    assert (T.triples, T.lam, T.origin) == (reference.triples, reference.lam, reference.origin)
+
+
+@pytest.mark.parametrize("q", prime_powers_in(2, 19))
+def test_every_twist_is_an_order_3_collineation(q):
+    # Each phi is a permutation of order 3, and each twisted lambda(x) is a line.
+    plane = _plane(q)
+    N = plane.N
+    lines = {tuple(sorted((x + d) % N for d in plane.tz)) for x in range(N)}
+    for variant in ("frob1", "frob2", "omega"):
+        if variant == "omega" and q % 3 != 1:
+            with pytest.raises(PhiNotOrder3):
+                gen_variant(plane, variant)
+            continue
+        phi = [twist_map(plane, variant)(x) for x in range(N)]
+        assert sorted(phi) == list(range(N)) != phi
+        assert [phi[phi[phi[x]]] for x in range(N)] == list(range(N))
+        assert set(gen_variant(plane, variant).lam) == lines
+
+
+@pytest.mark.parametrize("q", prime_powers_in(2, 19))
+def test_a_twist_by_a_three_cycle_fails_axiom_ii_alone(q, monkeypatch, capsys):
+    # The 3-cycle (0 1 2) has order 3 but maps t0 out of itself.  Built as the generator
+    # builds a twist, with no check, only axiom (ii) fails, and analyze exits 2.
+    T = gen_t0(_plane(q))
+    phi = [1, 2, 0] + list(range(3, T.N))
+    slipped = replace(
+        T,
+        lam=tuple(tuple(sorted(phi[y] for y in line)) for line in T.lam),
+        triples=frozenset((x, phi[y], phi[phi[z]]) for x, y, z in T.triples),
+    )
+    report = validate(slipped)
+    assert (report.axiom_i.ok, report.axiom_ii.ok, report.axiom_iii.ok) == (True, False, True)
+    assert report.size == report.expected_size
+    monkeypatch.setattr("a2tp.cli.gen_variant", lambda plane, name: slipped)
+    assert main(["analyze", "--q", str(q)]) == 2
+    assert capsys.readouterr().err.startswith("error: presentation failed triangle axioms")
 
 
 def _relabeled(T, seed):
@@ -224,7 +274,7 @@ def test_m_subset_orbit_projections_bijective(planes):
 
 def test_m_subset_twisted(planes):
     pl = planes[4]
-    tw = twist_by_name(pl, gen_t0(pl), "omega")
+    tw = gen_variant(pl, "omega")
     result = find_m_subset(tw)
     assert result.found
     assert all(c == 3 for c in m_subset_occurrences(tw, result.subset))
@@ -399,9 +449,7 @@ def test_random_triple_examples_reach_every_outcome():
 
 @functools.cache
 def _valid_presentation(q, variant):
-    plane = build_plane(q)
-    T = gen_t0_dual(plane) if variant == "t0dual" else gen_t0(plane)
-    return twist_by_name(plane, T, variant) if variant == "frob1" else T
+    return gen_variant(build_plane(q), variant)
 
 
 @st.composite
@@ -442,7 +490,7 @@ def test_validate_matches_the_sorted_reference_on_random_triples(T):
 
 def test_validate_fills_the_third_point_table(planes):
     for q, pl in planes.items():
-        T = twist_by_name(pl, gen_t0(pl), "frob1")
+        T = gen_variant(pl, "frob1")
         third = validate(T).third
         pairs = [(x, y) for x, line in enumerate(T.lam) for y in line]
         assert sorted(T.triples) == [(x, y, z) for (x, y), z in zip(pairs, third)]
@@ -582,7 +630,7 @@ def test_finder_nodes_count_against_the_budget(q):
     # A relabelled frob1 twist has no point-regular cyclic automorphism, and its autotopism
     # is no longer (x+1, y+q, z+q^2): the finder spends at most half the budget, and the
     # backtracker gets the nodes left.
-    T = _relabeled(twist_by_name(_plane(q), gen_t0(_plane(q)), "frob1"), {2: 3, 3: 5}[q])
+    T = _relabeled(gen_variant(_plane(q), "frob1"), {2: 3, 3: 5}[q])
     assert not is_s_invariant(T)
     third = validate(T).third
     assert find_cyclic_automorphism(T, third, 10**6) == (None, {2: 26, 3: 61}[q])
@@ -600,7 +648,7 @@ def test_verify_and_analyze_disagree_on_a_search_out_of_budget(tmp_path, capsys)
     # The relabelled q = 2 frob1 twist at budget 1: no orbit certifies, and the search
     # stops short.  `verify` reports NOT-FOUND and passes; `analyze` fails its check.
     path = tmp_path / "frob1_q2.a2tp"
-    write_presentation(_relabeled(twist_by_name(_plane(2), gen_t0(_plane(2)), "frob1"), 3), path)
+    write_presentation(_relabeled(gen_variant(_plane(2), "frob1"), 3), path)
     assert main(["verify", "--file", str(path), "--budget", "1"]) == 0
     assert "\nm-subset: NOT-FOUND\n" in capsys.readouterr().out
     assert main(["analyze", "--file", str(path), "--budget", "1"]) == 1
@@ -642,9 +690,7 @@ def test_roundtrip(tmp_path, planes):
 def test_a_presentation_holds_only_what_its_file_holds(tmp_path, q):
     # Read back, every variant is the presentation that was written, origin aside.
     plane = _plane(q)
-    presentations = {"t0": gen_t0(plane), "t0dual": gen_t0_dual(plane)}
-    for name in ("frob1", "frob2", "omega") if q % 3 == 1 else ("frob1", "frob2"):
-        presentations[name] = twist_by_name(plane, presentations["t0"], name)
+    presentations = {v: gen_variant(plane, v) for v in VARIANTS if v != "omega" or q % 3 == 1}
     for variant, T in presentations.items():
         path = tmp_path / f"{variant}.a2tp"
         write_presentation(T, path)
