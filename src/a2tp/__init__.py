@@ -1,6 +1,6 @@
 """Triangle presentations over PG(2,q) and the abelian invariant A_T."""
 
-from .coinv import AnalysisReport, analyze, expected_epsilon_order, relation_matrix
+from .coinv import AnalysisReport, analyze, expected_epsilon_order
 from .gf import PrimePower, prime_power
 from .plane import PlaneContext, build_plane
 from .presentation import (
@@ -35,7 +35,6 @@ __all__ = [
     "is_s_invariant",
     "prime_power",
     "read_presentation",
-    "relation_matrix",
     "twist",
     "validate",
     "write_presentation",

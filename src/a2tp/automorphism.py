@@ -9,11 +9,10 @@ no generated input needs it: each has an M-subset orbit under
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import accumulate
 from typing import Iterator, Optional
 
 from .plane import Point
-from .presentation import TrianglePresentation, is_automorphism
+from .presentation import ThirdTable, TrianglePresentation, is_automorphism
 
 
 def is_cyclic_automorphism(T: TrianglePresentation, g: list[Point]) -> bool:
@@ -27,7 +26,7 @@ def is_cyclic_automorphism(T: TrianglePresentation, g: list[Point]) -> bool:
 
 
 def find_cyclic_automorphism(
-    T: TrianglePresentation, third: list[Point], budget: int
+    T: TrianglePresentation, third: ThirdTable, budget: int
 ) -> tuple[Optional[list[Point]], int]:
     """A point-regular cyclic automorphism g of a valid T, and the nodes spent on it.
 
@@ -58,7 +57,6 @@ def find_cyclic_automorphism(
     N, lam = T.N, T.lam
     if budget < 1:
         return None, 0
-    start = list(accumulate(map(len, lam), initial=0))  # row x of third: start[x]..start[x+1]
     through: list[list[Point]] = [[] for _ in range(N)]  # through[p]: the x with p on lambda(x)
     for x, line in enumerate(lam):
         for p in line:
@@ -67,7 +65,7 @@ def find_cyclic_automorphism(
     def third_of(x: Point, y: Point) -> Point:  # the z of (x, y, z) in T, or -1
         line = lam[x]
         i = bisect_left(line, y)
-        return third[start[x] + i] if i < len(line) and line[i] == y else -1
+        return third[x][i] if i < len(line) and line[i] == y else -1
 
     def single(common: set[Point]) -> Point:
         return common.pop() if len(common) == 1 else -1
@@ -92,7 +90,7 @@ def find_cyclic_automorphism(
 
         while todo:
             p = todo.pop()
-            for y, z in zip(lam[p], third[start[p] : start[p + 1]]):  # (p, y, z) and (z, p, y)
+            for y, z in zip(lam[p], third[p]):  # (p, y, z) and (z, p, y)
                 if known[y]:
                     force(z, third_of, p, y)
                 elif known[z]:

@@ -18,7 +18,7 @@ from typing import Optional
 
 from .coinv import AnalysisReport, InternalError, InvalidPresentation, analyze, predicted_group
 from .coinv import expected_epsilon_order
-from .gf import MAX_Q, BadInput, NoPrimitivePolynomial, factorize, prime_power
+from .gf import MAX_Q, BadInput, NoPrimitivePolynomial, factorize
 from .plane import NotAPlane, PlaneAxiomViolation, PlaneContext, build_plane, lines_form_plane
 from .presentation import (
     DEFAULT_BACKTRACK_BUDGET,
@@ -48,10 +48,7 @@ def prime_powers_in(lo: int, hi: int) -> list[int]:
 
 
 def build_variant(q: int, variant: str) -> TrianglePresentation:
-    pp = prime_power(q)
-    if variant == "omega" and q % 3 != 1:
-        raise UsageError(f"variant omega requires q = 1 mod 3, got q = {q}")
-    return gen_variant(build_plane(pp), variant)
+    return gen_variant(build_plane(q), variant)
 
 
 def _load_presentation(args) -> TrianglePresentation:

@@ -21,21 +21,20 @@ x-rows, A_T/<eps> by eps on top, and Gamma_ab = Z^N / <x+y+z> as tri/<eps>.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
 from .gf import BadInput
-from .plane import Point
 from .presentation import (
     DEFAULT_BACKTRACK_BUDGET,
+    ThirdTable,
     TrianglePresentation,
     find_m_subset,
     m_subset_occurrences,
     validate,
 )
-from .zlinalg import FpAbelianGroup, IntMatrix, PointRow, PointRows, cyclics_to_invariant_factors
+from .zlinalg import FpAbelianGroup, PointRow, PointRows, cyclics_to_invariant_factors
 
 
 class InternalError(RuntimeError):
@@ -46,18 +45,17 @@ class InvalidPresentation(BadInput):
     """The presentation fails the triangle axioms."""
 
 
-def _triangle_rows(T: TrianglePresentation, third: list[Point]) -> list[PointRow]:
-    """x + y + z - eps once per point multiset of a valid T, read from its third-point table.
+def _triangle_rows(T: TrianglePresentation, third: ThirdTable) -> list[PointRow]:
+    """x + y + z - eps once per point multiset of a valid T, read from its per-point table.
 
     A rotation class gives the row of its least rotation: (x, y, z) with x < y, z, or
     (x, x, z) with x <= z.  The classes of (x, y, z) and (x, z, y) share a multiset,
     and only the lesser gives it, as (x, a, b) with a <= b.  The table, and so the
     rows, are in sorted order.
     """
-    rows, k = [], 0
+    rows = []
     for x, line in enumerate(T.lam):
-        zs = dict(zip(line, third[k : k + len(line)]))  # y -> z over the triples (x, y, z)
-        k += len(line)
+        zs = dict(zip(line, third[x]))  # y -> z over the triples (x, y, z)
         for y, z in zs.items():
             if x < y and x < z and (y <= z or zs.get(z) != y):
                 rows.append((x, y, z) if y <= z else (x, z, y))
@@ -66,7 +64,7 @@ def _triangle_rows(T: TrianglePresentation, third: list[Point]) -> list[PointRow
     return rows
 
 
-def _valid_third(T: TrianglePresentation) -> list[Point]:
+def _valid_third(T: TrianglePresentation) -> ThirdTable:
     """The third-point table of T that `validate` fills; InvalidPresentation when T fails."""
     report = validate(T)
     if not report.ok:
@@ -77,19 +75,12 @@ def _valid_third(T: TrianglePresentation) -> list[Point]:
     return report.third
 
 
-def _point_rows(T: TrianglePresentation, third: list[Point]) -> tuple[PointRow, ...]:
-    """The bcd rows of a valid T with third-point table `third`, as point rows: the triangle
-    rows, the all-points row, then each x with lambda(x) as a set, sorted (x twice if on it).
-    """
+def _point_rows(T: TrianglePresentation, third: ThirdTable) -> tuple[PointRow, ...]:
+    """A_T's bcd rows for a valid T with table `third`, as point rows (its only relation
+    form): the triangle rows, the all-points row, then each x with lambda(x) as a set,
+    sorted (x twice if on it)."""
     x_rows = (tuple(sorted([x, *set(line)])) for x, line in enumerate(T.lam))
     return (*_triangle_rows(T, third), tuple(range(T.N)), *x_rows)
-
-
-def relation_matrix(T: TrianglePresentation, third: Optional[list[Point]] = None) -> IntMatrix:
-    """The bcd point rows of a valid T as an IntMatrix over N+1 columns, eps at column N;
-    `third`, the table of `_valid_third(T)`, is found here when not given."""
-    rows = _point_rows(T, _valid_third(T) if third is None else third)
-    return IntMatrix(T.N + 1, tuple(tuple(Counter(row).items()) + ((T.N, -1),) for row in rows))
 
 
 @dataclass(frozen=True)
@@ -138,20 +129,13 @@ def check_lemma_q2(q: int, epsilon_order: Optional[int]) -> bool:
     return epsilon_order is not None and (q * q - 1) % epsilon_order == 0
 
 
-def check_lower_bound(
-    q: int, relations: IntMatrix | PointRows, epsilon_order: Optional[int]
-) -> bool:
+def check_lower_bound(q: int, relations: PointRows, epsilon_order: Optional[int]) -> bool:
     """ord(eps) >= (q-1)/(q-1,3), plus the mod-(q^2-1) row annihilation test.
 
-    The witnessing map sends every point to q+1 and eps (the last column) to 3(q+1), so a
-    point row r to (q+1)(len(r) - 3) and a sparse row v to (q+1)(sum of v + 2 v_eps); it
-    must kill every row of `relations` mod q^2 - 1.
+    The witnessing map sends every point to q+1 and eps to 3(q+1), so a point row r, its
+    points minus eps, to (q+1)(len(r) - 3); it must kill every row of `relations` mod q^2 - 1.
     """
-    eps = relations.n_cols - 1
-    if isinstance(relations, PointRows):
-        totals = {n - 3 for n in map(len, relations.rows)}
-    else:
-        totals = {sum(v + 2 * v * (c == eps) for c, v in row) for row in relations.rows}
+    totals = {n - 3 for n in map(len, relations.rows)}
     annihilated = not any((q + 1) * total % (q * q - 1) for total in totals)
     return annihilated and (epsilon_order is None or epsilon_order >= expected_epsilon_order(q))
 

@@ -10,11 +10,12 @@ from .gf import BadInput
 from .plane import PlaneContext, Point
 
 Triple = tuple[Point, Point, Point]
+ThirdTable = tuple[list[Optional[Point]], ...]  # [x][i]: the z of (x, lam[x][i], z)
 
 DEFAULT_BACKTRACK_BUDGET = 10**7
 
 
-class PhiNotOrder3(ValueError):
+class PhiNotOrder3(BadInput):
     """The twisting map is not an order-3 (or identity) collineation."""
 
 
@@ -54,8 +55,8 @@ class ValidationReport:
     axiom_iii: AxiomResult
     size: int
     expected_size: int
-    # third[k] is the z of the k-th pair (x, y), y on lambda(x); T itself when ok
-    third: Optional[list[Optional[Point]]] = field(default=None, compare=False, repr=False)
+    # third[x][i] is the z of (x, lam[x][i], z) in T, or None; T itself when ok
+    third: Optional[ThirdTable] = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -99,12 +100,12 @@ def gen_variant(plane: PlaneContext, name: str) -> TrianglePresentation:
     rotation by an order-3 phi is closed under rotation exactly when phi(T) lies in T: the
     rotation (phi y, phi^2 z, x) of a twisted triple is the twist of (phi y, phi z, phi x),
     the phi-image of the rotation of (x, y, z).  So axiom (ii) of `validate` rejects any
-    slip.  omega needs 3 | N, that is q = 1 mod 3.
+    slip.  omega needs 3 | N, that is q = 1 mod 3: x -> x + N/3 has order 3 only then.
     """
     N, q = plane.N, plane.q
     j, i, t = VARIANTS[name]
     if t and N % 3:
-        raise PhiNotOrder3(f"q = {q} is not 1 mod 3; x -> x + N/3 does not have order 3")
+        raise PhiNotOrder3(f"variant {name} requires q = 1 mod 3, got q = {q}")
     a, c, k = q**i, t * N // 3, q**j + 1
     points = list(range(N))
     phi, phi2 = _collineation(points, a, c), _collineation(points, a * a, (a + 1) * c)
@@ -158,44 +159,46 @@ def validate(T: TrianglePresentation) -> ValidationReport:
     """Check the triangle axioms from one unsorted pass, and fill the third-point table.
 
     The pass maps each pair (x, y) to the z of its triple, in a dict per x; a
-    triple whose z lost to another is set aside.  Slot k of the table holds
-    that z for the k-th pair (x, y) with y on lambda(x), in the order of `lam`.
+    triple whose z lost to another is set aside.  Row x of the table holds that
+    z for each y on lambda(x), in the order of `lam[x]`, or None where (x, y)
+    starts no triple; the checks read the rows in turn through `chain`.
     Each witness is the least failure: the least (x, y) where y is on
     lambda(x) and starts no triple, or starts one and is not on it; the least
     triple whose rotation is not in T; the least (x, y) with two z's.
     A valid T needs no witness search: counts prove axioms (i) and (iii), and
     (ii) is one comparison over the table.
     """
-    N = T.N
+    N, lam, flat = T.N, T.lam, chain.from_iterable
     z_of: list[dict[Point, Point]] = [{} for _ in range(N)]  # z_of[x][y] = z, freed on return
     for x, y, z in T.triples:
         z_of[x][y] = z
-    xs = [x for x, line in enumerate(T.lam) for _ in line]
-    ys = [y for line in T.lam for y in line]
-    third = list(map(dict.get, map(z_of.__getitem__, xs), ys))
+    # list rows: CPython keeps up to 2000 freed tuples of each length below 20 for reuse
+    third = tuple(list(map(z_of[x].get, line)) for x, line in enumerate(lam))
+    xs = [x for x, line in enumerate(lam) for _ in line]
     keys = sum(map(len, z_of))
     size, expected_size = len(T.triples), (T.q + 1) * N
     # keys == size: one z per pair (iii).  With every slot started, each z_of[x] holds
-    # lambda(x), and as many keys as points on the lines leave none off its line (i).
-    if keys == size == sum(map(len, map(set, T.lam))) and None not in third:
-        if list(map(dict.get, map(z_of.__getitem__, ys), third)) == xs:  # z_of[y][z] = x
+    # lambda(x), and as many keys as points on the lines leave none off its line (i);
+    # (ii) is z_of[y][z] = x at each slot (x, y, z).
+    if keys == size == sum(map(len, map(set, lam))) and None not in flat(third):
+        if list(map(dict.get, map(z_of.__getitem__, flat(lam)), flat(third))) == xs:
             ok = AxiomResult(True)
             return ValidationReport(ok, ok, ok, size, expected_size, third)
     two_z = keys < size  # aside and off_line are empty for a valid T
     aside = [t for t in T.triples if z_of[t[0]][t[1]] != t[2]] if two_z else []
-    on = list(map(set, T.lam))
+    on = list(map(set, lam))
     off_line = [(x, y, z) for x, by_y in enumerate(z_of) for y, z in by_y.items() if y not in on[x]]
     aside_set = frozenset(aside)
     unrotated = [
         (x, y, z)
-        for x, y, z in chain(aside, off_line, zip(xs, ys, third))
+        for x, y, z in chain(aside, off_line, zip(xs, flat(lam), flat(third)))
         if z is not None and z_of[y].get(z) != x and (y, z, x) not in aside_set
     ]
 
     def result(failures: list) -> AxiomResult:
         return AxiomResult(False, min(failures)) if failures else AxiomResult(True)
 
-    unstarted = [(x, y) for x, y, z in zip(xs, ys, third) if z is None]
+    unstarted = [(x, y) for x, y, z in zip(xs, flat(lam), flat(third)) if z is None]
     return ValidationReport(
         axiom_i=result(unstarted + [t[:2] for t in off_line]),
         axiom_ii=result(unrotated),
@@ -253,7 +256,7 @@ def _orbit(
 def find_m_subset(
     T: TrianglePresentation,
     budget: int = DEFAULT_BACKTRACK_BUDGET,
-    third: Optional[list[Point]] = None,
+    third: Optional[ThirdTable] = None,
 ) -> MSubsetResult:
     """Find M subset of T in which every point occurs exactly 3 times.
 
@@ -266,11 +269,11 @@ def find_m_subset(
     `budget`: the finder counts each propagation as a node, O(Nq) Python
     steps at most, and may spend half of it; the backtracker gets the nodes
     left, so at least the other half.
-    `third` is the table `validate(T)` fills; T is validated here when it is
-    not given.
+    `third` is the per-point table `validate(T)` fills; T is validated here when
+    it is not given.
     """
-    # The least triple of a valid T starts its table.
-    least = (0, T.lam[0][0], third[0]) if third is not None else min(T.triples, default=None)
+    # The least triple of a valid T starts its table: (0, y, z) with y least on lambda(0).
+    least = (0, T.lam[0][0], third[0][0]) if third is not None else min(T.triples, default=None)
     if least:
         points = list(range(T.N))
         for c in (1, T.q, T.q * T.q):

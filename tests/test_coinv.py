@@ -15,7 +15,6 @@ from a2tp.coinv import (
     check_lower_bound,
     expected_epsilon_order,
     predicted_group,
-    relation_matrix,
     schemes_agree,
 )
 from a2tp.gf import BadInput
@@ -60,7 +59,7 @@ def test_matrix_shape_q2(planes):
 
 def test_matrix_shape_bcd(planes):
     T = gen_t0(planes[2])
-    mat = relation_matrix(T)
+    mat = point_matrix(bcd_point_rows(T))
     assert len(mat.rows) == 7 + 1 + 7
 
 
@@ -74,8 +73,8 @@ def _triangle_row_inputs(planes):
 
 def test_one_triangle_row_per_point_multiset(planes):
     for T in _triangle_row_inputs(planes):
-        N = T.N
-        triangles = relation_matrix(T).rows[: -N - 1]
+        N, bcd = T.N, bcd_point_rows(T)
+        triangles = point_matrix(bcd).rows[: -N - 1]
         multisets = {tuple(sorted(t)) for t in T.triples}
         assert len(triangles) == len(set(triangles)) == len(multisets), T.origin
         points = tuple(tuple(c for c, v in row[:-1] for _ in range(v)) for row in triangles)
@@ -83,10 +82,8 @@ def test_one_triangle_row_per_point_multiset(planes):
         assert all(row[-1] == (N, -1) for row in triangles), T.origin
         # the order too: where the sorted triples first give each multiset
         assert triangles == triangle_rows(T, ((N, -1),)), T.origin
-        # the point rows the engine reads: each multiset sorted, then the same rows
-        bcd = bcd_point_rows(T)
+        # the point rows the engine reads: each multiset sorted
         assert bcd.rows[: len(triangles)] == points, T.origin
-        assert point_matrix(bcd).rows == relation_matrix(T).rows, T.origin
 
 
 def test_analyze_never_scans_for_s_invariance(planes, monkeypatch):
@@ -136,7 +133,7 @@ def test_invalid_presentation_is_bad_input(planes):
     T = gen_t0(planes[2])
     bad = replace(T, triples=T.triples - {min(T.triples)})
     with pytest.raises(InvalidPresentation, match="^presentation failed triangle axioms, witness"):
-        relation_matrix(bad)
+        bcd_point_rows(bad)
     with pytest.raises(BadInput):
         analyze(bad)
 
@@ -207,7 +204,8 @@ def test_all_checks_pass(reports):
 
 
 def _scheme_groups(T):
-    return tuple(FpAbelianGroup(T.N + 1, m) for m in (acb_matrix(T), relation_matrix(T)))
+    matrices = (acb_matrix(T), point_matrix(bcd_point_rows(T)))
+    return tuple(FpAbelianGroup(T.N + 1, m) for m in matrices)
 
 
 def test_schemes_agree(planes):
@@ -301,7 +299,7 @@ def test_schemes_agree_rejects_corrupted_rows(planes):
     line = T.lam[0]
     R = replace(T, lam=((line[0],) + line[:-1],) + T.lam[1:])
     with pytest.raises(ValueError, match="failed triangle axioms"):
-        relation_matrix(R)  # R is no presentation: lambda(0) misses a point of its triples
+        bcd_point_rows(R)  # R is no presentation: lambda(0) misses a point of its triples
     bcd_R = _replaced(bcd, n_shared, tuple(sorted((0, *R.lam[0]))))  # R's x-row for 0
     assert not schemes_agree(R, bcd_R)
     assert not _rowwise_agree(acb_matrix(R), point_matrix(bcd_R))
@@ -406,12 +404,10 @@ def test_lemma_q2():
 def test_lower_bound_row_annihilation(planes):
     for q, pl in planes.items():
         T = gen_t0(pl)
-        for relations in (acb_matrix(T), relation_matrix(T), bcd_point_rows(T)):
-            assert check_lower_bound(q, relations, expected_epsilon_order(q))
+        assert check_lower_bound(q, bcd_point_rows(T), expected_epsilon_order(q))
         if q > 2:  # 2 points - eps goes to -(q+1), nonzero mod q^2 - 1 once q > 2
             bad = PointRows(T.N + 1, bcd_point_rows(T).rows + ((0, 1),))
             assert not check_lower_bound(q, bad, expected_epsilon_order(q))
-            assert not check_lower_bound(q, point_matrix(bad), expected_epsilon_order(q))
 
 
 def test_lower_bound_3c_row_arithmetic():

@@ -1,17 +1,22 @@
 import functools
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 from dataclasses import replace
+from itertools import chain
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import a2tp
 from a2tp.automorphism import find_cyclic_automorphism, is_cyclic_automorphism
 from a2tp.cli import main, prime_powers_in
+from a2tp.gf import BadInput
 from a2tp.plane import build_plane
 from a2tp.presentation import _orbit as certified_orbit
 from a2tp.presentation import (
@@ -179,8 +184,10 @@ def test_every_twist_is_an_order_3_collineation(q):
     lines = {tuple(sorted((x + d) % N for d in plane.tz)) for x in range(N)}
     for variant in ("frob1", "frob2", "omega"):
         if variant == "omega" and q % 3 != 1:
-            with pytest.raises(PhiNotOrder3):
+            refusal = f"^variant omega requires q = 1 mod 3, got q = {q}$"
+            with pytest.raises(PhiNotOrder3, match=refusal):  # bad input, exit 2 in the CLI
                 gen_variant(plane, variant)
+            assert issubclass(PhiNotOrder3, BadInput)
             continue
         phi = [twist_map(plane, variant)(x) for x in range(N)]
         assert sorted(phi) == list(range(N)) != phi
@@ -493,7 +500,17 @@ def test_validate_fills_the_third_point_table(planes):
         T = gen_variant(pl, "frob1")
         third = validate(T).third
         pairs = [(x, y) for x, line in enumerate(T.lam) for y in line]
-        assert sorted(T.triples) == [(x, y, z) for (x, y), z in zip(pairs, third)]
+        assert sorted(T.triples) == [(x, y, z) for (x, y), z in zip(pairs, chain(*third))]
+        # one row per point, slot i the z of (x, lam[x][i]), None where no triple starts;
+        # an invalid T too: with one triple removed, its pair alone is unstarted
+        missing = min(T.triples)
+        U = replace(T, triples=T.triples - {missing})
+        for V in (T, U):
+            third, z_of = validate(V).third, {(x, y): z for x, y, z in V.triples}
+            assert [len(row) for row in third] == [len(line) for line in V.lam], q
+            assert third == tuple([z_of.get((x, y)) for y in V.lam[x]] for x in range(V.N))
+        assert not validate(U).ok
+        assert [xy for xy, z in zip(pairs, chain(*third)) if z is None] == [missing[:2]], q
 
 
 def _frame_depth() -> int:
@@ -661,6 +678,30 @@ def test_is_cyclic_automorphism_holds_for_point_regular_ones_only(planes):
     assert [is_cyclic_automorphism(T, g) for g in shift] == [False, True, True, False]
     R = _relabeled(T, 0)  # x -> x + 1 is still an N-cycle, but no automorphism of R
     assert not is_s_invariant(R) and not is_cyclic_automorphism(R, shift[1])
+
+
+def test_the_finder_is_imported_only_for_an_input_that_needs_it():
+    # A fresh process: no generated variant reaches the finder, so its compile cost stays
+    # out of their analyses; a relabelled file, which has no Singer-cycle orbit, needs it.
+    script = """
+import sys
+from a2tp import analyze, build_plane, gen_variant, read_presentation
+from a2tp.cli import VARIANTS, prime_powers_in
+for q in prime_powers_in(2, 7):
+    for v in VARIANTS:
+        if v != "omega" or q % 3 == 1:
+            assert analyze(gen_variant(build_plane(q), v)).checks["m_subset_found"], (q, v)
+print("a2tp.automorphism" in sys.modules)
+assert analyze(read_presentation(sys.argv[1])).checks["m_subset_found"]
+print("a2tp.automorphism" in sys.modules)
+"""
+    src = str(Path(a2tp.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    golden = Path(__file__).parent / "golden" / "files" / "t0dual_q5_s31.a2tp"
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(golden)], env=env, capture_output=True, text=True
+    )
+    assert (done.returncode, done.stdout.split()) == (0, ["False", "True"]), done.stderr
 
 
 def test_certified_rejects_a_subset_outside_t(planes):
