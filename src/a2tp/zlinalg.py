@@ -3,13 +3,12 @@
 `FpAbelianGroup` is the one reduction path.  Its relations are point rows
 (`PointRows`: tuples of points, repeats allowed, each for the sum of its points'
 unit vectors minus e_eps, eps the last column), the form of every relation of
-A_T, or (column, coefficient) rows (`IntMatrix`).  Point rows are peeled first,
-writing no row: a row with one unresolved column and a +-1 coefficient there
-determines that column, and when no such row is left one column is inactivated
-and becomes the next core column (structured Gaussian elimination; inactivation
-decoding).  An IntMatrix is not peeled.  The core images of the other rows go
-into an incremental row-style Hermite normal form (`HnfBasis`) only until it
-settles.  Then its rows H are diagonalized once, U H V = diag(d_i), and every
+A_T.  They are peeled first, writing no row: a row with one unresolved column
+and a +-1 coefficient there determines that column, and when no such row is
+left one column is inactivated and becomes the next core column (structured
+Gaussian elimination; inactivation decoding).  The core images of the other
+rows go into an incremental row-style Hermite normal form (`HnfBasis`) only
+until it settles.  Then its rows H are diagonalized once, U H V = diag(d_i), and every
 later row is certified instead of reduced: its image times V must be 0 mod d_i
 where d_i != 1 and 0 on the free coordinates, tested with one short sum of big
 integers, each generator's coordinates packed into one (Kronecker substitution;
@@ -29,10 +28,9 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import chain, repeat
 from math import gcd, lcm, prod
-from operator import add, itemgetter, mod, mul
+from operator import add, mod, mul
 from typing import Callable, Optional, Sequence
 
-SparseRow = tuple[tuple[int, int], ...]  # sorted (col, coeff), no zero coeffs
 PointRow = tuple[int, ...]  # points, repeats allowed: their sum minus e_eps
 Smith = tuple[list[int], list[list[int]]]  # (diag, V) of a basis H: U H V = diag, padded with 0s
 
@@ -53,39 +51,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 @dataclass(frozen=True)
-class IntMatrix:
-    n_cols: int
-    rows: tuple[SparseRow, ...]
-
-    def __post_init__(self):
-        for row in self.rows:
-            cols = [c for c, _ in row]
-            if any(not 0 <= c < self.n_cols for c in cols):
-                raise ValueError("column index out of range")
-            if len(set(cols)) != len(cols):
-                raise ValueError("duplicate column in sparse row")
-            if any(v == 0 for _, v in row):
-                raise ValueError("zero coefficient in sparse row")
-
-    @staticmethod
-    def combine(values: Sequence[int], row: SparseRow) -> int:
-        """The image of `row` under the map sending generator c to values[c]."""
-        return sum([values[c] * v for c, v in row])
-
-    @staticmethod
-    def lift(vectors: Sequence[list[int]], row: SparseRow) -> list[int]:
-        """The same, with vectors of one length for values."""
-        zero = [0] * len(vectors[0]) if vectors else []
-        return list(map(sum, zip(zero, *([v * y for y in vectors[c]] for c, v in row))))
-
-    @staticmethod
-    def bound(rows: Sequence[SparseRow]) -> int:
-        """A bound on sum |v| of each of `rows`."""
-        coefficients = map(abs, map(itemgetter(1), chain.from_iterable(rows)))
-        return max(map(len, rows), default=0) * max(coefficients, default=0)
-
-
-@dataclass(frozen=True)
 class PointRows:
     """Relations over points 0..n_cols-2 and eps = n_cols-1: each row, an unchecked tuple of
     points with repeats allowed, stands for their unit vectors' sum minus e_eps.
@@ -93,10 +58,6 @@ class PointRows:
 
     n_cols: int
     rows: tuple[PointRow, ...]
-
-    @staticmethod
-    def combine(values: Sequence[int], row: PointRow) -> int:
-        return sum(map(values.__getitem__, row)) - values[-1]
 
     @staticmethod
     def lift(vectors: Sequence[list[int]], row: PointRow) -> list[int]:
@@ -379,11 +340,11 @@ def _eliminate_units(
 class FpAbelianGroup:
     """Finitely presented abelian group Z^n_gens / rowlattice(relations).
 
-    Point rows are peeled before the HNF; an IntMatrix is not, each generator being its
-    own core column.  Its structure is read from `snf`, its element orders from `order_of`.
+    The point rows are peeled before the HNF.  Its structure is read from `snf`, its
+    element orders from `order_of`.
     """
 
-    def __init__(self, n_gens: int, relations: IntMatrix | PointRows):
+    def __init__(self, n_gens: int, relations: PointRows):
         if relations.n_cols != n_gens:
             raise ValueError("relation width does not match generator count")
         self.n_gens = n_gens
@@ -395,16 +356,11 @@ class FpAbelianGroup:
 
     @property
     def hnf(self) -> HnfBasis:
-        """Hermite basis of the core lattice, the one left by peeling for point rows."""
+        """Hermite basis of the core lattice, the one left by peeling."""
         if self._hnf is None:
-            rows = self.relations.rows
-            if isinstance(self.relations, PointRows):
-                self._image, core, rows = _eliminate_units(self.n_gens, rows)
-            else:
-                core = self.n_gens
-                self._image = [[int(i == j) for j in range(core)] for i in range(core)]
+            self._image, core, rows = _eliminate_units(self.n_gens, self.relations.rows)
             self._hnf = HnfBasis(core)
-            self._smith = self._add_rows(self._hnf, self.relations, rows)
+            self._smith = self._add_rows(self._hnf, rows)
         return self._hnf
 
     @property
@@ -419,10 +375,8 @@ class FpAbelianGroup:
             self._snf = SnfResult(tuple(factors), free_rank=self.n_gens - len(factors))
         return self._snf
 
-    def _add_rows(
-        self, basis: HnfBasis, form: IntMatrix | PointRows, rows: Sequence
-    ) -> Optional[Smith]:
-        """Put `rows`, in the form of `form`, into the lattice of `basis`, a core HNF.
+    def _add_rows(self, basis: HnfBasis, rows: Sequence[PointRow]) -> Optional[Smith]:
+        """Put the point rows `rows` into the lattice of `basis`, a core HNF.
 
         Rows are reduced into the HNF until `basis.n_cols` of them in a row
         leave it unchanged.  Every later row is certified instead, by
@@ -431,32 +385,34 @@ class FpAbelianGroup:
         in its lattice, and the canonical HNF does not depend on the rule.
         Returns (diag, V) of the final basis if the check was built from it.
         """
-        bound = form.bound(rows)  # >= sum |v| of a row
+        bound = PointRows.bound(rows)  # >= sum |v| of a row
         unchanged, smith, check = 0, None, None
         for row in rows:
             if smith is None and unchanged >= basis.n_cols:
                 smith = _diagonalize(basis.rows(), basis.n_cols)
-                check = self._smith_check(smith, bound, form.combine)
+                check = self._smith_check(smith, bound)
             if smith is not None and check(row):
                 continue
-            if basis.add(form.lift(self._image, row)):  # the row's core image
+            if basis.add(PointRows.lift(self._image, row)):  # the row's core image
                 unchanged, smith = 0, None
             else:
                 unchanged += 1
         return smith
 
-    def _smith_check(self, smith: Smith, bound: int, combine: Callable) -> Callable[..., bool]:
-        """A test of rows, read by `combine`, for membership in a core with Smith pair `smith`.
+    def _smith_check(self, smith: Smith, bound: int) -> Callable[[PointRow], bool]:
+        """A test of point rows for membership in a core with Smith pair `smith`.
 
         With U * H * V = diag(d_i) for the basis rows H, v is in the lattice iff
         w_i = (v V)_i is 0 mod d_i where d_i != 1 and 0 where i >= rank (free); with L
         the lcm of those d_i, iff w_i * L / d_i is 0 mod L.  Each generator's coordinates
         are packed into one integer: the free ones signed at the bottom, the finite ones
-        above, offset by L * K >= bound * (L - 1), `bound` being at least sum |v| of each
-        row checked.  So no slot of a row's sum overflows: the free ones are 0 iff the
-        low `base` bits are, and each finite digit D is in [0, 2LK], below 2^lo.  As
-        L * 2^lo <= 2^width and base-2^width digits are unique, the finite part is L
-        times a number with digits below 2^lo iff every D is a multiple of L.
+        above, each in [0, L).  With `bound` at least len(row) + 1 for each row checked,
+        no free slot of a row's sum overflows, so the free ones are 0 iff the low `base`
+        bits are, and each finite digit D is in (-L, bound * L), eps's alone being taken
+        away.  As L * 2^lo <= 2^width - L and base-2^width digits are unique, the finite
+        part is L times a number with digits below 2^lo iff every D is a multiple of L:
+        such D are not negative, and a negative D leaves a digit of at least
+        2^width - L once borrowed from.
         """
         diag, transform = smith
         padded = diag + [0] * (len(transform) - len(diag))
@@ -474,8 +430,7 @@ class FpAbelianGroup:
         mod_l = lcm(*(d for _, d in finite))
         fw = (bound * max(map(abs, chain.from_iterable(free)), default=0)).bit_length() + 2
         base = fw * len(free)
-        k = -(-bound * (mod_l - 1) // mod_l)
-        lo = (2 * mod_l * k).bit_length()
+        lo = (bound * mod_l).bit_length()
         width = lo + mod_l.bit_length()
         packed = [0] * self.n_gens
         for i, w in enumerate(free):
@@ -484,26 +439,24 @@ class FpAbelianGroup:
             scaled = map(mod, map(mul, w, repeat(mod_l // d)), repeat(mod_l))
             packed = list(map(add, packed, map(mul, scaled, repeat(1 << base + width * i))))
         mask = (1 << base) - 1
-        offset = sum(mod_l * k << width * i for i in range(len(finite)))
         high = ~sum((1 << lo) - 1 << width * i for i in range(len(finite)))  # all but the digits
-        points, get = combine is PointRows.combine, packed.__getitem__
-        eps = packed[-1] if points else 0  # a point row's sum is inlined: one call per row
+        get, eps = packed.__getitem__, packed[-1]
 
-        def check(row) -> bool:
-            s = sum(map(get, row)) - eps if points else combine(packed, row)
-            qq, r = divmod((s >> base) + offset, mod_l)
+        def check(row: PointRow) -> bool:
+            s = sum(map(get, row)) - eps
+            qq, r = divmod(s >> base, mod_l)
             return not (s & mask or r or qq & high)
 
         return check
 
-    def quotient_by(self, extra: IntMatrix | PointRows) -> "FpAbelianGroup":
-        """The quotient by the subgroup generated by the rows of `extra`, in the group's form."""
-        if extra.n_cols != self.n_gens or type(extra) is not type(self.relations):
-            raise ValueError("relation width or form does not match the group's")
+    def quotient_by(self, extra: PointRows) -> "FpAbelianGroup":
+        """The quotient by the subgroup generated by the point rows of `extra`."""
+        if extra.n_cols != self.n_gens:
+            raise ValueError("relation width does not match generator count")
         basis = self.hnf.copy()
-        smith = self._add_rows(basis, extra, extra.rows)
+        smith = self._add_rows(basis, extra.rows)
         rows = self.relations.rows + extra.rows
-        quot = FpAbelianGroup(self.n_gens, type(extra)(self.n_gens, rows))
+        quot = FpAbelianGroup(self.n_gens, PointRows(self.n_gens, rows))
         quot._hnf, quot._image, quot._smith = basis, self._image, smith
         return quot
 
@@ -518,7 +471,8 @@ class FpAbelianGroup:
             raise ValueError("element width does not match generator count")
         self.snf  # computes the core, its image map and (diag, V) when missing
         diag, transform = self._smith
-        core = IntMatrix.lift(self._image, tuple((c, x) for c, x in enumerate(element) if x))
+        lifted = ([x * y for y in image] for x, image in zip(element, self._image) if x)
+        core = list(map(sum, zip([0] * len(transform), *lifted)))  # the element's core image
         w = [sum(map(mul, core, col)) for col in zip(*transform)]
         if any(w[len(diag) :]):
             return None

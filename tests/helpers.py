@@ -16,7 +16,14 @@ from a2tp.presentation import (
     m_subset_occurrences,
     twist,
 )
-from a2tp.zlinalg import FpAbelianGroup, HnfBasis, IntMatrix, PointRows
+from a2tp.zlinalg import (
+    FpAbelianGroup,
+    HnfBasis,
+    PointRows,
+    SnfResult,
+    _diagonalize,
+    cyclics_to_invariant_factors,
+)
 
 
 def report_from_dict(d: dict) -> AnalysisReport:
@@ -52,7 +59,7 @@ def triangle_rows(T, tail=()) -> tuple:
     return tuple(rows)
 
 
-def acb_matrix(T) -> IntMatrix:
+def acb_matrix(T) -> tuple:
     """The acb relation rows of A_T, the oracle lattice for the program's bcd rows.
 
     For each x, +1 at each point off lambda(x) and -1 at x; then the rows
@@ -64,7 +71,7 @@ def acb_matrix(T) -> IntMatrix:
         for x, on_line in enumerate(map(frozenset, T.lam))
     )
     all_points = tuple((y, 1) for y in range(N)) + ((N, -1),)
-    return IntMatrix(N + 1, x_rows + triangle_rows(T, ((N, -1),)) + (all_points,))
+    return N + 1, x_rows + triangle_rows(T, ((N, -1),)) + (all_points,)
 
 
 def bcd_point_rows(T) -> PointRows:
@@ -79,43 +86,58 @@ def triangle_lattice(T) -> FpAbelianGroup:
     return FpAbelianGroup(T.N + 1, PointRows(T.N + 1, rows[: len(rows) - T.N - 1]))
 
 
-def point_matrix(rows: PointRows) -> IntMatrix:
-    """The (column, coefficient) rows of point rows: each point's count, then -1 at eps.
-
-    The points keep the order in which each first occurs in its row."""
+def point_matrix(rows: PointRows) -> tuple:
+    """(n_cols, the (column, coefficient) rows of point rows): each point's count, then -1
+    at eps.  The points keep the order in which each first occurs in its row."""
     eps = ((rows.n_cols - 1, -1),)
-    return IntMatrix(rows.n_cols, tuple(tuple(Counter(row).items()) + eps for row in rows.rows))
+    return rows.n_cols, tuple(tuple(Counter(row).items()) + eps for row in rows.rows)
 
 
-def gamma_ab_matrix(T) -> IntMatrix:
+def gamma_ab_matrix(T) -> tuple:
     """Relations of the abelianized triangle group Γ_ab: x + y + z = 0 per point multiset.
 
     Built from the triples alone, over the N point columns, so that Γ_ab
     reduced from it is independent of the program's shared triple lattice.
     """
-    return IntMatrix(T.N, triangle_rows(T))
+    return T.N, triangle_rows(T)
 
 
-def dense_matrix(n_cols: int, rows) -> IntMatrix:
-    """The IntMatrix of dense integer rows of width `n_cols`, checked like any caller's."""
-    return IntMatrix(n_cols, tuple(tuple((c, v) for c, v in enumerate(row) if v) for row in rows))
+def dense_matrix(n_cols: int, rows) -> tuple:
+    """(n_cols, the (column, coefficient) rows of dense integer rows of width `n_cols`)."""
+    return n_cols, tuple(tuple((c, v) for c, v in enumerate(row) if v) for row in rows)
 
 
-def dense_group(n_gens: int, rows) -> FpAbelianGroup:
-    """Z^n_gens modulo the lattice of dense integer rows."""
-    return FpAbelianGroup(n_gens, dense_matrix(n_gens, rows))
+def reference_basis(n_cols: int, rows) -> HnfBasis:
+    """The tests' reference reducer: every (column, coefficient) row, made dense, in one
+    full-width HnfBasis, with no peeling and no certify pass."""
+    basis = HnfBasis(n_cols)
+    for row in rows:
+        dense = [0] * n_cols
+        for c, v in row:
+            dense[c] += v
+        basis.add(dense)
+    return basis
 
 
-def order_by_quotient(group: FpAbelianGroup, element) -> int:
-    """ord(element) as |A| / |A/<element>|: the oracle for `order_of` in finite groups.
+def reference_snf(basis: HnfBasis) -> SnfResult:
+    """Z^n_cols modulo the lattice of `basis`, diagonalized from its rows."""
+    factors = cyclics_to_invariant_factors(_diagonalize(basis.rows(), basis.n_cols)[0])
+    return SnfResult(tuple(factors), free_rank=basis.n_cols - len(factors))
 
-    The quotient's order comes from its Smith diagonal, not from the Smith
-    coordinates of `element` that `order_of` reads.
+
+def order_by_quotient(basis: HnfBasis, element) -> int:
+    """ord(element) as |A| / |A/<element>|, A modulo the lattice of the reference `basis`:
+    the oracle for `order_of` in finite groups.
+
+    The quotient's order comes from the Smith diagonal of a copy of the basis with
+    `element` added, not from the Smith coordinates of `element` that `order_of` reads.
     """
-    total = group.snf.group_order
+    total = reference_snf(basis).group_order
     if total is None:
         raise ValueError("the quotient oracle requires a finite group")
-    return total // group.quotient_by(dense_matrix(group.n_gens, [element])).snf.group_order
+    quotient = basis.copy()
+    quotient.add(element)
+    return total // reference_snf(quotient).group_order
 
 
 def hnf_contains(basis: HnfBasis, row) -> bool:
@@ -137,13 +159,15 @@ def hnf_contains(basis: HnfBasis, row) -> bool:
     return True
 
 
-def reference_smith_check(group: FpAbelianGroup, smith, bound, combine):
-    """Membership in a settled core lattice one Smith coordinate at a time: the oracle for
-    `FpAbelianGroup._smith_check`, with its signature; `bound` is not needed here.
+def reference_smith_check(group: FpAbelianGroup, smith, bound):
+    """Membership of point rows in a settled core lattice one Smith coordinate at a time:
+    the oracle for `FpAbelianGroup._smith_check`, with its signature; `bound` is not
+    needed here.
 
     Each generator's core image times V is kept on the coordinates with d_i != 1,
-    reduced mod d_i, and a row is in the lattice iff `combine` of those values, one
-    coordinate at a time, is 0 mod d_i on each torsion coordinate and 0 on each free one.
+    reduced mod d_i, and a row is in the lattice iff its points' values minus eps's,
+    one coordinate at a time, are 0 mod d_i on each torsion coordinate and 0 on each
+    free one.
     """
     diag, transform = smith
     padded = diag + [0] * (len(transform) - len(diag))  # a free coordinate must be 0
@@ -156,7 +180,7 @@ def reference_smith_check(group: FpAbelianGroup, smith, bound, combine):
     ]
 
     def check(row) -> bool:
-        values = (combine(coordinate, row) for coordinate in coordinates)
+        values = (sum(c[p] for p in row) - c[-1] for c in coordinates)
         return not any(x % d if d else x for x, d in zip(values, mods))
 
     return check

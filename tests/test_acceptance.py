@@ -22,8 +22,16 @@ from a2tp.presentation import (
     gen_variant,
     validate,
 )
-from a2tp.zlinalg import FpAbelianGroup
-from helpers import acb_matrix, dense_group, order_by_quotient
+from a2tp.zlinalg import FpAbelianGroup, PointRows
+from helpers import (
+    acb_matrix,
+    bcd_point_rows,
+    dense_matrix,
+    order_by_quotient,
+    point_matrix,
+    reference_basis,
+    reference_snf,
+)
 
 QS = prime_powers_in(2, 16)
 
@@ -182,7 +190,7 @@ def test_criterion_5_snf_oracle_equivalence():
         nr = rng.randint(1, 6)
         nc = rng.randint(1, 6)
         rows = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
-        result = dense_group(nc, rows).snf
+        result = reference_snf(reference_basis(*dense_matrix(nc, rows)))
         if result.invariant_factors != minor_gcd_snf(rows, nc):
             ok = False
         if any(b % a for a, b in zip(result.invariant_factors, result.invariant_factors[1:])):
@@ -196,15 +204,20 @@ def test_criterion_5_snf_oracle_equivalence():
     _report("5 snf-oracle-equivalence 1000 matrices", ok)
 
 
-def test_criterion_6_element_order_cross_validation(presentations):
+def test_criterion_6_element_order_cross_validation(presentations, reports):
+    # ord(eps) and the invariant factors of the acb rows, reduced by the full-width reference,
+    # against the point-row engine on the bcd rows that `analyze` reads them from.
     ok = True
     eps_checked = 0
     for (q, variant), T in sorted(presentations.items()):
         if q > 8 or variant not in ("t0", "t0dual"):
             continue
-        grp = FpAbelianGroup(T.N + 1, acb_matrix(T))
+        acb = reference_basis(*acb_matrix(T))
+        bcd = FpAbelianGroup(T.N + 1, bcd_point_rows(T))
         eps = [0] * T.N + [1]
-        if order_by_quotient(grp, eps) != grp.order_of(eps):
+        if order_by_quotient(acb, eps) != reports[(q, variant)].epsilon_order:
+            ok = False
+        if reference_snf(acb).invariant_factors != bcd.snf.invariant_factors:
             ok = False
         eps_checked += 1
     assert eps_checked == len([q for q in QS if q <= 8]) * 2
@@ -215,10 +228,10 @@ def test_criterion_6_element_order_cross_validation(presentations):
         if math.prod(factors) > 10**4:
             continue
         n = len(factors)
-        rows = [[factors[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        g = dense_group(n, rows)
-        e = [rng.randrange(d) for d in factors]
-        qo = order_by_quotient(g, e)
+        rows = tuple((i,) * d for i, d in enumerate(factors)) + ((),)  # d x_i = eps = 0
+        g = FpAbelianGroup(n + 1, PointRows(n + 1, rows))
+        e = [rng.randrange(d) for d in factors] + [0]
+        qo = order_by_quotient(reference_basis(*point_matrix(g.relations)), e)
         mo = g.order_of(e)
         brute = next(
             k

@@ -898,6 +898,6 @@ def test_singer_equivariance_of_relations(planes):
     def relabel(row):
         return tuple(sorted(((c + k) % N if c < N else c, v) for c, v in row))
 
-    base_rows = {relabel(r) for r in acb_matrix(T).rows}
-    shifted_rows = {tuple(r) for r in acb_matrix(shifted).rows}
+    base_rows = {relabel(r) for r in acb_matrix(T)[1]}
+    shifted_rows = {tuple(r) for r in acb_matrix(shifted)[1]}
     assert base_rows == shifted_rows

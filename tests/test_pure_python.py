@@ -1,4 +1,5 @@
-"""The package is pure Python on the standard library, and parses as its oldest Python.
+"""The package is pure Python on the standard library, parses as its oldest Python, and
+exports the names the README lists.
 
 The syntax check is best-effort: it catches syntax newer than `requires-python`,
 not calls to library functions added later.
@@ -10,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import a2tp
 
 ROOT = Path(__file__).parent.parent
 MODULES = sorted((ROOT / "src" / "a2tp").glob("*.py"))
@@ -39,3 +42,12 @@ def test_imports_only_the_standard_library(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_parses_as_the_oldest_supported_python(path):
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=OLDEST)
+
+
+def test_readme_lists_the_exports():
+    # The library-API paragraph names every export, so a removed one cannot leave it stale.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"The names\s+exported\s+by\s+`a2tp`:(.*?)\.\s", readme, re.S).group(1)
+    names = re.findall(r"`(\w+)`", listed)
+    assert len(names) == len(set(names))
+    assert sorted(names) == sorted(a2tp.__all__)

@@ -12,17 +12,17 @@ from a2tp.coinv import analyze
 from a2tp.zlinalg import (
     FpAbelianGroup,
     HnfBasis,
-    IntMatrix,
     PointRows,
     SnfResult,
     cyclics_to_invariant_factors,
 )
 from helpers import (
-    dense_group,
     dense_matrix,
     hnf_contains,
     order_by_quotient,
+    reference_basis,
     reference_smith_check,
+    reference_snf,
 )
 
 
@@ -63,11 +63,37 @@ def minor_gcd_snf(rows, n_cols):
 
 
 def full_width_basis(n_cols, rows):
-    """An HnfBasis of all columns, the rows inserted in the given order."""
-    basis = HnfBasis(n_cols)
-    for row in rows:
-        basis.add(row)
-    return basis
+    """An HnfBasis of all columns, the dense rows inserted in the given order."""
+    return reference_basis(*dense_matrix(n_cols, rows))
+
+
+def dense_point_row(n_cols, row):
+    """A point row as a dense row: the count of each point, and -1 at eps, the last column."""
+    dense = [0] * n_cols
+    for p in row:
+        dense[p] += 1
+    dense[-1] -= 1
+    return dense
+
+
+def point_basis(n_cols, rows):
+    """The full-width HnfBasis of point rows, the reference for the group they present."""
+    return full_width_basis(n_cols, [dense_point_row(n_cols, row) for row in rows])
+
+
+def group(n_cols, rows) -> FpAbelianGroup:
+    """Z^n_cols modulo point rows, eps the last column."""
+    return FpAbelianGroup(n_cols, PointRows(n_cols, tuple(map(tuple, rows))))
+
+
+def diagonal(factors):
+    """The point rows of the sum of Z_d over `factors`: d x_i = eps, and eps = 0 by ()."""
+    return [(i,) * d for i, d in enumerate(factors)] + [()]
+
+
+def point_row(n_cols):
+    """A point row over the points 0..n_cols-2, repeats allowed, in any order."""
+    return st.lists(st.integers(0, n_cols - 2), max_size=5).map(tuple)
 
 
 def brute_force_order(basis, element, limit):
@@ -136,17 +162,15 @@ def test_hnf_membership():
 # --- SNF ------------------------------------------------------------------------
 
 
-def _snf(n_cols, rows):
-    return dense_group(n_cols, rows).snf
-
-
 def test_snf_identity():
-    assert _snf(2, [[1, 0], [0, 1]]).invariant_factors == (1, 1)
+    assert group(2, [(0,), ()]).snf.invariant_factors == (1, 1)
 
 
 def test_snf_worked_examples():
-    assert _snf(2, [[2, 4], [6, 8]]).invariant_factors == (2, 4)
-    assert _snf(2, [[2, 0], [0, 3]]).invariant_factors == (1, 6)
+    assert group(3, diagonal([2, 4])).snf.invariant_factors == (1, 2, 4)
+    assert group(3, diagonal([2, 3])).snf.invariant_factors == (1, 1, 6)
+    # x0 + x1 = 0 and 3 x0 = 0: Z_3
+    assert group(3, [(0, 1), (0, 0, 0), ()]).snf.invariant_factors == (1, 1, 3)
 
 
 def test_cyclics_to_invariant_factors():
@@ -156,14 +180,17 @@ def test_cyclics_to_invariant_factors():
     assert cyclics_to_invariant_factors([]) == []
 
 
+def random_point_rows(rng, n_cols, n_rows):
+    return [tuple(rng.choices(range(n_cols - 1), k=rng.randint(0, 5))) for _ in range(n_rows)]
+
+
 def test_snf_divisibility_chain_and_oracle():
     rng = random.Random(42)
     for _ in range(300):
-        nr = rng.randint(1, 6)
-        nc = rng.randint(1, 6)
-        rows = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
-        result = _snf(nc, rows)
-        assert result.invariant_factors == minor_gcd_snf(rows, nc)
+        nc = rng.randint(2, 6)
+        rows = random_point_rows(rng, nc, rng.randint(1, 6))
+        result = group(nc, rows).snf
+        assert result.invariant_factors == minor_gcd_snf([dense_point_row(nc, r) for r in rows], nc)
         for a, b in zip(result.invariant_factors, result.invariant_factors[1:]):
             assert b % a == 0
         assert result.free_rank == nc - len(result.invariant_factors)
@@ -178,7 +205,9 @@ def test_snf_divisibility_chain_and_oracle():
     )
 )
 def test_snf_matches_oracle_property(rows):
-    result = _snf(3, rows)
+    # General integer rows, negative entries too, through the reference reducer:
+    # HnfBasis and the diagonalization against the minor-gcd SNF.
+    result = reference_snf(full_width_basis(3, rows))
     assert result.invariant_factors == minor_gcd_snf(rows, 3)
 
 
@@ -186,13 +215,12 @@ def test_determinant_preservation():
     rng = random.Random(9)
     done = 0
     while done < 50:
-        n = rng.randint(1, 5)
-        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        d = det(rows)
+        n = rng.randint(2, 6)
+        rows = random_point_rows(rng, n, n)
+        d = det([dense_point_row(n, row) for row in rows])
         if d == 0:
             continue
-        result = _snf(n, rows)
-        assert math.prod(result.invariant_factors) == abs(d)
+        assert math.prod(group(n, rows).snf.invariant_factors) == abs(d)
         done += 1
 
 
@@ -200,66 +228,59 @@ def test_determinant_preservation():
 
 
 def test_group_free():
-    g = dense_group(1, [])
+    g = group(1, [])  # eps alone, in no row
     assert g.snf.free_rank == 1
     assert g.snf.group_order is None
 
 
 def test_group_z6():
-    g = dense_group(2, [[2, 0], [0, 3]])
+    g = group(3, diagonal([2, 3]))
     result = g.snf
-    assert result.invariant_factors == (1, 6)
+    assert result.invariant_factors == (1, 1, 6)
     assert result.nontrivial_factors == (6,)
     assert result.free_rank == 0
     assert g.snf.group_order == 6
 
 
 def test_group_z2_cubed():
-    g = dense_group(3, [[2, 0, 0], [0, 2, 0], [0, 0, 2]])
-    assert g.snf.invariant_factors == (2, 2, 2)
+    g = group(4, diagonal([2, 2, 2]))
+    assert g.snf.invariant_factors == (1, 2, 2, 2)
 
 
 def test_element_order_worked_examples():
-    g = dense_group(2, [[2, 0], [0, 3]])
-    for order in (order_by_quotient, FpAbelianGroup.order_of):
-        assert order(g, [1, 1]) == 6
-        assert order(g, [0, 0]) == 1
-    assert dense_group(1, []).order_of([1]) is None
+    rows = diagonal([2, 3])
+    g, basis = group(3, rows), point_basis(3, rows)
+    assert order_by_quotient(basis, [1, 1, 0]) == g.order_of([1, 1, 0]) == 6
+    assert order_by_quotient(basis, [0, 0, 0]) == g.order_of([0, 0, 0]) == 1
+    assert group(1, []).order_of([1]) is None
 
 
 def test_element_order_rejects_bad_requests():
     with pytest.raises(ValueError, match="finite group"):
-        order_by_quotient(dense_group(1, []), [1])
+        order_by_quotient(point_basis(1, []), [1])
     with pytest.raises(ValueError, match="element width"):
-        dense_group(2, [[2, 0]]).order_of([1])
+        group(3, [(0, 0), ()]).order_of([1])
 
 
 def test_element_order_methods_agree():
     rng = random.Random(11)
     for _ in range(100):
         n = rng.randint(1, 4)
-        rows = []
-        for i in range(n):
-            row = [0] * n
-            row[i] = rng.randint(1, 12)
-            rows.append(row)
-        # scramble with random unimodular-ish extra relations
-        for _ in range(rng.randint(0, 2)):
-            rows.append([rng.randint(-4, 4) for _ in range(n)])
-        g = dense_group(n, rows)
-        if g.snf.free_rank:
-            continue
-        e = [rng.randint(-6, 6) for _ in range(n)]
-        a = order_by_quotient(g, e)
-        b = g.order_of(e)
-        assert a == b
-        assert brute_force_order(full_width_basis(n, rows), e, a) == a
+        rows = diagonal([rng.randint(1, 12) for _ in range(n)])
+        # scrambled with random extra rows, in random order
+        rows += random_point_rows(rng, n + 1, rng.randint(0, 2))
+        rng.shuffle(rows)
+        basis = point_basis(n + 1, rows)
+        e = [rng.randint(-6, 6) for _ in range(n + 1)]
+        a = order_by_quotient(basis, e)
+        assert group(n + 1, rows).order_of(e) == a
+        assert brute_force_order(basis, e, a) == a
 
 
 def test_element_order_infinite_component():
-    g = dense_group(2, [[2, 0]])
-    assert g.order_of([0, 1]) is None
-    assert g.order_of([1, 0]) == 2
+    g = group(3, [(0, 0), ()])
+    assert g.order_of([0, 1, 0]) is None
+    assert g.order_of([1, 0, 0]) == 2
 
 
 def test_element_order_brute_force_synthetic():
@@ -270,27 +291,21 @@ def test_element_order_brute_force_synthetic():
         if math.prod(factors) > 10**4:
             continue
         n = len(factors)
-        rows = []
-        for i, d in enumerate(factors):
-            row = [0] * n
-            row[i] = d
-            rows.append(row)
-        g = dense_group(n, rows)
-        e = [rng.randrange(d) for d in factors]
+        rows = diagonal(factors)
+        g, basis = group(n + 1, rows), point_basis(n + 1, rows)
+        e = [rng.randrange(d) for d in factors] + [rng.randint(-3, 3)]  # eps = 0
         expected = math.lcm(*[d // math.gcd(d, c) for d, c in zip(factors, e)])
-        assert order_by_quotient(g, e) == expected
+        assert order_by_quotient(basis, e) == expected
         assert g.order_of(e) == expected
-        assert brute_force_order(full_width_basis(n, rows), e, expected) == expected
-
-
-UNIT_RICH = st.sampled_from([0, 0, 1, 1, -1, -1, 2, -2, 3, -4])
+        assert brute_force_order(basis, e, expected) == expected
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    st.integers(1, 4).flatmap(
+    st.integers(2, 5).flatmap(
         lambda n: st.tuples(
-            st.lists(st.lists(UNIT_RICH, min_size=n, max_size=n), max_size=5),
+            st.lists(point_row(n), max_size=5),
+            point_row(n),
             st.lists(st.integers(-3, 3), min_size=n, max_size=n),
             st.lists(st.integers(-2, 2), min_size=5, max_size=5),
         )
@@ -298,28 +313,21 @@ UNIT_RICH = st.sampled_from([0, 0, 1, 1, -1, -1, 2, -2, 3, -4])
 )
 def test_unit_elimination_against_full_width_hnf(data):
     # the substitution map is checked against an HNF of all columns, and orders by k-scanning
-    rows, e, coeffs = data
-    n = len(e)
-    g = dense_group(n, rows)
-    full = full_width_basis(n, rows)
-    in_lattice = [sum(k * row[j] for k, row in zip(coeffs, rows)) for j in range(n)]
+    rows, e_row, v, coeffs = data
+    n = len(v)
+    g = group(n, rows)
+    dense = [dense_point_row(n, row) for row in rows]
+    full = full_width_basis(n, dense)
+    in_lattice = [sum(k * row[j] for k, row in zip(coeffs, dense)) for j in range(n)]
     assert g.order_of(in_lattice) == 1 and hnf_contains(full, in_lattice)
-    torsion = math.prod(minor_gcd_snf(rows, n))
-    for v in (e, [x + y for x, y in zip(e, in_lattice)], [2 * x for x in e]):
-        assert g.order_of(v) == brute_force_order(full, v, torsion)
+    torsion = math.prod(minor_gcd_snf(dense, n))
+    e = dense_point_row(n, e_row)
+    for x in (e, v, [a + b for a, b in zip(v, in_lattice)], [2 * a for a in v]):
+        assert g.order_of(x) == brute_force_order(full, x, torsion)
     expected = brute_force_order(full, e, torsion)
     if g.snf.free_rank == 0:
-        assert order_by_quotient(g, e) == expected
-        assert g.quotient_by(dense_matrix(n, [e])).snf.group_order == torsion // expected
-
-
-def dense_point_row(n_cols, row):
-    """A point row as a dense row: the count of each point, and -1 at eps, the last column."""
-    dense = [0] * n_cols
-    for p in row:
-        dense[p] += 1
-    dense[-1] -= 1
-    return dense
+        assert order_by_quotient(full, e) == expected
+        assert g.quotient_by(PointRows(n, (e_row,))).snf.group_order == torsion // expected
 
 
 @st.composite
@@ -385,39 +393,39 @@ def test_rows_that_reach_the_hnf_per_analysis(q, variant, adds, monkeypatch):
     assert len(added) == adds
 
 
+def counted_row(counts):
+    """The point row with count counts[p] at each point p."""
+    return tuple(p for p, c in enumerate(counts) for _ in range(c))
+
+
 @st.composite
 def long_runs(draw):
     """More rows than a warm-up takes, the rows that change the lattice last.
 
-    The lattice lies in 4Z on columns 0..n-1 and misses column n; a pivot
-    row ties column n + 1 to the others, and any later row may carry a
-    multiple of it.  Then comes a long run of integer combinations of the
-    lattice rows, and last 2 e_j (new torsion), m e_n (the free column
-    killed) and a row with non-unit coefficients, in random order.
+    The row () kills eps, so a row that joins others is their sum.  The
+    lattice lies in 4Z on points 0..n-1 and misses point n; a pivot row ties
+    point n + 1 to the others, and any later row may carry copies of it.
+    Then comes a long run of sums of the lattice rows, and last 2 e_j (new
+    torsion), m e_n (the free point killed) and a row with non-unit counts,
+    in random order.
     """
     rng = draw(st.randoms(use_true_random=False))
     n = rng.randint(1, 3)
-    width = n + 2
-    pivot = [rng.randint(-3, 3) for _ in range(n + 1)] + [1]
+    width = n + 3  # points 0..n+1 and eps
+    pivot = (n + 1, *rng.choices(range(n + 1), k=rng.randint(0, 3)))
 
-    def tied(row):  # the same element of the group, written with column n + 1 as well
-        k = rng.choice([0, 0, 1, -1, 2])
-        return [x + k * y for x, y in zip(row, pivot)]
+    def tied(row):  # the same element of the group, written with point n + 1 as well
+        return row + pivot * rng.choice([0, 0, 1, 2])
 
-    lattice = [[4 * rng.randint(-3, 3) for _ in range(n)] + [0, 0] for _ in range(rng.randint(1, n))]
+    lattice = [counted_row([4 * rng.randint(0, 3) for _ in range(n)]) for _ in range(rng.randint(1, n))]
     run = []
     for _ in range(rng.randint(width + 1, width + 6)):
-        ks = [rng.randint(-3, 3) for _ in lattice]
-        run.append(tied([sum(k * row[j] for k, row in zip(ks, lattice)) for j in range(width)]))
+        run.append(tied(sum((row * rng.randint(0, 3) for row in lattice), ())))
     j = rng.randrange(n)
-    changes = [
-        [2 * (c == j) for c in range(width)],
-        [rng.choice([2, 3, 5]) * (c == n) for c in range(width)],
-        [rng.choice([0, 2, -2, 3, 6]) for _ in range(n + 1)] + [0],
-    ]
+    changes = [(j, j), (n,) * rng.choice([2, 3, 5]), counted_row(rng.choices([0, 2, 3, 6], k=n + 1))]
     rng.shuffle(changes)
-    e = [rng.randint(-3, 3) for _ in range(width)]
-    return [pivot] + lattice, run, [tied(row) for row in changes], e
+    e_row = counted_row([rng.randint(0, 3) for _ in range(n + 2)])
+    return [(), pivot] + lattice, run, [tied(row) for row in changes], width, e_row
 
 
 @settings(max_examples=100, deadline=None)
@@ -425,155 +433,144 @@ def long_runs(draw):
 def test_long_runs_against_one_row_at_a_time(data):
     # Past the warm-up, rows are certified in Smith coordinates, not reduced;
     # the ones that change the lattice must still reach the HNF.
-    gens, run, changes, e = data
+    gens, run, changes, width, e_row = data
     rows = gens + run + changes
-    width = len(e)
-    g = dense_group(width, rows)
-    full = full_width_basis(width, rows)
-    oracle = minor_gcd_snf(gens + changes, width)
+    dense = lambda rows: [dense_point_row(width, row) for row in rows]
+    g = group(width, rows)
+    full = full_width_basis(width, dense(rows))
+    oracle = minor_gcd_snf(dense(gens + changes), width)
     assert g.snf.invariant_factors == oracle  # run adds nothing
-    for v in (*rows, e, [2 * x for x in e], [x + y for x, y in zip(e, changes[0])]):
+    e = dense_point_row(width, e_row)
+    for v in (*dense(rows), e, [2 * x for x in e], [x + y for x, y in zip(e, dense(changes)[0])]):
         assert g.order_of(v) == brute_force_order(full, v, max(oracle, default=1))
-    assert dense_group(width, gens).quotient_by(dense_matrix(width, run + changes)).snf == g.snf
-    with_e = minor_gcd_snf(gens + changes + [e], width)
+    assert group(width, gens).quotient_by(PointRows(width, tuple(run + changes))).snf == g.snf
+    with_e = minor_gcd_snf(dense(gens + changes + [e_row]), width)
     expected = math.prod(with_e) if len(with_e) == width else None
-    assert g.quotient_by(dense_matrix(width, [e])).snf.group_order == expected
+    assert g.quotient_by(PointRows(width, (e_row,))).snf.group_order == expected
 
 
 def test_packed_check_sizes_its_slots_from_the_rows():
-    # Past the warm-up, [512, -2] is certified in slots sized from its coefficients;
-    # slots sized from the generator count alone overflow and accept it, giving (3, 3).
-    rows = [[3, 0], [0, 3], [3, 0], [0, 3], [512, -2]]
-    assert dense_group(2, rows).snf.invariant_factors == minor_gcd_snf(rows, 2) == (1, 3)
+    # 2 x1 = eps leaves x0 free.  Past the warm-up, 32 x0 = eps is certified in a free slot
+    # sized from its 33 points; a slot sized from the generators' images alone overflows
+    # and accepts it, leaving x0 free.
+    rows = [(1, 1)] * 4 + [(0,) * 32]
+    oracle = minor_gcd_snf([dense_point_row(3, row) for row in rows], 3)
+    assert group(3, rows).snf.invariant_factors == oracle == (1, 2)
 
 
 def test_packed_check_sizes_point_row_slots_from_the_longest_row():
     # 3 x0 = x0 = eps and 32 x1 = eps give Z_64.  Past the warm-up the long row is certified;
     # slots sized for rows of 3 points overflow on its 32 and accept it, leaving x1 free.
     rows = [(0, 0, 0), (0,), (0,), (0,), (1,) * 32]
-    group = FpAbelianGroup(3, PointRows(3, tuple(rows)))
     oracle = minor_gcd_snf([dense_point_row(3, row) for row in rows], 3)
-    assert group.snf.invariant_factors == oracle == (1, 1, 64)
+    assert group(3, rows).snf.invariant_factors == oracle == (1, 1, 64)
 
 
 @st.composite
 def settled_lattices(draw):
-    """A settled core lattice with mixed moduli and free columns, then rows up to +-2^80.
+    """A settled core lattice with mixed moduli and free points, then long rows to certify.
 
-    The lattice is diag(d_i) W for a random unimodular W, the d_i mixing
-    small moduli, a 61-bit prime and up to two 0s (free columns).  More
-    integer combinations of its rows than it has columns follow, so the HNF
-    settles, and last the rows to certify: combinations with coefficients
-    up to 2^80, some moved off the lattice by a multiple of a unit vector.
+    The row () kills eps, so a row that joins others is their sum.  The
+    lattice is diag(d_i) W for a random unit upper triangular W, row i
+    written as d_i copies of point i and d_i k copies of a later point j,
+    the d_i mixing small moduli, the prime 61 and up to two 0s (free
+    points).  More sums of its rows than it has columns follow, so the HNF
+    settles, and last the rows to certify: sums of up to 16 copies of each
+    lattice row, some moved off the lattice by extra copies of a point, all
+    with their points shuffled.
     """
     rng = draw(st.randoms(use_true_random=False))
     n = rng.randint(2, 4)
     n_free = rng.randint(0, min(2, n - 1))
-    mods = [0] * n_free + [rng.choice([1, 2, 3, 4, 6, 9, 12, 2**61 - 1]) for _ in range(n - n_free)]
+    mods = [0] * n_free + [rng.choice([1, 2, 3, 4, 6, 9, 12, 61]) for _ in range(n - n_free)]
     rng.shuffle(mods)
-    w = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(rng.randint(0, 2 * n)):
-        i, j = rng.sample(range(n), 2)
-        k = rng.randint(-3, 3)
-        for row in w:
-            row[j] += k * row[i]
-    gens = [[d * x for x in row] for d, row in zip(mods, w) if d]
+    gens = [()]
+    for i, d in enumerate(mods):
+        if d:
+            tail = (rng.randrange(i + 1, n),) * (d * rng.randint(0, 2)) if i + 1 < n else ()
+            gens.append((i,) * d + tail)
 
     def combination(size):
-        ks = [rng.randint(-size, size) for _ in gens]
-        return [sum(k * row[c] for k, row in zip(ks, gens)) for c in range(n)]
+        row = list(sum((row * rng.randint(0, size) for row in gens), ()))
+        random.Random(rng.random()).shuffle(row)  # one draw, however long the row
+        return tuple(row)
 
     run = [combination(3) for _ in range(n + 1)]
     certified = []
     for _ in range(rng.randint(1, 4)):
-        row = combination(2**80)
+        row = combination(16)
         if rng.random() < 0.4:
-            row[rng.randrange(n)] += rng.choice([1, -1, 2, 3, 2**40])
+            row += (rng.randrange(n),) * rng.choice([1, 2, 3, 61])
         certified.append(row)
-    return n, gens, run, certified
+    return n + 1, gens, run, certified
 
 
 @settings(max_examples=100, deadline=None)
 @given(settled_lattices())
+# eps not killed, and a non-member whose digit tops its slot: a slot a bit narrower accepts it
+@example((4, [(0, 1, 1, 1), (1, 2, 2), (0,), (0, 2, 2, 2)], [], [(0, 0, 0, 1, 1, 1, 2, 2, 2)]))
+# a non-member whose quotient has a bit just above a digit: a wider digit mask accepts it
+@example((3, [(0, 0, 0, 0), (0,), (0, 1, 1, 1)], [], [(0, 0, 0, 0, 0, 1, 1, 1, 1)]))
 def test_packed_check_against_one_coordinate_at_a_time(data):
     # The packed test, the per-coordinate test and an HNF walk agree on every row,
     # and the group certified with it is the minor-gcd SNF of its lattice.
     n, gens, run, certified = data
-    settled = dense_group(n, gens + run)
+    settled = group(n, gens + run)
     settled.snf  # the settled basis and its Smith pair
-    rows = dense_matrix(n, certified).rows
-    bound = max(map(len, rows)) * max((abs(v) for row in rows for _, v in row), default=0)
-    packed = settled._smith_check(settled._smith, bound, IntMatrix.combine)
-    reference = reference_smith_check(settled, settled._smith, bound, IntMatrix.combine)
-    full = full_width_basis(n, gens)
-    members = [hnf_contains(full, row) for row in certified]
-    assert [packed(row) for row in rows] == [reference(row) for row in rows] == members
+    bound = PointRows.bound(certified)
+    packed = settled._smith_check(settled._smith, bound)
+    reference = reference_smith_check(settled, settled._smith, bound)
+    full = point_basis(n, gens)
+    members = [hnf_contains(full, dense_point_row(n, row)) for row in certified]
+    assert [packed(row) for row in certified] == [reference(row) for row in certified] == members
     outside = [row for row, member in zip(certified, members) if not member]
-    group = dense_group(n, gens + run + certified)
-    assert group.snf.invariant_factors == minor_gcd_snf(gens + outside, n)
-    assert group.snf.free_rank == n - len(group.snf.invariant_factors)
+    certified_group = group(n, gens + run + certified)
+    oracle = minor_gcd_snf([dense_point_row(n, row) for row in gens + outside], n)
+    assert certified_group.snf.invariant_factors == oracle
+    assert certified_group.snf.free_rank == n - len(oracle)
 
 
 def test_quotient_by():
-    g = dense_group(2, [[4, 0], [0, 4]])
-    q = g.quotient_by(IntMatrix(2, (((0, 2), (1, 2)),)))
-    assert q.snf.group_order == 8
-    assert order_by_quotient(g, [2, 2]) == 2
-    for wrong in ([2], [2, 2, 2]):
+    rows = diagonal([4, 4])
+    g = group(3, rows)
+    assert g.quotient_by(PointRows(3, ((0, 0, 1, 1),))).snf.group_order == 8
+    assert order_by_quotient(point_basis(3, rows), [2, 2, 0]) == 2
+    extra = ((0, 0, 1, 1), (1, 1))
+    assert g.quotient_by(PointRows(3, extra)).snf == group(3, rows + list(extra)).snf
+    for wrong in ([2, 2], [2, 2, 2, 2]):
         with pytest.raises(ValueError, match="element width"):
             g.order_of(wrong)
-    for bad in (((2, 2),), ((-1, 2),)):  # rows are checked like any caller's
-        with pytest.raises(ValueError, match="column index out of range"):
-            g.quotient_by(IntMatrix(2, (((0, 2),), bad)))
-
-
-def test_quotient_by_takes_a_built_matrix_and_checks_sparse_rows():
-    g = dense_group(2, [[4, 0], [0, 4]])
-    rows = (((0, 2), (1, 2)), ((1, 2),))
-    assert g.quotient_by(IntMatrix(2, rows)).snf == dense_group(2, [[4, 0], [0, 4], [2, 2], [0, 2]]).snf
     with pytest.raises(ValueError, match="relation width"):
-        g.quotient_by(IntMatrix(3, rows))
-    bad_rows = [((0, 1), (0, 1)), ((1, 0),), ((0, 1), (2, 1))]
-    for bad, message in zip(bad_rows, ["duplicate column", "zero coefficient", "out of range"]):
-        with pytest.raises(ValueError, match=message):
-            IntMatrix(2, (bad,))  # a caller's rows are checked before any quotient is built
+        g.quotient_by(PointRows(4, extra))
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    st.integers(1, 4).flatmap(
+    st.integers(2, 5).flatmap(
         lambda n: st.tuples(
-            st.lists(st.lists(UNIT_RICH, min_size=n, max_size=n), max_size=4),
-            st.lists(st.lists(UNIT_RICH, min_size=n, max_size=n), max_size=3),
+            st.lists(point_row(n), max_size=4),
+            st.lists(point_row(n), max_size=3),
             st.lists(st.integers(-3, 3), min_size=n, max_size=n),
         )
     )
 )
-@example(([[1, 2, 0], [0, 3, 1]], [[5, 0, 0], [0, 0, 2]], [1, 1, 1]))  # extra rows on eliminated columns
-@example(([[2, 1], [0, 4]], [], [1, 0]))  # no extra rows
+@example(([(0,), (1, 1, 2)], [(0,) * 5, (2, 2)], [1, 1, 1, 0]))  # extra rows on peeled columns
+@example(([(0, 0, 1), ()], [], [1, 0, 0]))  # no extra rows
 def test_quotient_by_equals_the_group_built_from_scratch(data):
     rows, extra, e = data
     n = len(e)
-    g = dense_group(n, rows)
-    quot = g.quotient_by(dense_matrix(n, extra))
-    whole = dense_group(n, rows + extra)
-    oracle = minor_gcd_snf(rows + extra, n)
+    g = group(n, rows)
+    quot = g.quotient_by(PointRows(n, tuple(extra)))
+    whole = group(n, rows + extra)
+    dense = [dense_point_row(n, row) for row in rows + extra]
+    oracle = minor_gcd_snf(dense, n)
     assert quot.snf == whole.snf
     assert quot.snf.invariant_factors == oracle
     assert quot.snf.group_order == whole.snf.group_order
-    full = full_width_basis(n, rows + extra)
-    for v in (e, [2 * x for x in e], *extra):
+    full = full_width_basis(n, dense)
+    for v in (e, [2 * x for x in e], *dense[len(rows) :]):
         expected = brute_force_order(full, v, math.prod(oracle))
         assert quot.order_of(v) == whole.order_of(v) == expected
-
-
-def test_intmatrix_validation():
-    with pytest.raises(ValueError):
-        IntMatrix(2, (((2, 1),),))  # column out of range
-    with pytest.raises(ValueError):
-        IntMatrix(2, (((0, 0),),))  # zero coefficient
-    with pytest.raises(ValueError):
-        IntMatrix(2, (((0, 1), (0, 2)),))  # duplicate column
 
 
 def test_snf_result_group_order():
