@@ -535,11 +535,17 @@ def test_quotient_by():
     g = group(3, rows)
     assert g.quotient_by(PointRows(3, ((0, 0, 1, 1),))).snf.group_order == 8
     assert order_by_quotient(point_basis(3, rows), [2, 2, 0]) == 2
-    extra = ((0, 0, 1, 1), (1, 1))
-    assert g.quotient_by(PointRows(3, extra)).snf == group(3, rows + list(extra)).snf
     for wrong in ([2, 2], [2, 2, 2, 2]):
         with pytest.raises(ValueError, match="element width"):
             g.order_of(wrong)
+
+
+def test_quotient_by_takes_a_built_matrix_and_checks_sparse_rows():
+    # The built relations are point rows; their width is checked against the group's.
+    rows = diagonal([4, 4])
+    g = group(3, rows)
+    extra = ((0, 0, 1, 1), (1, 1))
+    assert g.quotient_by(PointRows(3, extra)).snf == group(3, rows + list(extra)).snf
     with pytest.raises(ValueError, match="relation width"):
         g.quotient_by(PointRows(4, extra))
 
