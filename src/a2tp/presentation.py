@@ -190,9 +190,7 @@ def validate(T: TrianglePresentation) -> ValidationReport:
     off_line = [(x, y, z) for x, by_y in enumerate(z_of) for y, z in by_y.items() if y not in on[x]]
     aside_set = frozenset(aside)
     unrotated = [
-        (x, y, z)
-        for x, y, z in chain(aside, off_line, zip(xs, flat(lam), flat(third)))
-        if z is not None and z_of[y].get(z) != x and (y, z, x) not in aside_set
+        (x, y, z) for x, y, z in T.triples if z_of[y].get(z) != x and (y, z, x) not in aside_set
     ]
 
     def result(failures: list) -> AxiomResult:

@@ -13,13 +13,13 @@ later row is certified instead of reduced: its image times V must be 0 mod d_i
 where d_i != 1 and 0 on the free coordinates, tested with one short sum of big
 integers, each generator's coordinates packed into one (Kronecker substitution;
 Harvey, J. Symbolic Comput. 44, 2009).  A row that fails goes into the HNF, so
-each row is in the HNF or proven to lie in its lattice.  The Smith normal form is
-diagonalized from the HNF rows with the smallest-pivot rule.  `quotient_by` puts
-more rows into a copy of the core HNF the same way: a quotient is never
-eliminated again.  Each group keeps the pair (diag, V) of its settled core basis,
-and element orders are read in the same Smith coordinates: with w an element's
-core image times V, its order is lcm_i d_i / gcd(d_i, w_i), infinite when w is
-nonzero on a free coordinate (Cohen, GTM 138, 2.4).
+each row is in the HNF or proven to lie in its lattice.  The Smith normal form comes
+from the HNF rows by alternating Hermite forms of the columns and of the rows, in the
+same `HnfBasis` (Kannan-Bachem).  `quotient_by` puts more rows into a copy of the core
+HNF the same way: a quotient is never eliminated again.  Each group keeps the pair
+(diag, V) of its settled core basis, and element orders are read in the same Smith
+coordinates: with w an element's core image times V, its order is lcm_i d_i /
+gcd(d_i, w_i), infinite when w is nonzero on a free coordinate (Cohen, GTM 138, 2.4).
 """
 
 from __future__ import annotations
@@ -153,80 +153,30 @@ class HnfBasis:
 
 
 def _diagonalize(rows: list[list[int]], n_cols: int) -> Smith:
-    """Diagonalize by unimodular row/column ops; smallest-|entry| pivot rule.
-
-    Returns the positive diagonal entries (rank many, in elimination order,
-    not necessarily a divisibility chain) and the column transform V: for
-    some unimodular U, U * rows * V is that diagonal, padded with zeros.
+    """Diagonalize a row HNF by alternating Hermite forms of its columns and of its rows
+    (Kannan and Bachem, SIAM J. Comput. 8, 1979): each column of m, followed by the same
+    column of V, goes into one `HnfBasis`, so V follows every column operation; then m's
+    rows go into another, until m is diagonal.  Returns the positive diagonal entries (rank
+    many, not necessarily a divisibility chain) and the column transform V: for some
+    unimodular U, U * rows * V is that diagonal, padded with zeros.
     """
-    m = [row[:] for row in rows]
-    transform = [[int(i == j) for j in range(n_cols)] for i in range(n_cols)]
-    nr = len(m)
-    diag: list[int] = []
-    t = 0
-    while t < nr and t < n_cols:
-        # Locate the minimal-|v| nonzero entry in the trailing submatrix.
-        best = None
-        for i in range(t, nr):
-            row = m[i]
-            for j in range(t, n_cols):
-                v = row[j]
-                if v:
-                    a = -v if v < 0 else v
-                    if best is None or a < best[0]:
-                        best = (a, i, j)
-                        if a == 1:
-                            break
-            if best is not None and best[0] == 1:
-                break
-        if best is None:
-            break
-        _, bi, bj = best
-        if bi != t:
-            m[t], m[bi] = m[bi], m[t]
-        if bj != t:
-            for row in m + transform:
-                row[t], row[bj] = row[bj], row[t]
-        if m[t][t] < 0:
-            m[t] = [-x for x in m[t]]
+    def diagonal(m: list[list[int]]) -> bool:
+        return not any(v for i, row in enumerate(m) for j, v in enumerate(row) if i != j)
 
-        while True:
-            p = m[t][t]
-            swapped = False
-            for i in range(t + 1, nr):
-                v = m[i][t]
-                if v == 0:
-                    continue
-                qq = v // p
-                if qq:
-                    m[i][t:] = [x - qq * y for x, y in zip(m[i][t:], m[t][t:])]
-                if m[i][t]:
-                    m[t], m[i] = m[i], m[t]  # strictly smaller positive pivot
-                    swapped = True
-                    break
-            if swapped:
-                continue
-            for j in range(t + 1, n_cols):
-                v = m[t][j]
-                if v == 0:
-                    continue
-                qq = v // p
-                if qq:
-                    for row in m + transform:
-                        if row[t]:
-                            row[j] -= qq * row[t]
-                if m[t][j]:
-                    for row in m + transform:
-                        row[t], row[j] = row[j], row[t]
-                    if m[t][t] < 0:
-                        m[t] = [-x for x in m[t]]
-                    swapped = True
-                    break
-            if not swapped:
-                break
-        diag.append(m[t][t])
-        t += 1
-    return diag, transform
+    m, r = rows, len(rows)
+    transform = [[int(i == j) for j in range(n_cols)] for i in range(n_cols)]
+    while not diagonal(m):
+        columns = HnfBasis(r + n_cols)
+        for column in zip(*m, *transform):
+            columns.add(column)
+        back = [list(x) for x in zip(*columns.rows())]  # m over V, transposed back
+        m, transform = back[:r], back[r:]
+        if not diagonal(m):
+            basis = HnfBasis(n_cols)
+            for row in m:
+                basis.add(row)
+            m = basis.rows()
+    return [row[i] for i, row in enumerate(m)], transform
 
 
 def cyclics_to_invariant_factors(orders: Sequence[int]) -> list[int]:
@@ -407,12 +357,13 @@ class FpAbelianGroup:
         the lcm of those d_i, iff w_i * L / d_i is 0 mod L.  Each generator's coordinates
         are packed into one integer: the free ones signed at the bottom, the finite ones
         above, each in [0, L).  With `bound` at least len(row) + 1 for each row checked,
-        no free slot of a row's sum overflows, so the free ones are 0 iff the low `base`
-        bits are, and each finite digit D is in (-L, bound * L), eps's alone being taken
-        away.  As L * 2^lo <= 2^width - L and base-2^width digits are unique, the finite
+        a free slot S of a row's sum has |S| <= bound * max|w| < 2^fw, so the free slots
+        are 0 iff the low `base` bits are.  A finite digit D is in (-L, (bound - 1) * L),
+        eps's alone being taken away, so a multiple of L is L * E with 0 <= E <= bound - 2
+        < 2^lo.  As L * 2^lo <= 2^width and base-2^width digits are unique, the finite
         part is L times a number with digits below 2^lo iff every D is a multiple of L:
-        such D are not negative, and a negative D leaves a digit of at least
-        2^width - L once borrowed from.
+        a negative D leaves a digit above 2^width - L once borrowed from.  Each slot is
+        as narrow as this allows: at one bit less, a row can get the wrong verdict.
         """
         diag, transform = smith
         padded = diag + [0] * (len(transform) - len(diag))
@@ -428,10 +379,10 @@ class FpAbelianGroup:
         free = [coordinate(t) for t, d in enumerate(padded) if d == 0]
         finite = [(coordinate(t), d) for t, d in enumerate(padded) if d > 1]
         mod_l = lcm(*(d for _, d in finite))
-        fw = (bound * max(map(abs, chain.from_iterable(free)), default=0)).bit_length() + 2
+        fw = (bound * max(map(abs, chain.from_iterable(free)), default=0)).bit_length()
         base = fw * len(free)
-        lo = (bound * mod_l).bit_length()
-        width = lo + mod_l.bit_length()
+        lo = (bound - 2).bit_length()
+        width = lo + (mod_l - 1).bit_length()
         packed = [0] * self.n_gens
         for i, w in enumerate(free):
             packed = list(map(add, packed, map(mul, w, repeat(1 << fw * i))))

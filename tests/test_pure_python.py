@@ -1,5 +1,5 @@
-"""The package is pure Python on the standard library, parses as its oldest Python, and
-exports the names the README lists.
+"""The package is pure Python on the standard library, parses as its oldest Python, holds
+no `assert` statement, and exports the names the README lists.
 
 The syntax check is best-effort: it catches syntax newer than `requires-python`,
 not calls to library functions added later.
@@ -42,6 +42,13 @@ def test_imports_only_the_standard_library(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_parses_as_the_oldest_supported_python(path):
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=OLDEST)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_holds_no_assert_statement(path):
+    # `python -O` strips asserts, so a runtime guard raises a typed error instead.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
 
 
 def test_readme_lists_the_exports():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -211,6 +212,39 @@ def test_snf_matches_oracle_property(rows):
     assert result.invariant_factors == minor_gcd_snf(rows, 3)
 
 
+@st.composite
+def integer_matrices(draw):
+    """(n, rows): general integer rows of width n, with negative and large entries, often
+    rank-deficient: each row is a combination of s drawn rows, s up to n + 1."""
+    n = draw(st.integers(0, 5))
+    entry = st.integers(-3, 3) | st.integers(-(10**12), 10**12)
+    spanning = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=n + 1))
+    combination = st.lists(st.integers(-2, 2), min_size=len(spanning), max_size=len(spanning))
+    rows = [
+        [sum(c * row[j] for c, row in zip(coeffs, spanning)) for j in range(n)]
+        for coeffs in draw(st.lists(combination, max_size=6))
+    ]
+    return n, rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(integer_matrices())
+@example((3, [[0, 2, 4], [0, 3, 6]]))  # rank 1, its pivot off the diagonal
+@example((3, [[-2, 4, -8], [4, -8, -6], [3, 6, -2]]))  # two pairs of Hermite rounds
+def test_diagonalize_returns_a_smith_pair(data):
+    # The Smith pair's contract: positive d_i, rank many; V unimodular, so the HNF of its
+    # rows is the identity; and rows * V spans the lattice of the diagonal, padded with 0s.
+    n, rows = data
+    basis = full_width_basis(n, rows)
+    diag, transform = zlinalg._diagonalize(basis.rows(), n)
+    assert all(d > 0 for d in diag) and len(diag) == basis.rank
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    assert hnf_rows(n, transform) == identity
+    moved = [[sum(map(operator.mul, row, column)) for column in zip(*transform)] for row in rows]
+    padded = [[d * x for x in unit] for d, unit in zip(diag, identity)]
+    assert hnf_rows(n, moved) == hnf_rows(n, padded)
+
+
 def test_determinant_preservation():
     rng = random.Random(9)
     done = 0
@@ -381,14 +415,24 @@ def test_peeling_against_full_width_hnf(data):
 def test_rows_that_reach_the_hnf_per_analysis(q, variant, adds, monkeypatch):
     # Peeling inactivates a column of the least-index row among those with the fewest
     # unresolved columns; the core, and so the rows that reach the HNF, hang on that rule.
-    added = []
-    real = HnfBasis.add
+    # The Hermite rounds inside `_diagonalize` add rows of its own, which are not counted.
+    added, paused = [], []
+    real_add, real_diagonalize = HnfBasis.add, zlinalg._diagonalize
 
     def counted(self, row):
-        added.append(1)
-        return real(self, row)
+        if not paused:
+            added.append(1)
+        return real_add(self, row)
+
+    def diagonalize(rows, n_cols):
+        paused.append(1)
+        try:
+            return real_diagonalize(rows, n_cols)
+        finally:
+            paused.pop()
 
     monkeypatch.setattr(zlinalg.HnfBasis, "add", counted)
+    monkeypatch.setattr(zlinalg, "_diagonalize", diagonalize)
     assert analyze(build_variant(q, variant)).all_checks_pass
     assert len(added) == adds
 
@@ -464,6 +508,32 @@ def test_packed_check_sizes_point_row_slots_from_the_longest_row():
     rows = [(0, 0, 0), (0,), (0,), (0,), (1,) * 32]
     oracle = minor_gcd_snf([dense_point_row(3, row) for row in rows], 3)
     assert group(3, rows).snf.invariant_factors == oracle == (1, 1, 64)
+
+
+@pytest.mark.parametrize(
+    "diag, transform, bound",
+    [
+        # Both coordinates free: (0,) sums to 2 = bound * max|w| in the first free slot,
+        # -1 in the second; a slot one bit narrower carries into the second and accepts it.
+        ([], [[1, 0], [-1, 1]], 2),
+        # d = 2 on the first coordinate: (0, 0) is a member with the quotient digit
+        # bound - 2 = 1, which a quotient slot one bit narrower rejects.
+        ([2, 1], [[1, 0], [0, 1]], 3),
+        # d = 3 twice: (0,) has the digits -2 and 1, which a digit slot one bit narrower
+        # borrows into 0 and accepts.
+        ([3, 3], [[3, 4], [2, 3]], 2),
+    ],
+)
+def test_packed_check_at_the_narrowest_slots(diag, transform, bound):
+    # Z^2, point 0 and eps, with no relations: the image is the identity, so the Smith
+    # pair's V alone sets each generator's coordinates.  Every row of fewer than `bound`
+    # points gets the per-coordinate verdict.
+    plain = group(2, [])
+    plain.hnf  # peeling gives each generator its core image
+    packed = plain._smith_check((diag, transform), bound)
+    reference = reference_smith_check(plain, (diag, transform), bound)
+    rows = [(0,) * k for k in range(bound)]
+    assert [packed(row) for row in rows] == [reference(row) for row in rows]
 
 
 @st.composite
