@@ -15,13 +15,12 @@ from .presentation import (
     validate,
     write_presentation,
 )
-from .zlinalg import FpAbelianGroup, PointRows, SnfResult
+from .zlinalg import FpAbelianGroup, SnfResult
 
 __all__ = [
     "AnalysisReport",
     "FpAbelianGroup",
     "PlaneContext",
-    "PointRows",
     "PrimePower",
     "SnfResult",
     "TrianglePresentation",

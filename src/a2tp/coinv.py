@@ -10,7 +10,7 @@ relation schemes:
        x + sum over y on lambda(x) of y = eps.
 
 `analyze` builds the bcd rows only, each a sum of points minus eps, as point
-rows (`PointRows`): a triangle row per multiset {x, y, z}, read from the
+rows (tuples of points): a triangle row per multiset {x, y, z}, read from the
 validated third-point table, the all-points row and the x-rows; `schemes_agree`
 proves the two lattices equal row by row, reading each acb x-row from lambda(x).
 One unit-pivot elimination runs, on the triple lattice tri = Z^(N+1) /
@@ -34,7 +34,7 @@ from .presentation import (
     m_subset_occurrences,
     validate,
 )
-from .zlinalg import FpAbelianGroup, PointRow, PointRows, cyclics_to_invariant_factors
+from .zlinalg import FpAbelianGroup, PointRow, cyclics_to_invariant_factors
 
 
 class InternalError(RuntimeError):
@@ -129,18 +129,20 @@ def check_lemma_q2(q: int, epsilon_order: Optional[int]) -> bool:
     return epsilon_order is not None and (q * q - 1) % epsilon_order == 0
 
 
-def check_lower_bound(q: int, relations: PointRows, epsilon_order: Optional[int]) -> bool:
+def check_lower_bound(
+    q: int, relations: tuple[PointRow, ...], epsilon_order: Optional[int]
+) -> bool:
     """ord(eps) >= (q-1)/(q-1,3), plus the mod-(q^2-1) row annihilation test.
 
     The witnessing map sends every point to q+1 and eps to 3(q+1), so a point row r, its
     points minus eps, to (q+1)(len(r) - 3); it must kill every row of `relations` mod q^2 - 1.
     """
-    totals = {n - 3 for n in map(len, relations.rows)}
+    totals = {n - 3 for n in map(len, relations)}
     annihilated = not any((q + 1) * total % (q * q - 1) for total in totals)
     return annihilated and (epsilon_order is None or epsilon_order >= expected_epsilon_order(q))
 
 
-def schemes_agree(T: TrianglePresentation, bcd: PointRows) -> bool:
+def schemes_agree(T: TrianglePresentation, bcd: tuple[PointRow, ...]) -> bool:
     """True when the acb rows of T and the bcd point rows `bcd` span the same lattice.
 
     T must be valid (`validate`), so closed under rotation (axiom (ii)); no
@@ -154,10 +156,10 @@ def schemes_agree(T: TrianglePresentation, bcd: PointRows) -> bool:
     the all-points row minus an x-row of the other.
     """
     N, triples, covered = T.N, T.triples, 0
-    n_tri = len(bcd.rows) - N - 1
-    if n_tri < 0 or bcd.n_cols != N + 1 or bcd.rows[n_tri] != tuple(range(N)):
+    n_tri = len(bcd) - N - 1
+    if n_tri < 0 or bcd[n_tri] != tuple(range(N)):
         return False
-    tri = bcd.rows[:n_tri]
+    tri = bcd[:n_tri]
     if len(set(tri)) != n_tri or set(map(len, tri)) - {3}:
         return False
     for row in tri:
@@ -167,7 +169,7 @@ def schemes_agree(T: TrianglePresentation, bcd: PointRows) -> bool:
             return False
         covered += found
     x_rows = tuple(tuple(sorted([x, *set(line)])) for x, line in enumerate(T.lam))
-    return covered == len(triples) and bcd.rows[n_tri + 1 :] == x_rows
+    return covered == len(triples) and bcd[n_tri + 1 :] == x_rows
 
 
 def analyze(
@@ -178,11 +180,11 @@ def analyze(
     flags: list[str] = []
 
     third = _valid_third(T)
-    bcd = PointRows(N + 1, _point_rows(T, third))
-    n_tri = len(bcd.rows) - N - 1  # the triangle rows come first
-    eps_row = PointRows(N + 1, ((),))  # -e_eps, for both eps quotients
-    tri = FpAbelianGroup(N + 1, PointRows(N + 1, bcd.rows[:n_tri]))
-    grp = tri.quotient_by(PointRows(N + 1, bcd.rows[n_tri:]))  # A_T
+    bcd = _point_rows(T, third)
+    n_tri = len(bcd) - N - 1  # the triangle rows come first
+    eps_row = ((),)  # -e_eps, for both eps quotients
+    tri = FpAbelianGroup(N + 1, bcd[:n_tri])
+    grp = tri.quotient_by(bcd[n_tri:])  # A_T
     factors, free_rank = grp.snf.nontrivial_factors, grp.snf.free_rank
     epsilon_order = grp.order_of(eps_vec)
     quot = grp.quotient_by(eps_row).snf

@@ -75,10 +75,8 @@ def lines_form_plane(lines, q: int) -> bool:
     return cover.count((1 << N) - 1) == N
 
 
-def build_plane(pp: PrimePower | int) -> PlaneContext:
-    if isinstance(pp, int):
-        pp = prime_power(pp)
-    q = pp.q
+def build_plane(q: int) -> PlaneContext:
+    pp = prime_power(q)
     N = q * q + q + 1
     tz = trace_zero_logs(pp)
     if len(tz) != q + 1:

@@ -1,25 +1,25 @@
 """Exact integer linear algebra over Z.
 
-`FpAbelianGroup` is the one reduction path.  Its relations are point rows
-(`PointRows`: tuples of points, repeats allowed, each for the sum of its points'
-unit vectors minus e_eps, eps the last column), the form of every relation of
-A_T.  They are peeled first, writing no row: a row with one unresolved column
-and a +-1 coefficient there determines that column, and when no such row is
-left one column is inactivated and becomes the next core column (structured
-Gaussian elimination; inactivation decoding).  The core images of the other
-rows go into an incremental row-style Hermite normal form (`HnfBasis`) only
-until it settles.  Then its rows H are diagonalized once, U H V = diag(d_i), and every
-later row is certified instead of reduced: its image times V must be 0 mod d_i
-where d_i != 1 and 0 on the free coordinates, tested with one short sum of big
-integers, each generator's coordinates packed into one (Kronecker substitution;
-Harvey, J. Symbolic Comput. 44, 2009).  A row that fails goes into the HNF, so
-each row is in the HNF or proven to lie in its lattice.  The Smith normal form comes
-from the HNF rows by alternating Hermite forms of the columns and of the rows, in the
-same `HnfBasis` (Kannan-Bachem).  `quotient_by` puts more rows into a copy of the core
-HNF the same way: a quotient is never eliminated again.  Each group keeps the pair
-(diag, V) of its settled core basis, and element orders are read in the same Smith
-coordinates: with w an element's core image times V, its order is lcm_i d_i /
-gcd(d_i, w_i), infinite when w is nonzero on a free coordinate (Cohen, GTM 138, 2.4).
+`FpAbelianGroup` is the one reduction path, and a group is reduced when it is built.
+Its relations are point rows (tuples of points, repeats allowed, each for the sum of
+its points' unit vectors minus e_eps, eps the last column), the form of every relation
+of A_T.  They are peeled first, writing no row: a row with one unresolved column and a
++-1 coefficient there determines that column, and when no such row is left one column
+is inactivated and becomes the next core column (structured Gaussian elimination;
+inactivation decoding).  The core images of the other rows go into an incremental
+row-style Hermite normal form (`HnfBasis`) only until it settles.  Then its rows H are
+diagonalized once, U H V = diag(d_i), and every later row is certified instead of
+reduced: its image times V must be 0 mod d_i where d_i != 1 and 0 on the free
+coordinates, tested with one short sum of big integers, each generator's coordinates
+packed into one (Kronecker substitution; Harvey, J. Symbolic Comput. 44, 2009).  A row
+that fails goes into the HNF, so each row is in the HNF or proven to lie in its
+lattice.  The Smith normal form comes from the HNF rows by alternating Hermite forms of
+the columns and of the rows, in the same `HnfBasis` (Kannan-Bachem).  `quotient_by`
+builds a group the same way from more rows, the same image map and a copy of the core
+HNF: a quotient is never peeled again.  Each group keeps the pair (diag, V) of its
+settled core basis, and element orders are read in the same Smith coordinates: with w
+an element's core image times V, its order is lcm_i d_i / gcd(d_i, w_i), infinite when
+w is nonzero on a free coordinate (Cohen, GTM 138, 2.4).
 """
 
 from __future__ import annotations
@@ -50,22 +50,9 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_u, old_v
 
 
-@dataclass(frozen=True)
-class PointRows:
-    """Relations over points 0..n_cols-2 and eps = n_cols-1: each row, an unchecked tuple of
-    points with repeats allowed, stands for their unit vectors' sum minus e_eps.
-    """
-
-    n_cols: int
-    rows: tuple[PointRow, ...]
-
-    @staticmethod
-    def lift(vectors: Sequence[list[int]], row: PointRow) -> list[int]:
-        return list(map(sum, zip([-x for x in vectors[-1]], *map(vectors.__getitem__, row))))
-
-    @staticmethod
-    def bound(rows: Sequence[PointRow]) -> int:
-        return max(map(len, rows), default=0) + 1
+def _lift(vectors: Sequence[list[int]], row: PointRow) -> list[int]:
+    """The sum of the vectors of `row`'s points minus the last vector, eps's."""
+    return list(map(sum, zip([-x for x in vectors[-1]], *map(vectors.__getitem__, row))))
 
 
 class HnfBasis:
@@ -146,10 +133,6 @@ class HnfBasis:
                 if qq:
                     other[j:] = [x - qq * y for x, y in zip(other[j:], piv[j:])]
         return [self._pivots[j][:] for j in cols]
-
-    @property
-    def rank(self) -> int:
-        return len(self._pivots)
 
 
 def _diagonalize(rows: list[list[int]], n_cols: int) -> Smith:
@@ -265,7 +248,7 @@ def _eliminate_units(
             if c != eps and row.count(c) != 1:
                 continue  # a relation on the core once c is resolved
             image[c] = [0] * core
-            rest = PointRows.lift(image, row)  # the row's image with x_c = 0
+            rest = _lift(image, row)  # the row's image with x_c = 0
             pivot[i] = True
             resolve(c, rest if c == eps else [-x for x in rest])
         if None not in image:
@@ -288,54 +271,54 @@ def _eliminate_units(
 
 
 class FpAbelianGroup:
-    """Finitely presented abelian group Z^n_gens / rowlattice(relations).
+    """Finitely presented abelian group Z^n_gens / the lattice of the point rows `rows`,
+    over the points 0..n_gens-2 and eps = n_gens-1; the rows are not checked.
 
-    The point rows are peeled before the HNF.  Its structure is read from `snf`, its
-    element orders from `order_of`.
+    The rows are peeled and the core's HNF built when the group is.  Its structure is
+    read from `snf`, its element orders from `order_of`.
     """
 
-    def __init__(self, n_gens: int, relations: PointRows):
-        if relations.n_cols != n_gens:
-            raise ValueError("relation width does not match generator count")
+    def __init__(
+        self,
+        n_gens: int,
+        rows: Sequence[PointRow],
+        _core: Optional[tuple[list[list[int]], HnfBasis]] = None,
+    ):
+        """`_core`, the image map and a core HNF of a group to take a quotient of: no peel."""
         self.n_gens = n_gens
-        self.relations = relations
-        self._hnf: Optional[HnfBasis] = None
-        self._smith: Optional[Smith] = None  # (diag, V) of _hnf, once computed
+        if _core is None:
+            image, core, rows = _eliminate_units(n_gens, rows)
+            _core = image, HnfBasis(core)
+        self._image, self.hnf = _core  # column -> its value over the core; the core's HNF
+        self._smith: Optional[Smith] = self._add_rows(rows)  # (diag, V) of hnf, once computed
         self._snf: Optional[SnfResult] = None
-        self._image: list[list[int]] = []  # column -> its value over the core columns
-
-    @property
-    def hnf(self) -> HnfBasis:
-        """Hermite basis of the core lattice, the one left by peeling."""
-        if self._hnf is None:
-            self._image, core, rows = _eliminate_units(self.n_gens, self.relations.rows)
-            self._hnf = HnfBasis(core)
-            self._smith = self._add_rows(self._hnf, rows)
-        return self._hnf
 
     @property
     def snf(self) -> SnfResult:
         """Invariant factors: a 1 per eliminated generator, then the core's."""
         if self._snf is None:
-            core = self.hnf
-            if self._smith is None:
-                self._smith = _diagonalize(core.rows(), core.n_cols)
-            factors = [1] * (self.n_gens - core.n_cols)
-            factors += cyclics_to_invariant_factors(self._smith[0])
+            factors = [1] * (self.n_gens - self.hnf.n_cols)
+            factors += cyclics_to_invariant_factors(self._smith_pair()[0])
             self._snf = SnfResult(tuple(factors), free_rank=self.n_gens - len(factors))
         return self._snf
 
-    def _add_rows(self, basis: HnfBasis, rows: Sequence[PointRow]) -> Optional[Smith]:
-        """Put the point rows `rows` into the lattice of `basis`, a core HNF.
+    def _smith_pair(self) -> Smith:
+        if self._smith is None:
+            self._smith = _diagonalize(self.hnf.rows(), self.hnf.n_cols)
+        return self._smith
 
-        Rows are reduced into the HNF until `basis.n_cols` of them in a row
+    def _add_rows(self, rows: Sequence[PointRow]) -> Optional[Smith]:
+        """Put the point rows `rows` into the lattice of the core HNF `hnf`.
+
+        Rows are reduced into the HNF until `hnf.n_cols` of them in a row
         leave it unchanged.  Every later row is certified instead, by
         `_smith_check` of the basis; a row that fails goes into the HNF, and
         the count starts again.  So each row is in the HNF or proven to lie
         in its lattice, and the canonical HNF does not depend on the rule.
         Returns (diag, V) of the final basis if the check was built from it.
         """
-        bound = PointRows.bound(rows)  # >= sum |v| of a row
+        basis = self.hnf
+        bound = max(map(len, rows), default=0) + 1  # >= sum |v| of a row
         unchanged, smith, check = 0, None, None
         for row in rows:
             if smith is None and unchanged >= basis.n_cols:
@@ -343,7 +326,7 @@ class FpAbelianGroup:
                 check = self._smith_check(smith, bound)
             if smith is not None and check(row):
                 continue
-            if basis.add(PointRows.lift(self._image, row)):  # the row's core image
+            if basis.add(_lift(self._image, row)):  # the row's core image
                 unchanged, smith = 0, None
             else:
                 unchanged += 1
@@ -400,16 +383,9 @@ class FpAbelianGroup:
 
         return check
 
-    def quotient_by(self, extra: PointRows) -> "FpAbelianGroup":
-        """The quotient by the subgroup generated by the point rows of `extra`."""
-        if extra.n_cols != self.n_gens:
-            raise ValueError("relation width does not match generator count")
-        basis = self.hnf.copy()
-        smith = self._add_rows(basis, extra.rows)
-        rows = self.relations.rows + extra.rows
-        quot = FpAbelianGroup(self.n_gens, PointRows(self.n_gens, rows))
-        quot._hnf, quot._image, quot._smith = basis, self._image, smith
-        return quot
+    def quotient_by(self, rows: Sequence[PointRow]) -> "FpAbelianGroup":
+        """The quotient by the subgroup generated by the point rows `rows`."""
+        return FpAbelianGroup(self.n_gens, rows, (self._image, self.hnf.copy()))
 
     def order_of(self, element: Sequence[int]) -> Optional[int]:
         """Least k > 0 with k*element in the relation lattice; None if infinite.
@@ -420,8 +396,7 @@ class FpAbelianGroup:
         """
         if len(element) != self.n_gens:
             raise ValueError("element width does not match generator count")
-        self.snf  # computes the core, its image map and (diag, V) when missing
-        diag, transform = self._smith
+        diag, transform = self._smith_pair()
         lifted = ([x * y for y in image] for x, image in zip(element, self._image) if x)
         core = list(map(sum, zip([0] * len(transform), *lifted)))  # the element's core image
         w = [sum(map(mul, core, col)) for col in zip(*transform)]

@@ -19,7 +19,6 @@ from a2tp.presentation import (
 from a2tp.zlinalg import (
     FpAbelianGroup,
     HnfBasis,
-    PointRows,
     SnfResult,
     _diagonalize,
     cyclics_to_invariant_factors,
@@ -74,23 +73,24 @@ def acb_matrix(T) -> tuple:
     return N + 1, x_rows + triangle_rows(T, ((N, -1),)) + (all_points,)
 
 
-def bcd_point_rows(T) -> PointRows:
+def bcd_point_rows(T) -> tuple:
     """The point rows `analyze` reduces for a valid T: the triangle rows, the all-points
     row, then the x-rows, over the N points and eps."""
-    return PointRows(T.N + 1, _point_rows(T, _valid_third(T)))
+    return _point_rows(T, _valid_third(T))
 
 
 def triangle_lattice(T) -> FpAbelianGroup:
     """The triple lattice as `analyze` builds it, from the triangle point rows."""
-    rows = bcd_point_rows(T).rows
-    return FpAbelianGroup(T.N + 1, PointRows(T.N + 1, rows[: len(rows) - T.N - 1]))
+    rows = bcd_point_rows(T)
+    return FpAbelianGroup(T.N + 1, rows[: len(rows) - T.N - 1])
 
 
-def point_matrix(rows: PointRows) -> tuple:
-    """(n_cols, the (column, coefficient) rows of point rows): each point's count, then -1
-    at eps.  The points keep the order in which each first occurs in its row."""
-    eps = ((rows.n_cols - 1, -1),)
-    return rows.n_cols, tuple(tuple(Counter(row).items()) + eps for row in rows.rows)
+def point_matrix(n_cols: int, rows) -> tuple:
+    """(n_cols, the (column, coefficient) rows of point rows over n_cols - 1 points and eps):
+    each point's count, then -1 at eps.  The points keep the order in which each first
+    occurs in its row."""
+    eps = ((n_cols - 1, -1),)
+    return n_cols, tuple(tuple(Counter(row).items()) + eps for row in rows)
 
 
 def gamma_ab_matrix(T) -> tuple:

@@ -22,7 +22,7 @@ from a2tp.presentation import (
     gen_variant,
     validate,
 )
-from a2tp.zlinalg import FpAbelianGroup, PointRows
+from a2tp.zlinalg import FpAbelianGroup
 from helpers import (
     acb_matrix,
     bcd_point_rows,
@@ -229,9 +229,9 @@ def test_criterion_6_element_order_cross_validation(presentations, reports):
             continue
         n = len(factors)
         rows = tuple((i,) * d for i, d in enumerate(factors)) + ((),)  # d x_i = eps = 0
-        g = FpAbelianGroup(n + 1, PointRows(n + 1, rows))
+        g = FpAbelianGroup(n + 1, rows)
         e = [rng.randrange(d) for d in factors] + [0]
-        qo = order_by_quotient(reference_basis(*point_matrix(g.relations)), e)
+        qo = order_by_quotient(reference_basis(*point_matrix(n + 1, rows)), e)
         mo = g.order_of(e)
         brute = next(
             k

@@ -20,7 +20,7 @@ from a2tp.coinv import (
 from a2tp.gf import BadInput
 from a2tp.plane import build_plane
 from a2tp.presentation import gen_t0, gen_t0_dual, gen_variant, read_presentation
-from a2tp.zlinalg import FpAbelianGroup, PointRows
+from a2tp.zlinalg import FpAbelianGroup
 from helpers import (
     acb_matrix,
     bcd_point_rows,
@@ -63,7 +63,7 @@ def test_matrix_shape_q2(planes):
 
 def test_matrix_shape_bcd(planes):
     T = gen_t0(planes[2])
-    _, rows = point_matrix(bcd_point_rows(T))
+    _, rows = point_matrix(T.N + 1, bcd_point_rows(T))
     assert len(rows) == 7 + 1 + 7
 
 
@@ -78,7 +78,7 @@ def _triangle_row_inputs(planes):
 def test_one_triangle_row_per_point_multiset(planes):
     for T in _triangle_row_inputs(planes):
         N, bcd = T.N, bcd_point_rows(T)
-        triangles = point_matrix(bcd)[1][: -N - 1]
+        triangles = point_matrix(N + 1, bcd)[1][: -N - 1]
         multisets = {tuple(sorted(t)) for t in T.triples}
         assert len(triangles) == len(set(triangles)) == len(multisets), T.origin
         points = tuple(tuple(c for c, v in row[:-1] for _ in range(v)) for row in triangles)
@@ -87,7 +87,7 @@ def test_one_triangle_row_per_point_multiset(planes):
         # the order too: where the sorted triples first give each multiset
         assert triangles == triangle_rows(T, ((N, -1),)), T.origin
         # the point rows the engine reads: each multiset sorted
-        assert bcd.rows[: len(triangles)] == points, T.origin
+        assert bcd[: len(triangles)] == points, T.origin
 
 
 def test_analyze_never_scans_for_s_invariance(planes, monkeypatch):
@@ -207,7 +207,7 @@ def test_schemes_agree(planes, reports):
         assert reference_snf(acb).nontrivial_factors == bcd.snf.nontrivial_factors
         assert order_by_quotient(acb, eps) == reports[(q, "t0")].epsilon_order
         acb.add(eps)  # the acb lattice with eps added, against the engine's quotient by eps
-        quotient = bcd.quotient_by(PointRows(T.N + 1, ((),)))
+        quotient = bcd.quotient_by(((),))
         assert reference_snf(acb).nontrivial_factors == quotient.snf.nontrivial_factors
 
 
@@ -242,49 +242,50 @@ def test_scheme_lattices_equal_on_every_variant(planes):
             acb, bcd = acb_matrix(T), bcd_point_rows(T)
             n_cols = T.N + 1
             dense = lambda rows: ([dict(row).get(c, 0) for c in range(n_cols)] for row in rows)
+            bcd_matrix = point_matrix(n_cols, bcd)
             assert all(b.order_of(v) == 1 for v in dense(acb[1])), T.origin
-            assert all(hnf_contains(a, v) for v in dense(point_matrix(bcd)[1])), T.origin
+            assert all(hnf_contains(a, v) for v in dense(bcd_matrix[1])), T.origin
             assert reference_snf(a).nontrivial_factors == b.snf.nontrivial_factors, T.origin
-            assert schemes_agree(T, bcd) is _rowwise_agree(acb, point_matrix(bcd)) is True, T.origin
+            assert schemes_agree(T, bcd) is _rowwise_agree(acb, bcd_matrix) is True, T.origin
 
 
-def _replaced(m, i, row):
-    rows = list(m.rows)
+def _replaced(rows, i, row):
+    rows = list(rows)
     rows[i] = row
-    return PointRows(m.n_cols, tuple(rows))
+    return tuple(rows)
 
 
-def _doubled(m, i):
+def _doubled(rows, i):
     """Row i of point rows with each point twice."""
-    return _replaced(m, i, tuple(sorted(m.rows[i] * 2)))
+    return _replaced(rows, i, tuple(sorted(rows[i] * 2)))
 
 
 def test_schemes_agree_rejects_corrupted_rows(planes):
     # Each corruption of the point rows fails the check, and the acb reference agrees.
     T = gen_t0(planes[3])
-    acb, bcd = acb_matrix(T), bcd_point_rows(T)
+    acb, bcd, n_cols = acb_matrix(T), bcd_point_rows(T), T.N + 1
     n_shared = 26 + 1  # 13 triples (x, x, x) and 13 rotation classes of 3, then all points
-    assert schemes_agree(T, bcd) and _rowwise_agree(acb, point_matrix(bcd))
+    assert schemes_agree(T, bcd) and _rowwise_agree(acb, point_matrix(n_cols, bcd))
     # rows i < j each account for the 3 rotations of a triple with distinct points
-    i, j = [k for k, row in enumerate(bcd.rows[: n_shared - 1]) if len(set(row)) == 3][:2]
+    i, j = [k for k, row in enumerate(bcd[: n_shared - 1]) if len(set(row)) == 3][:2]
     corrupted = [
         _doubled(bcd, n_shared),  # first bcd x-row
         _doubled(bcd, -1),  # last bcd x-row
         _doubled(bcd, 0),  # a shared triple row
         _doubled(bcd, n_shared - 1),  # the all-points row
-        PointRows(bcd.n_cols, bcd.rows[:-1]),  # an x-row missing
-        PointRows(bcd.n_cols, bcd.rows[1:]),  # a triangle row missing
-        _replaced(bcd, j, bcd.rows[i]),  # row i twice, row j missing
-        _replaced(bcd, i, bcd.rows[i][::-1]),  # row i, points out of order
-        _replaced(bcd, n_shared, bcd.rows[n_shared][1:]),  # an x-row missing a point
+        bcd[:-1],  # an x-row missing
+        bcd[1:],  # a triangle row missing
+        _replaced(bcd, j, bcd[i]),  # row i twice, row j missing
+        _replaced(bcd, i, bcd[i][::-1]),  # row i, points out of order
+        _replaced(bcd, n_shared, bcd[n_shared][1:]),  # an x-row missing a point
         _replaced(bcd, n_shared - 1, tuple(range(T.N - 1))),  # all points but the last
     ]
     for bad in corrupted:
         assert not schemes_agree(T, bad)
-        assert not _rowwise_agree(acb, point_matrix(bad))
-    n_cols, acb_rows = acb
+        assert not _rowwise_agree(acb, point_matrix(n_cols, bad))
+    acb_rows = acb[1]
     doubled = (tuple((c, 2 * v) for c, v in acb_rows[0]),) + acb_rows[1:]
-    assert not _rowwise_agree((n_cols, doubled), point_matrix(bcd))  # an acb x-row
+    assert not _rowwise_agree((n_cols, doubled), point_matrix(n_cols, bcd))  # an acb x-row
     # lambda(0) repeats a point: bcd counts it twice, acb reads lambda(0) as a set
     line = T.lam[0]
     R = replace(T, lam=((line[0],) + line[:-1],) + T.lam[1:])
@@ -292,7 +293,7 @@ def test_schemes_agree_rejects_corrupted_rows(planes):
         bcd_point_rows(R)  # R is no presentation: lambda(0) misses a point of its triples
     bcd_R = _replaced(bcd, n_shared, tuple(sorted((0, *R.lam[0]))))  # R's x-row for 0
     assert not schemes_agree(R, bcd_R)
-    assert not _rowwise_agree(acb_matrix(R), point_matrix(bcd_R))
+    assert not _rowwise_agree(acb_matrix(R), point_matrix(n_cols, bcd_R))
 
 
 def test_analyze_reports_corrupted_scheme(planes, monkeypatch):
@@ -396,7 +397,7 @@ def test_lower_bound_row_annihilation(planes):
         T = gen_t0(pl)
         assert check_lower_bound(q, bcd_point_rows(T), expected_epsilon_order(q))
         if q > 2:  # 2 points - eps goes to -(q+1), nonzero mod q^2 - 1 once q > 2
-            bad = PointRows(T.N + 1, bcd_point_rows(T).rows + ((0, 1),))
+            bad = bcd_point_rows(T) + ((0, 1),)
             assert not check_lower_bound(q, bad, expected_epsilon_order(q))
 
 

@@ -13,7 +13,6 @@ from a2tp.coinv import analyze
 from a2tp.zlinalg import (
     FpAbelianGroup,
     HnfBasis,
-    PointRows,
     SnfResult,
     cyclics_to_invariant_factors,
 )
@@ -84,7 +83,7 @@ def point_basis(n_cols, rows):
 
 def group(n_cols, rows) -> FpAbelianGroup:
     """Z^n_cols modulo point rows, eps the last column."""
-    return FpAbelianGroup(n_cols, PointRows(n_cols, tuple(map(tuple, rows))))
+    return FpAbelianGroup(n_cols, tuple(map(tuple, rows)))
 
 
 def diagonal(factors):
@@ -237,7 +236,7 @@ def test_diagonalize_returns_a_smith_pair(data):
     n, rows = data
     basis = full_width_basis(n, rows)
     diag, transform = zlinalg._diagonalize(basis.rows(), n)
-    assert all(d > 0 for d in diag) and len(diag) == basis.rank
+    assert all(d > 0 for d in diag) and len(diag) == len(basis.rows())
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
     assert hnf_rows(n, transform) == identity
     moved = [[sum(map(operator.mul, row, column)) for column in zip(*transform)] for row in rows]
@@ -361,7 +360,7 @@ def test_unit_elimination_against_full_width_hnf(data):
     expected = brute_force_order(full, e, torsion)
     if g.snf.free_rank == 0:
         assert order_by_quotient(full, e) == expected
-        assert g.quotient_by(PointRows(n, (e_row,))).snf.group_order == torsion // expected
+        assert g.quotient_by((e_row,)).snf.group_order == torsion // expected
 
 
 @st.composite
@@ -394,7 +393,7 @@ def peeling_cases(draw):
 def test_peeling_against_full_width_hnf(data):
     # Peeling point rows against an HNF of all columns, the minor-gcd SNF and k-scanning.
     n, rows, e, coeffs = data
-    g = FpAbelianGroup(n, PointRows(n, tuple(rows)))
+    g = FpAbelianGroup(n, tuple(rows))
     dense = [dense_point_row(n, row) for row in rows]
     full = full_width_basis(n, dense)
     oracle = minor_gcd_snf(dense, n)
@@ -404,7 +403,7 @@ def test_peeling_against_full_width_hnf(data):
     for v in (in_lattice, *dense, e, [x + y for x, y in zip(e, in_lattice)], [2 * x for x in e]):
         assert g.order_of(v) == brute_force_order(full, v, math.prod(oracle))
     assert g.order_of(in_lattice) == 1 and all(g.order_of(row) == 1 for row in dense)
-    quotient = g.quotient_by(PointRows(n, ((),)))  # by eps
+    quotient = g.quotient_by(((),))  # by eps
     assert quotient.snf.invariant_factors == minor_gcd_snf(dense + [dense_point_row(n, ())], n)
 
 
@@ -487,10 +486,10 @@ def test_long_runs_against_one_row_at_a_time(data):
     e = dense_point_row(width, e_row)
     for v in (*dense(rows), e, [2 * x for x in e], [x + y for x, y in zip(e, dense(changes)[0])]):
         assert g.order_of(v) == brute_force_order(full, v, max(oracle, default=1))
-    assert group(width, gens).quotient_by(PointRows(width, tuple(run + changes))).snf == g.snf
+    assert group(width, gens).quotient_by(tuple(run + changes)).snf == g.snf
     with_e = minor_gcd_snf(dense(gens + changes + [e_row]), width)
     expected = math.prod(with_e) if len(with_e) == width else None
-    assert g.quotient_by(PointRows(width, (e_row,))).snf.group_order == expected
+    assert g.quotient_by((e_row,)).snf.group_order == expected
 
 
 def test_packed_check_sizes_its_slots_from_the_rows():
@@ -528,8 +527,7 @@ def test_packed_check_at_the_narrowest_slots(diag, transform, bound):
     # Z^2, point 0 and eps, with no relations: the image is the identity, so the Smith
     # pair's V alone sets each generator's coordinates.  Every row of fewer than `bound`
     # points gets the per-coordinate verdict.
-    plain = group(2, [])
-    plain.hnf  # peeling gives each generator its core image
+    plain = group(2, [])  # peeling gives each generator its core image
     packed = plain._smith_check((diag, transform), bound)
     reference = reference_smith_check(plain, (diag, transform), bound)
     rows = [(0,) * k for k in range(bound)]
@@ -586,10 +584,10 @@ def test_packed_check_against_one_coordinate_at_a_time(data):
     # and the group certified with it is the minor-gcd SNF of its lattice.
     n, gens, run, certified = data
     settled = group(n, gens + run)
-    settled.snf  # the settled basis and its Smith pair
-    bound = PointRows.bound(certified)
-    packed = settled._smith_check(settled._smith, bound)
-    reference = reference_smith_check(settled, settled._smith, bound)
+    smith = settled._smith_pair()  # of the settled basis
+    bound = max(map(len, certified)) + 1
+    packed = settled._smith_check(smith, bound)
+    reference = reference_smith_check(settled, smith, bound)
     full = point_basis(n, gens)
     members = [hnf_contains(full, dense_point_row(n, row)) for row in certified]
     assert [packed(row) for row in certified] == [reference(row) for row in certified] == members
@@ -603,7 +601,7 @@ def test_packed_check_against_one_coordinate_at_a_time(data):
 def test_quotient_by():
     rows = diagonal([4, 4])
     g = group(3, rows)
-    assert g.quotient_by(PointRows(3, ((0, 0, 1, 1),))).snf.group_order == 8
+    assert g.quotient_by(((0, 0, 1, 1),)).snf.group_order == 8
     assert order_by_quotient(point_basis(3, rows), [2, 2, 0]) == 2
     for wrong in ([2, 2], [2, 2, 2, 2]):
         with pytest.raises(ValueError, match="element width"):
@@ -611,13 +609,11 @@ def test_quotient_by():
 
 
 def test_quotient_by_takes_a_built_matrix_and_checks_sparse_rows():
-    # The built relations are point rows; their width is checked against the group's.
+    # The built relations are point rows, a plain tuple of them.
     rows = diagonal([4, 4])
     g = group(3, rows)
     extra = ((0, 0, 1, 1), (1, 1))
-    assert g.quotient_by(PointRows(3, extra)).snf == group(3, rows + list(extra)).snf
-    with pytest.raises(ValueError, match="relation width"):
-        g.quotient_by(PointRows(4, extra))
+    assert g.quotient_by(extra).snf == group(3, rows + list(extra)).snf
 
 
 @settings(max_examples=150, deadline=None)
@@ -636,7 +632,9 @@ def test_quotient_by_equals_the_group_built_from_scratch(data):
     rows, extra, e = data
     n = len(e)
     g = group(n, rows)
-    quot = g.quotient_by(PointRows(n, tuple(extra)))
+    quot = g.quotient_by(tuple(extra))
+    # a second quotient reads the parent's core HNF after the first one: it must be a copy
+    assert g.quotient_by(()).snf == group(n, rows).snf
     whole = group(n, rows + extra)
     dense = [dense_point_row(n, row) for row in rows + extra]
     oracle = minor_gcd_snf(dense, n)
