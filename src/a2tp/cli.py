@@ -13,7 +13,6 @@ import functools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
 from .coinv import AnalysisReport, InternalError, InvalidPresentation, analyze, predicted_group
@@ -169,6 +168,8 @@ def cmd_table(args) -> int:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     jobs = min(args.jobs, os.cpu_count() or 1)
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # multiprocessing: only for a pool
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             per_q = list(pool.map(_table_rows_for_q, qs))
     else:

@@ -21,6 +21,7 @@ x-rows, A_T/<eps> by eps on top, and Gamma_ab = Z^N / <x+y+z> as tri/<eps>.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd
 from typing import Optional
@@ -50,15 +51,20 @@ def _triangle_rows(T: TrianglePresentation, third: ThirdTable) -> list[PointRow]
 
     A rotation class gives the row of its least rotation: (x, y, z) with x < y, z, or
     (x, x, z) with x <= z.  The classes of (x, y, z) and (x, z, y) share a multiset,
-    and only the lesser gives it, as (x, a, b) with a <= b.  The table, and so the
-    rows, are in sorted order.
+    and only the lesser gives it, as (x, a, b) with a <= b: for y > z, (x, z, y) is in
+    T when z is on lambda(x), found by bisection, with y as its third point.  The
+    table, and so the rows, are in sorted order.
     """
     rows = []
-    for x, line in enumerate(T.lam):
-        zs = dict(zip(line, third[x]))  # y -> z over the triples (x, y, z)
-        for y, z in zs.items():
-            if x < y and x < z and (y <= z or zs.get(z) != y):
-                rows.append((x, y, z) if y <= z else (x, z, y))
+    for x, (line, zs) in enumerate(zip(T.lam, third)):
+        for y, z in zip(line, zs):
+            if x < y and x < z:
+                if y > z:
+                    i = bisect_left(line, z)
+                    if i < len(line) and line[i] == z and zs[i] == y:
+                        continue  # (x, z, y) gives the row
+                    y, z = z, y
+                rows.append((x, y, z))
             elif x == y <= z:
                 rows.append((x, x, z))
     return rows

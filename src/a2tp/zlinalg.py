@@ -25,10 +25,9 @@ w is nonzero on a free coordinate (Cohen, GTM 138, 2.4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from itertools import chain, repeat
 from math import gcd, lcm, prod
-from operator import add, mod, mul
+from operator import add, itemgetter, mod, mul, sub
 from typing import Callable, Optional, Sequence
 
 PointRow = tuple[int, ...]  # points, repeats allowed: their sum minus e_eps
@@ -206,28 +205,27 @@ def _eliminate_units(
     A row whose one unresolved column has a +-1 coefficient (eps always, a point if
     it occurs once) gives that column's value from the rest of the row.  When no
     such row is left, a column is inactivated as the next core column: of the
-    least-index row among those with the fewest unresolved columns above 1 (a heap
-    per count), the column in the most rows (structured Gaussian elimination,
-    LaMacchia-Odlyzko, CRYPTO '90; inactivation decoding, Shokrollahi, IEEE Trans.
-    Inf. Theory 52, 2006).  The pivot rows are triangular with unit diagonal, so
-    Z^n / L is Z^core / <images of the other rows>.  Returns each column's image, a
-    list over the core, the core size, and the rows not used as pivots.
+    least-index row among those with the fewest unresolved columns above 1, found
+    by `left.index(n)` for n = 2, 3, ..., the column in the most rows (structured
+    Gaussian elimination, LaMacchia-Odlyzko, CRYPTO '90; inactivation decoding,
+    Shokrollahi, IEEE Trans. Inf. Theory 52, 2006).  The pivot rows are triangular
+    with unit diagonal, so Z^n / L is Z^core / <images of the other rows>.  Returns
+    each column's image, a list over the core, the core size, and the rows not used
+    as pivots.
     """
     eps = n_cols - 1
-    occ: list[list[int]] = [[] for _ in range(n_cols)]  # column -> the rows it occurs in
+    occ: list[Sequence[int]] = [[] for _ in range(n_cols)]  # column -> the rows it occurs in
     left = []  # unresolved columns per row
     for i, row in enumerate(rows):
         points = set(row)
         for c in points:
             occ[c].append(i)
         left.append(len(points) + 1)
-    occ[eps] = list(range(len(rows)))
+    occ[eps] = range(len(rows))
+    counts = range(2, max(left, default=0) + 1)
     ready = [i for i, n in enumerate(left) if n == 1]
-    heaps: list[list[int]] = [[] for _ in range(max(left, default=0) + 1)]
-    for i, n in enumerate(left):
-        heaps[n].append(i)
     image: list[Optional[list[int]]] = [None] * n_cols
-    pivot, core = [False] * len(rows), 0
+    pivot, core = bytearray(len(rows)), 0
 
     def resolve(c: int, value: list[int]) -> None:
         image[c] = value
@@ -235,8 +233,6 @@ def _eliminate_units(
             n = left[i] = left[i] - 1
             if n == 1:
                 ready.append(i)
-            elif n:
-                heappush(heaps[n], i)
 
     while True:
         while ready:
@@ -244,20 +240,22 @@ def _eliminate_units(
             if left[i] != 1:
                 continue  # its last column was resolved by another row
             row = rows[i]
-            c = eps if image[eps] is None else next(c for c in row if image[c] is None)
-            if c != eps and row.count(c) != 1:
-                continue  # a relation on the core once c is resolved
-            image[c] = [0] * core
-            rest = _lift(image, row)  # the row's image with x_c = 0
-            pivot[i] = True
-            resolve(c, rest if c == eps else [-x for x in rest])
+            if image[eps] is None:  # eps = the points' sum; a row () is ready while core is 0
+                c, value = eps, list(map(sum, zip(*map(image.__getitem__, row))))
+            else:
+                c = next(c for c in row if image[c] is None)
+                if row.count(c) != 1:
+                    continue  # a relation on the core once c is resolved
+                others = [image[p] for p in row if p != c]  # c = eps - the other points
+                sums = map(sum, zip(*others))
+                value = list(map(sub, image[eps], sums)) if others else image[eps][:]
+            pivot[i] = 1
+            resolve(c, value)
         if None not in image:
             break
-        for n, heap in enumerate(heaps[2:], 2):
-            while heap and left[heap[0]] != n:
-                heappop(heap)
-            if heap:
-                row = (*rows[heap[0]], eps)
+        for n in counts:
+            if n in left:
+                row = (*rows[left.index(n)], eps)
                 c = max((c for c in row if image[c] is None), key=lambda c: len(occ[c]))
                 break
         else:
@@ -347,17 +345,17 @@ class FpAbelianGroup:
         part is L times a number with digits below 2^lo iff every D is a multiple of L:
         a negative D leaves a digit above 2^width - L once borrowed from.  Each slot is
         as narrow as this allows: at one bit less, a row can get the wrong verdict.
+        Coordinate t of a generator, its core image times column t of V, is its entry k
+        where that column is +e_k, else one dot product.
         """
         diag, transform = smith
         padded = diag + [0] * (len(transform) - len(diag))
-        columns = list(zip(*self._image))  # core column -> its entry in each generator's image
 
         def coordinate(t: int) -> list[int]:  # generator -> its image times column t of V
-            w = [0] * self.n_gens
-            for column, row in zip(columns, transform):
-                if row[t]:
-                    w = list(map(add, w, map(mul, column, repeat(row[t]))))
-            return w
+            column = [row[t] for row in transform]
+            if column.count(0) == len(column) - 1 and 1 in column:  # +e_k: core column k
+                return list(map(itemgetter(column.index(1)), self._image))
+            return [sum(map(mul, image, column)) for image in self._image]
 
         free = [coordinate(t) for t, d in enumerate(padded) if d == 0]
         finite = [(coordinate(t), d) for t, d in enumerate(padded) if d > 1]

@@ -1,6 +1,7 @@
 """Helpers shared by several test modules; the program itself never needs them."""
 
 from collections import Counter
+from heapq import heappop, heappush
 from operator import mul
 
 from a2tp.coinv import AnalysisReport, _point_rows, _valid_third
@@ -56,6 +57,13 @@ def triangle_rows(T, tail=()) -> tuple:
             counts[pt] = counts.get(pt, 0) + 1
         rows[tuple(sorted(counts.items())) + tail] = None
     return tuple(rows)
+
+
+def reference_triangle_rows(T) -> list:
+    """One sorted point multiset per rotation class of the triples, x + y + z - eps, in
+    the order the sorted triples first give each: the oracle for `coinv._triangle_rows`,
+    built from `T.triples` alone."""
+    return list(dict.fromkeys(tuple(sorted(t)) for t in sorted(T.triples)))
 
 
 def acb_matrix(T) -> tuple:
@@ -138,6 +146,72 @@ def order_by_quotient(basis: HnfBasis, element) -> int:
     quotient = basis.copy()
     quotient.add(element)
     return total // reference_snf(quotient).group_order
+
+
+def reference_peel(n_cols: int, rows):
+    """The peel with a heap per count of unresolved columns: the oracle for
+    `zlinalg._eliminate_units`, which must return the same (image, core, rest).
+
+    A ready row (one unresolved column, a unit there) resolves that column; when
+    none is left, the column in the most rows of the least-index row among those
+    with the fewest unresolved columns above 1, read from the top of that count's
+    heap past its stale entries, becomes the next core column.
+    """
+    eps = n_cols - 1
+    occ = [[] for _ in range(n_cols)]
+    left = []
+    for i, row in enumerate(rows):
+        points = set(row)
+        for c in points:
+            occ[c].append(i)
+        left.append(len(points) + 1)
+    occ[eps] = list(range(len(rows)))
+    ready = [i for i, n in enumerate(left) if n == 1]
+    heaps = [[] for _ in range(max(left, default=0) + 1)]
+    for i, n in enumerate(left):
+        heaps[n].append(i)
+    image = [None] * n_cols
+    pivot, core = [False] * len(rows), 0
+
+    def resolve(c, value):
+        image[c] = value
+        for i in occ[c]:
+            n = left[i] = left[i] - 1
+            if n == 1:
+                ready.append(i)
+            elif n:
+                heappush(heaps[n], i)
+
+    while True:
+        while ready:
+            i = ready.pop()
+            if left[i] != 1:
+                continue
+            row = rows[i]
+            c = eps if image[eps] is None else next(c for c in row if image[c] is None)
+            if c != eps and row.count(c) != 1:
+                continue
+            image[c] = [0] * core
+            rest = [sum(x) - e for e, *x in zip(image[eps], *(image[p] for p in row))]
+            pivot[i] = True
+            resolve(c, rest if c == eps else [-x for x in rest])
+        if None not in image:
+            break
+        for n, heap in enumerate(heaps[2:], 2):
+            while heap and left[heap[0]] != n:
+                heappop(heap)
+            if heap:
+                row = (*rows[heap[0]], eps)
+                c = max((c for c in row if image[c] is None), key=lambda c: len(occ[c]))
+                break
+        else:
+            c = image.index(None)
+        for value in image:
+            if value is not None:
+                value.append(0)
+        core += 1
+        resolve(c, [0] * (core - 1) + [1])
+    return image, core, [row for row, used in zip(rows, pivot) if not used]
 
 
 def hnf_contains(basis: HnfBasis, row) -> bool:

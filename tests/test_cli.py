@@ -1,6 +1,10 @@
+import concurrent.futures
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -234,7 +238,7 @@ def test_table_jobs_capped_at_cpu_count(monkeypatch, capsys):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     table = lambda *jobs: run(capsys, "table", "--q-min", "2", "--q-max", "3", "--output", "json", *jobs)
     serial = table()
@@ -244,6 +248,15 @@ def test_table_jobs_capped_at_cpu_count(monkeypatch, capsys):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)  # unknown: run serially
     assert table("--jobs", "8") == serial
     assert pools == [2]
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # multiprocessing costs every CLI call's cold start; only `table --jobs` > 1 needs it.
+    path = [str(Path(cli.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    probe = "import sys, a2tp.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == (0, "False\n"), out.stderr
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

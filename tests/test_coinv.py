@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,6 +11,8 @@ from a2tp.cli import VARIANTS, build_variant, prime_powers_in
 from a2tp.coinv import (
     InternalError,
     InvalidPresentation,
+    _triangle_rows,
+    _valid_third,
     analyze,
     check_lemma_q2,
     check_lower_bound,
@@ -31,6 +34,8 @@ from helpers import (
     reference_basis,
     reference_smith_check,
     reference_snf,
+    reference_triangle_rows,
+    relabelled,
     report_from_dict,
     triangle_rows,
 )
@@ -88,6 +93,25 @@ def test_one_triangle_row_per_point_multiset(planes):
         assert triangles == triangle_rows(T, ((N, -1),)), T.origin
         # the point rows the engine reads: each multiset sorted
         assert bcd[: len(triangles)] == points, T.origin
+
+
+def test_triangle_rows_match_the_rows_of_the_triples():
+    # The rows read from the third-point table are those of the sorted triples, one
+    # sorted multiset per rotation class, in the same order, on every variant at q <= 13
+    # and relabelled ones; each way the table is read occurs.
+    seen = {"(x, z, y) in T": 0, "(x, z, y) not in T": 0, "x == y": 0, "y == z": 0}
+    for q in prime_powers_in(2, 13):
+        generated = [build_variant(q, v) for v in VARIANTS if v != "omega" or q % 3 == 1]
+        relabels = [relabelled(T, random.Random(seed)) for T in generated for seed in (0, 1)]
+        for T in generated + relabels:
+            rows = _triangle_rows(T, _valid_third(T))
+            assert rows == reference_triangle_rows(T), (q, T.origin)
+            for x, y, z in T.triples:
+                if x < z < y:  # the branch that bisects lambda(x) for z
+                    seen["(x, z, y) in T" if (x, z, y) in T.triples else "(x, z, y) not in T"] += 1
+            seen["x == y"] += sum(x == y for x, y, _ in rows)
+            seen["y == z"] += sum(x < y == z for x, y, z in rows)
+    assert all(seen.values()), seen
 
 
 def test_analyze_never_scans_for_s_invariance(planes, monkeypatch):

@@ -8,8 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from a2tp import zlinalg
-from a2tp.cli import build_variant
+from a2tp.cli import VARIANTS, build_variant, prime_powers_in
 from a2tp.coinv import analyze
+from a2tp.plane import build_plane
+from a2tp.presentation import gen_variant
 from a2tp.zlinalg import (
     FpAbelianGroup,
     HnfBasis,
@@ -17,12 +19,15 @@ from a2tp.zlinalg import (
     cyclics_to_invariant_factors,
 )
 from helpers import (
+    bcd_point_rows,
     dense_matrix,
     hnf_contains,
     order_by_quotient,
     reference_basis,
+    reference_peel,
     reference_smith_check,
     reference_snf,
+    relabelled,
 )
 
 
@@ -651,3 +656,39 @@ def test_snf_result_group_order():
     r = SnfResult((1, 2, 6), free_rank=0)
     assert r.group_order == 12
     assert SnfResult((2,), free_rank=1).group_order is None
+
+
+# --- the peel against its heap reference ----------------------------------------
+
+
+def assert_peels_like_the_reference(n_cols, rows):
+    rows = tuple(map(tuple, rows))
+    assert zlinalg._eliminate_units(n_cols, rows) == reference_peel(n_cols, rows)
+
+
+@pytest.mark.parametrize("q", prime_powers_in(2, 19))
+def test_peel_matches_the_heap_reference_on_every_variant(q):
+    # The least-index row with the fewest unresolved columns, found by `left.index`, is
+    # the row the heap gives: the same image, core and rest, on the triangle rows that
+    # `analyze` peels and on all of A_T's rows; relabelled inputs too at q <= 13.
+    plane = build_plane(q)
+    inputs = [gen_variant(plane, v) for v in VARIANTS if v != "omega" or q % 3 == 1]
+    if q <= 13:
+        inputs += [relabelled(T, random.Random(seed)) for T in inputs for seed in (0, 1)]
+    for T in inputs:
+        rows = bcd_point_rows(T)
+        assert_peels_like_the_reference(T.N + 1, rows[: len(rows) - T.N - 1])
+        assert_peels_like_the_reference(T.N + 1, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        peeling_cases().map(lambda data: data[:2]),
+        long_runs().map(lambda data: (data[3], data[0] + data[1] + data[2])),
+        settled_lattices().map(lambda data: (data[0], data[1] + data[2] + data[3])),
+        st.integers(2, 5).flatmap(lambda n: st.tuples(st.just(n), st.lists(point_row(n), max_size=6))),
+    )
+)
+def test_peel_matches_the_heap_reference_on_random_point_rows(data):
+    assert_peels_like_the_reference(*data)
