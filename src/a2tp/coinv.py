@@ -51,22 +51,20 @@ def _triangle_rows(T: TrianglePresentation, third: ThirdTable) -> list[PointRow]
 
     A rotation class gives the row of its least rotation: (x, y, z) with x < y, z, or
     (x, x, z) with x <= z.  The classes of (x, y, z) and (x, z, y) share a multiset,
-    and only the lesser gives it, as (x, a, b) with a <= b: for y > z, (x, z, y) is in
+    and only the lesser gives it, as (x, a, b) with a <= b: for z < y, (x, z, y) is in
     T when z is on lambda(x), found by bisection, with y as its third point.  The
     table, and so the rows, are in sorted order.
     """
     rows = []
     for x, (line, zs) in enumerate(zip(T.lam, third)):
-        for y, z in zip(line, zs):
-            if x < y and x < z:
-                if y > z:
-                    i = bisect_left(line, z)
-                    if i < len(line) and line[i] == z and zs[i] == y:
-                        continue  # (x, z, y) gives the row
-                    y, z = z, y
+        k = bisect_left(line, x)  # a slot (x, y) with y < x gives no row
+        for y, z in zip(line[k:], zs[k:]):
+            if y <= z:
                 rows.append((x, y, z))
-            elif x == y <= z:
-                rows.append((x, x, z))
+            elif x < z:
+                i = bisect_left(line, z, 0, len(line) - 1)  # z's slot, if z is on lambda(x)
+                if line[i] != z or zs[i] != y:  # else (x, z, y) gives the row
+                    rows.append((x, z, y))
     return rows
 
 

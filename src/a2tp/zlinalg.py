@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, repeat
 from math import gcd, lcm, prod
-from operator import add, itemgetter, mod, mul, sub
+from operator import add, mod, mul, sub
 from typing import Callable, Optional, Sequence
 
 PointRow = tuple[int, ...]  # points, repeats allowed: their sum minus e_eps
@@ -345,17 +345,17 @@ class FpAbelianGroup:
         part is L times a number with digits below 2^lo iff every D is a multiple of L:
         a negative D leaves a digit above 2^width - L once borrowed from.  Each slot is
         as narrow as this allows: at one bit less, a row can get the wrong verdict.
-        Coordinate t of a generator, its core image times column t of V, is its entry k
-        where that column is +e_k, else one dot product.
         """
         diag, transform = smith
         padded = diag + [0] * (len(transform) - len(diag))
+        columns = list(zip(*self._image))  # core column -> its entry in each generator's image
 
         def coordinate(t: int) -> list[int]:  # generator -> its image times column t of V
-            column = [row[t] for row in transform]
-            if column.count(0) == len(column) - 1 and 1 in column:  # +e_k: core column k
-                return list(map(itemgetter(column.index(1)), self._image))
-            return [sum(map(mul, image, column)) for image in self._image]
+            w = [0] * self.n_gens
+            for column, row in zip(columns, transform):
+                if row[t]:
+                    w = list(map(add, w, map(mul, column, repeat(row[t]))))
+            return w
 
         free = [coordinate(t) for t, d in enumerate(padded) if d == 0]
         finite = [(coordinate(t), d) for t, d in enumerate(padded) if d > 1]
