@@ -62,7 +62,7 @@ def _triangle_rows(T: TrianglePresentation, third: ThirdTable) -> list[PointRow]
             if y <= z:
                 rows.append((x, y, z))
             elif x < z:
-                i = bisect_left(line, z, 0, len(line) - 1)  # z's slot, if z is on lambda(x)
+                i = bisect_left(line, z)  # z's slot if z is on lambda(x); below y's, as z < y
                 if line[i] != z or zs[i] != y:  # else (x, z, y) gives the row
                     rows.append((x, z, y))
     return rows
