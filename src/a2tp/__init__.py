@@ -11,7 +11,6 @@ from .presentation import (
     gen_variant,
     is_s_invariant,
     read_presentation,
-    twist,
     validate,
     write_presentation,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "is_s_invariant",
     "prime_power",
     "read_presentation",
-    "twist",
     "validate",
     "write_presentation",
 ]

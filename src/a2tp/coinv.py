@@ -81,9 +81,9 @@ def _valid_third(T: TrianglePresentation) -> ThirdTable:
 
 def _point_rows(T: TrianglePresentation, third: ThirdTable) -> tuple[PointRow, ...]:
     """A_T's bcd rows for a valid T with table `third`, as point rows (its only relation
-    form): the triangle rows, the all-points row, then each x with lambda(x) as a set,
-    sorted (x twice if on it)."""
-    x_rows = (tuple(sorted([x, *set(line)])) for x, line in enumerate(T.lam))
+    form): the triangle rows, the all-points row, then each x with the points of
+    lambda(x), sorted (x twice if on it)."""
+    x_rows = (tuple(sorted((x, *line))) for x, line in enumerate(T.lam))
     return (*_triangle_rows(T, third), tuple(range(T.N)), *x_rows)
 
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Iterable, Optional
+from operator import lt
+from typing import Iterable, Optional
 
 from .gf import BadInput
 from .plane import PlaneContext, Point
@@ -19,10 +21,6 @@ class PhiNotOrder3(BadInput):
     """The twisting map is not an order-3 (or identity) collineation."""
 
 
-class PhiDoesNotFixT(ValueError):
-    """The twisting map does not fix the presentation triple-wise."""
-
-
 class ParseError(BadInput):
     def __init__(self, message: str, line_no: int):
         super().__init__(f"line {line_no}: {message}")
@@ -35,9 +33,12 @@ class InconsistentHeader(ParseError):
 
 @dataclass(frozen=True)
 class TrianglePresentation:
+    """Triples of points 0..N-1 of PG(2, q), and lam[x] = lambda(x) strictly increasing
+    for each of the N points x; `validate` checks both."""
+
     q: int
     N: int
-    lam: tuple[tuple[Point, ...], ...]  # lam[x] = sorted points of lambda(x)
+    lam: tuple[tuple[Point, ...], ...]
     triples: frozenset[Triple]
     origin: str
 
@@ -94,7 +95,7 @@ def _collineation(points: list[Point], a: int, c: int) -> list[Point]:
 def gen_variant(plane: PlaneContext, name: str) -> TrianglePresentation:
     """The variant `name` of `VARIANTS`, straight from the plane: lambda(x) is the sorted
     phi-image of lambda0(x) = {x + d}, and the triples are those of t0 (k = q+1) or t0dual
-    (k = q^2+1) with phi applied to y and phi^2 to z, which is `twist` of that base by phi.
+    (k = q^2+1) with phi applied to y and phi^2 to z: the twist of that base by phi.
 
     Nothing here checks that phi maps the base into itself: the twist of a T closed under
     rotation by an order-3 phi is closed under rotation exactly when phi(T) lies in T: the
@@ -129,78 +130,53 @@ def gen_t0_dual(plane: PlaneContext) -> TrianglePresentation:
     return gen_variant(plane, "t0dual")
 
 
-def twist(
-    T: TrianglePresentation, phi: Callable[[Point], Point], name: str = "phi"
-) -> TrianglePresentation:
-    """Twisted presentation {(x, phi(y), phi^2(z))}, compatible with phi o lambda.
-
-    phi must be an order-3 collineation (the identity is accepted as a
-    degenerate case) that fixes T triple-wise.  The general construction, for
-    any T and phi; `gen_variant` builds the named twists of t0 without a base.
-    """
-    N = T.N
-    perm = [phi(x) for x in range(N)]
-    if sorted(perm) != list(range(N)):
-        raise PhiNotOrder3("phi is not a permutation of the points")
-    perm2 = [perm[perm[x]] for x in range(N)]
-    if any(perm[perm2[x]] != x for x in range(N)):
-        raise PhiNotOrder3("phi does not have order dividing 3")
-    # phi is a bijection, so the image of T is T when it lies in T
-    if not is_automorphism(T, perm):
-        raise PhiDoesNotFixT("phi does not map the presentation to itself")
-    triples = frozenset((x, perm[y], perm2[z]) for (x, y, z) in T.triples)
-    lam = tuple(tuple(sorted(map(perm.__getitem__, line))) for line in T.lam)
-    return TrianglePresentation(
-        q=T.q, N=N, lam=lam, triples=triples, origin=f"twisted:{name}:{T.origin}"
-    )
-
-
 def validate(T: TrianglePresentation) -> ValidationReport:
     """Check the triangle axioms from one unsorted pass, and fill the third-point table.
 
-    The pass maps each pair (x, y) to the z of its triple, in a dict per x; a
-    triple whose z lost to another is set aside.  Row x of the table holds that
-    z for each y on lambda(x), in the order of `lam[x]`, or None where (x, y)
-    starts no triple; the checks read the rows in turn through `chain`.
-    Each witness is the least failure: the least (x, y) where y is on
-    lambda(x) and starts no triple, or starts one and is not on it; the least
-    triple whose rotation is not in T; the least (x, y) with two z's.
-    A valid T needs no witness search: counts prove axioms (i) and (iii), and
-    (ii) is one comparison over the table.
+    BadInput when `lam` has not N rows, or a triple holds a point outside 0..N-1.  The
+    pass maps each pair (x, y) to the z of its triple, in a dict per x; row x of the
+    table holds that z for each y on lambda(x), or None where (x, y) starts no triple.
+    A valid T needs no witness search: counts prove axioms (i) and (iii), and (ii) is
+    one comparison over the table.  Otherwise each witness is the least failure of its
+    axiom's definition: for (i) a slot (x, y) that starts no triple, a pair (x, y) of T
+    with y off lambda(x), or y on lambda(x) not above the point before it; for (ii) a
+    triple whose rotation is not in T; for (iii) a pair (x, y) that starts two triples.
     """
-    N, lam, flat = T.N, T.lam, chain.from_iterable
+    N, lam, triples, flat = T.N, T.lam, T.triples, chain.from_iterable
+    if len(lam) != N:
+        raise BadInput(f"lambda has {len(lam)} rows for N = {N} points")
     z_of: list[dict[Point, Point]] = [{} for _ in range(N)]  # z_of[x][y] = z, freed on return
-    for x, y, z in T.triples:
+    for x, y, z in triples:
+        if not (0 <= x < N and 0 <= y < N and 0 <= z < N):
+            raise BadInput(f"triple {(x, y, z)} holds a point outside 0..{N - 1}")
         z_of[x][y] = z
     # list rows: CPython keeps up to 2000 freed tuples of each length below 20 for reuse
     third = tuple(list(map(z_of[x].get, line)) for x, line in enumerate(lam))
     xs = [x for x, line in enumerate(lam) for _ in line]
     keys = sum(map(len, z_of))
-    size, expected_size = len(T.triples), (T.q + 1) * N
-    # keys == size: one z per pair (iii).  With every slot started, each z_of[x] holds
-    # lambda(x), and as many keys as points on the lines leave none off its line (i);
-    # (ii) is z_of[y][z] = x at each slot (x, y, z).
-    if keys == size == sum(map(len, map(set, lam))) and None not in flat(third):
+    size, expected_size = len(triples), (T.q + 1) * N
+    # keys == size: one z per pair (iii).  With every slot started and every line strictly
+    # increasing, each z_of[x] holds lambda(x), and as many keys as slots leave none off
+    # its line (i); (ii) is z_of[y][z] = x at each slot (x, y, z).
+    increasing = all(all(map(lt, line, line[1:])) for line in lam)
+    if keys == size == len(xs) and increasing and None not in flat(third):
         if list(map(dict.get, map(z_of.__getitem__, flat(lam)), flat(third))) == xs:
             ok = AxiomResult(True)
             return ValidationReport(ok, ok, ok, size, expected_size, third)
-    two_z = keys < size  # aside and off_line are empty for a valid T
-    aside = [t for t in T.triples if z_of[t[0]][t[1]] != t[2]] if two_z else []
-    on = list(map(set, lam))
-    off_line = [(x, y, z) for x, by_y in enumerate(z_of) for y, z in by_y.items() if y not in on[x]]
-    aside_set = frozenset(aside)
-    unrotated = [
-        (x, y, z) for x, y, z in T.triples if z_of[y].get(z) != x and (y, z, x) not in aside_set
-    ]
 
     def result(failures: list) -> AxiomResult:
         return AxiomResult(False, min(failures)) if failures else AxiomResult(True)
 
-    unstarted = [(x, y) for x, y, z in zip(xs, flat(lam), flat(third)) if z is None]
+    on = list(map(set, lam))
+    starts = Counter(t[:2] for t in triples) if keys < size else {}
     return ValidationReport(
-        axiom_i=result(unstarted + [t[:2] for t in off_line]),
-        axiom_ii=result(unrotated),
-        axiom_iii=result([t[:2] for t in aside]),
+        axiom_i=result(
+            [(x, y) for x, y, z in zip(xs, flat(lam), flat(third)) if z is None]
+            + [(x, y) for x, y, _ in triples if y not in on[x]]
+            + [(x, b) for x, line in enumerate(lam) for a, b in zip(line, line[1:]) if a >= b]
+        ),
+        axiom_ii=result([(x, y, z) for x, y, z in triples if (y, z, x) not in triples]),
+        axiom_iii=result([pair for pair, n in starts.items() if n > 1]),
         size=size,
         expected_size=expected_size,
         third=third,

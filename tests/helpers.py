@@ -3,19 +3,22 @@
 from collections import Counter
 from heapq import heappop, heappush
 from operator import mul
+from typing import Callable
 
 from a2tp.coinv import AnalysisReport, _point_rows, _valid_third
-from a2tp.gf import _digits, _is_one, _poly_pow_mod, factorize
+from a2tp.gf import BadInput, _digits, _is_one, _poly_pow_mod, factorize
+from a2tp.plane import Point
 from a2tp.presentation import (
     AxiomResult,
     InconsistentHeader,
     ParseError,
+    PhiNotOrder3,
     TrianglePresentation,
     ValidationReport,
     find_m_subset,
+    is_automorphism,
     is_s_invariant,
     m_subset_occurrences,
-    twist,
 )
 from a2tp.zlinalg import (
     FpAbelianGroup,
@@ -280,12 +283,16 @@ def reference_lines_form_plane(lines, q: int) -> bool:
 def reference_validate(T) -> ValidationReport:
     """The triangle axioms checked over the sorted triples: the oracle for `validate`.
 
-    Axiom (iii): the first (x, y) in sorted order with a second z.  Axiom
-    (i): the first x whose started points differ from lambda(x), read as a
-    set, with the least point of the difference.  Axiom (ii): the first
-    sorted triple whose rotation is missing.
+    BadInput when lam has not N rows or a triple holds a point outside
+    0..N-1.  Axiom (iii): the first (x, y) in sorted order with a second z.
+    Axiom (i): the first x whose started points differ from lambda(x), read
+    as a set, or whose lambda(x) is not strictly increasing, with the least
+    point of the difference or not above the point before it.  Axiom (ii):
+    the first sorted triple whose rotation is missing.
     """
     N = T.N
+    if len(T.lam) != N or any(p not in range(N) for t in T.triples for p in t):
+        raise BadInput("lam has not N rows, or a triple holds a point outside 0..N-1")
     by_pair = {}
     ordered = sorted(T.triples)
     ax3 = AxiomResult(True)
@@ -302,11 +309,11 @@ def reference_validate(T) -> ValidationReport:
         started_by_x[x].add(y)
     ax1 = AxiomResult(True)
     for x in range(N):
-        incident_set = frozenset(T.lam[x])
-        started = started_by_x[x]
-        if started != incident_set:
-            bad = min(started.symmetric_difference(incident_set))
-            ax1 = AxiomResult(False, (x, bad))
+        line = T.lam[x]
+        unordered = {b for a, b in zip(line, line[1:]) if a >= b}
+        bad = started_by_x[x].symmetric_difference(line) | unordered
+        if bad:
+            ax1 = AxiomResult(False, (x, min(bad)))
             break
 
     ax2 = AxiomResult(True)
@@ -341,6 +348,36 @@ def reference_primitive_modulus(pp) -> list[int]:
             if not any(_is_one(_poly_pow_mod(t, m // ell, candidate, p)) for ell in factorize(m)):
                 return candidate
     raise AssertionError(f"no primitive modulus for p={p}, degree {d}")
+
+
+class PhiDoesNotFixT(ValueError):
+    """The twisting map does not fix the presentation triple-wise."""
+
+
+def twist(
+    T: TrianglePresentation, phi: Callable[[Point], Point], name: str = "phi"
+) -> TrianglePresentation:
+    """Twisted presentation {(x, phi(y), phi^2(z))}, compatible with phi o lambda.
+
+    phi must be an order-3 collineation (the identity is accepted as a
+    degenerate case) that fixes T triple-wise.  The general construction, for
+    any T and phi; `gen_variant` builds the named twists of t0 without a base.
+    """
+    N = T.N
+    perm = [phi(x) for x in range(N)]
+    if sorted(perm) != list(range(N)):
+        raise PhiNotOrder3("phi is not a permutation of the points")
+    perm2 = [perm[perm[x]] for x in range(N)]
+    if any(perm[perm2[x]] != x for x in range(N)):
+        raise PhiNotOrder3("phi does not have order dividing 3")
+    # phi is a bijection, so the image of T is T when it lies in T
+    if not is_automorphism(T, perm):
+        raise PhiDoesNotFixT("phi does not map the presentation to itself")
+    triples = frozenset((x, perm[y], perm2[z]) for (x, y, z) in T.triples)
+    lam = tuple(tuple(sorted(map(perm.__getitem__, line))) for line in T.lam)
+    return TrianglePresentation(
+        q=T.q, N=N, lam=lam, triples=triples, origin=f"twisted:{name}:{T.origin}"
+    )
 
 
 def twist_map(plane, name):

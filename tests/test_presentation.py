@@ -16,18 +16,20 @@ from hypothesis import strategies as st
 import a2tp
 from a2tp.automorphism import find_cyclic_automorphism, is_cyclic_automorphism
 from a2tp.cli import main, prime_powers_in
+from a2tp.coinv import AnalysisReport, InvalidPresentation, analyze
 from a2tp.gf import BadInput
 from a2tp.plane import build_plane
 from a2tp.presentation import _orbit as certified_orbit
 from a2tp.presentation import (
     DEFAULT_BACKTRACK_BUDGET,
     VARIANTS,
+    AxiomResult,
     InconsistentHeader,
     MSubsetResult,
     ParseError,
-    PhiDoesNotFixT,
     PhiNotOrder3,
     TrianglePresentation,
+    ValidationReport,
     _backtrack_m_subset,
     find_m_subset,
     gen_t0,
@@ -36,11 +38,17 @@ from a2tp.presentation import (
     is_s_invariant,
     m_subset_occurrences,
     read_presentation,
-    twist,
     validate,
     write_presentation,
 )
-from helpers import reference_read_presentation, reference_validate, reference_variant, twist_map
+from helpers import (
+    PhiDoesNotFixT,
+    reference_read_presentation,
+    reference_validate,
+    reference_variant,
+    twist,
+    twist_map,
+)
 
 
 @pytest.fixture(scope="module")
@@ -511,6 +519,109 @@ def test_validate_fills_the_third_point_table(planes):
             assert third == tuple([z_of.get((x, y)) for y in V.lam[x]] for x in range(V.N))
         assert not validate(U).ok
         assert [xy for xy, z in zip(pairs, chain(*third)) if z is None] == [missing[:2]], q
+
+
+def _negative_point(T):
+    # (N-1, y, z) written as (-1, y, z): as a list index, -1 is N-1
+    x, y, z = max(T.triples)
+    return replace(T, triples=T.triples - {(x, y, z)} | {(x - T.N, y, z)})
+
+
+# A library caller can build each of these; the file reader rejects them all.  Each maps
+# t0 to a malformed T, with the BadInput message validate and analyze raise, or None when
+# T instead fails axiom (i) at the least point of lambda(0).
+MALFORMED = {
+    "a triple from a point past N-1": (
+        lambda T: replace(T, triples=T.triples | {(99, 1, 2)}),
+        r"^triple \(99, 1, 2\) holds a point outside 0\.\.",
+    ),
+    "a triple through a point past N-1": (
+        lambda T: replace(T, triples=T.triples | {(0, 99, 2)}),
+        r"^triple \(0, 99, 2\) holds a point outside 0\.\.",
+    ),
+    "a triple from a negative point": (_negative_point, r"^triple \(-1, .* holds a point"),
+    "lambda one row short": (
+        lambda T: replace(T, lam=T.lam[:-1]),
+        r"^lambda has \d+ rows for N = \d+ points$",
+    ),
+    "every lambda(x) reversed": (
+        lambda T: replace(T, lam=tuple(line[::-1] for line in T.lam)),
+        None,
+    ),
+    "lambda(0) repeats its least point": (
+        lambda T: replace(T, lam=((T.lam[0][0], *T.lam[0]),) + T.lam[1:]),
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("shape", MALFORMED)
+def test_a_malformed_presentation_is_rejected_before_any_lookup(shape, q):
+    edit, refusal = MALFORMED[shape]
+    T = edit(gen_t0(_plane(q)))
+    if refusal:
+        for run in (validate, reference_validate, analyze):
+            with pytest.raises(BadInput, match=None if run is reference_validate else refusal):
+                run(T)
+        return
+    report = validate(T)
+    assert report.axiom_i == AxiomResult(False, (0, min(T.lam[0])))
+    assert report == reference_validate(T)
+    with pytest.raises(InvalidPresentation, match="failed triangle axioms"):
+        analyze(T)
+
+
+@st.composite
+def any_presentations(draw):
+    """Any lambda table and triple set over q = 2 or 3: a valid T with a few rows or
+    triples edited, or rows and triples drawn at random; points may fall outside 0..N-1,
+    and rows may be short or long, unsorted or repeat a point."""
+    q = draw(st.sampled_from([2, 3]))
+    N = q * q + q + 1
+    point = st.one_of(st.integers(0, N - 1), st.sampled_from([-1, N, 99]))
+    in_range = st.integers(0, N - 1)
+    if draw(st.booleans()):
+        T = _valid_presentation(q, draw(st.sampled_from(["t0", "t0dual", "frob1"])))
+        lam, triples = list(T.lam), set(T.triples)
+    else:
+        row = st.lists(in_range, min_size=q, max_size=q + 2).map(tuple)
+        lam = draw(st.lists(row, min_size=N, max_size=N))
+        triples = set(draw(st.lists(st.tuples(in_range, in_range, in_range), max_size=4 * N)))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["row", "rows", "triple", "untriple"]))
+        if kind == "row" and lam:  # reorder, repeat or replace points of one row
+            x = draw(st.integers(0, len(lam) - 1))
+            lam[x] = tuple(draw(st.lists(st.sampled_from([*lam[x], draw(point)]), max_size=q + 2)))
+        elif kind == "rows":  # one row more or fewer
+            lam = lam[:-1] if draw(st.booleans()) else lam + [lam[-1] if lam else ()]
+        elif kind == "triple":
+            triples.add(draw(st.tuples(point, point, point)))
+        elif triples:
+            triples.discard(draw(st.sampled_from(sorted(triples))))
+    return TrianglePresentation(q=q, N=N, lam=tuple(lam), triples=frozenset(triples), origin="any")
+
+
+def _outcome(run, T):
+    try:
+        return run(T)
+    except BadInput as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_presentations())
+def test_validate_and_analyze_give_a_report_or_bad_input_on_any_tables(T):
+    # Any other exception, such as an IndexError, fails the test.
+    report = _outcome(validate, T)
+    assert report == _outcome(reference_validate, T)
+    analysis = _outcome(analyze, T)
+    if report is BadInput:
+        assert analysis is BadInput
+    elif report.ok:
+        assert isinstance(analysis, AnalysisReport)
+    else:
+        assert isinstance(report, ValidationReport) and analysis is InvalidPresentation
 
 
 def _frame_depth() -> int:

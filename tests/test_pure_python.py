@@ -58,3 +58,33 @@ def test_readme_lists_the_exports():
     names = re.findall(r"`(\w+)`", listed)
     assert len(names) == len(set(names))
     assert sorted(names) == sorted(a2tp.__all__)
+
+
+def _loaded_names(node, definitions=()):
+    """The names that `node` loads, as a variable or an attribute, outside the bodies of
+    the functions and classes named in `definitions` and of those it defines itself."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _loaded_names(child, (*definitions, child.name))
+            continue
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            name = child.id
+        elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+            name = child.attr
+        else:
+            name = None
+        if name is not None and name not in definitions:
+            yield name
+        yield from _loaded_names(child, definitions)
+
+
+def test_every_export_is_used_by_the_program_or_the_benchmark():
+    # No public helper is kept for the tests alone: each export is loaded somewhere in
+    # src outside `__init__.py` and its own definition, or the benchmark's workloads name it.
+    loaded = set()
+    for path in MODULES:
+        if path.name != "__init__.py":
+            loaded.update(_loaded_names(ast.parse(path.read_text(encoding="utf-8"))))
+    workloads = (ROOT / "perfbench" / "workloads.py").read_text(encoding="utf-8")
+    unused = [n for n in a2tp.__all__ if n not in loaded and not re.search(rf"\b{n}\b", workloads)]
+    assert unused == []
