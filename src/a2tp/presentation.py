@@ -246,8 +246,9 @@ def find_m_subset(
     `third` is the per-point table `validate(T)` fills; T is validated here when
     it is not given.
     """
-    # The least triple of a valid T starts its table: (0, y, z) with y least on lambda(0).
-    least = (0, T.lam[0][0], third[0][0]) if third is not None else min(T.triples, default=None)
+    # The least triple of a valid T starts its first non-empty row, at the row's least y.
+    least = min(T.triples, default=None) if third is None else next(
+        ((x, ys[0], zs[0]) for x, (ys, zs) in enumerate(zip(T.lam, third)) if ys), None)
     if least:
         points = list(range(T.N))
         for c in (1, T.q, T.q * T.q):

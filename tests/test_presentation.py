@@ -602,6 +602,19 @@ def any_presentations(draw):
     return TrianglePresentation(q=q, N=N, lam=tuple(lam), triples=frozenset(triples), origin="any")
 
 
+def _rotations_of(*classes):
+    """The presentation at q = 2 whose triples are the rotations of `classes`, each lambda(x)
+    the points y that start a triple (x, y, z)."""
+    triples = {t[k:] + t[:k] for t in classes for k in range(3)}
+    lam = tuple(tuple(sorted({y for x, y, _ in triples if x == p})) for p in range(7))
+    return TrianglePresentation(q=2, N=7, lam=lam, triples=frozenset(triples), origin="rotations")
+
+
+# 21 triples over the points 1..6 that pass every axiom: lambda(0) is empty, and the other
+# rows hold 1 to 5 points, not q + 1 = 3.
+EMPTY_LINE = _rotations_of((1, 1, 3), (1, 4, 5), (1, 5, 4), (2, 3, 3), (3, 4, 4), (3, 6, 6), (5, 5, 6))
+
+
 def _outcome(run, T):
     try:
         return run(T)
@@ -610,6 +623,7 @@ def _outcome(run, T):
 
 
 @settings(max_examples=300, deadline=None)
+@example(EMPTY_LINE)
 @given(any_presentations())
 def test_validate_and_analyze_give_a_report_or_bad_input_on_any_tables(T):
     # Any other exception, such as an IndexError, fails the test.
