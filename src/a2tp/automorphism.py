@@ -1,9 +1,9 @@
-"""Point-regular cyclic automorphisms of a triangle presentation.
+"""M-subset orbits under the point-regular cyclic automorphisms of a triangle presentation.
 
 The orbit of any triple of T under such an automorphism is an M-subset of
-T.  `presentation.find_m_subset` imports this module on first use, because
-no generated input needs it: each has an M-subset orbit under
-(x+1, y+c, z+c^2) for c = 1, q or q^2.
+T, and `presentation._orbit` certifies it.  `presentation.find_m_subset`
+imports this module on first use, because no generated input needs it:
+each has an M-subset orbit under (x+1, y+c, z+c^2) for c = 1, q or q^2.
 """
 
 from __future__ import annotations
@@ -12,23 +12,20 @@ from bisect import bisect_left
 from typing import Iterator, Optional
 
 from .plane import Point
-from .presentation import ThirdTable, TrianglePresentation, is_automorphism
-
-
-def is_cyclic_automorphism(T: TrianglePresentation, g: list[Point]) -> bool:
-    """g is one N-cycle on the points and maps every triple of T into T."""
-    p = 0
-    for _ in range(T.N - 1):
-        p = g[p]
-        if p == 0:
-            return False
-    return g[p] == 0 and is_automorphism(T, g)
+from .presentation import (
+    MSubsetResult,
+    ThirdTable,
+    TrianglePresentation,
+    Triple,
+    _orbit,
+    is_automorphism,
+)
 
 
 def find_cyclic_automorphism(
-    T: TrianglePresentation, third: ThirdTable, budget: int
-) -> tuple[Optional[list[Point]], int]:
-    """A point-regular cyclic automorphism g of a valid T, and the nodes spent on it.
+    T: TrianglePresentation, third: ThirdTable, least: Triple, budget: int
+) -> tuple[Optional[MSubsetResult], int]:
+    """The orbit of `least` under a cyclic automorphism g of a valid T, and the nodes spent.
 
     Individualization-refinement (McKay, Piperno, *Practical graph
     isomorphism II*, 2014).  Three rules force images: two known points of a
@@ -46,13 +43,14 @@ def find_cyclic_automorphism(
     ones with g(0) = a are h.m, for any one of them h and m over those
     fixing 0, so the search lists the stabilizer's leaves once and then
     needs one h per a: the first leaf that `is_automorphism` accepts,
-    O(|T|).  A stabilizer leaf that is no automorphism only gives maps h.m
-    that the final check rejects.  Every node entered, the root (nothing
-    fixed) included, counts against `budget`, so a budget of 1 never finds
-    g.  A propagation takes O(log q) steps per point read from a triple and
-    O(q) per meet or join; finding the fixpoints takes O(Nq) per base point
-    tried.  Only a g that `is_cyclic_automorphism` checks in full is
-    returned.
+    O(|T|), which decides only which maps h.m are tried.  Every node
+    entered, the root (nothing fixed) included, counts against `budget`, so
+    a budget of 1 never finds g.  A propagation takes O(log q) steps per
+    point read from a triple and O(q) per meet or join; finding the
+    fixpoints takes O(Nq) per base point tried.  The result is the first
+    orbit of `least` under an h.m that `_orbit` certifies in O(N): N triples
+    of T holding every point 3 times, which an automorphism's orbit does
+    exactly when it is one N-cycle.
     """
     N, lam = T.N, T.lam
     if budget < 1:
@@ -158,6 +156,6 @@ def find_cyclic_automorphism(
         if h is not None:
             for m in stabilizer:
                 g = [h[x] for x in m]
-                if is_cyclic_automorphism(T, g):
-                    return g, nodes
+                if found := _orbit(T, least, g, g, g):
+                    return found, nodes
     return None, nodes

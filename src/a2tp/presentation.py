@@ -234,15 +234,15 @@ def find_m_subset(
 ) -> MSubsetResult:
     """Find M subset of T in which every point occurs exactly 3 times.
 
-    Tries orbits of the least triple first, each returned only when `_orbit`
-    certifies it: under (x+1, y+c, z+c^2) mod N for c = 1, q, q^2, the
-    autotopisms of t0, t0dual and omega (c = 1) and of the frob1 (c = q) and
-    frob2 (c = q^2) twists; then, for a valid T, under a point-regular cyclic
-    automorphism g (`automorphism.find_cyclic_automorphism`).  Last comes the
-    exact-cover search `_backtrack_m_subset`.  The two searches share
-    `budget`: the finder counts each propagation as a node, O(Nq) Python
-    steps at most, and may spend half of it; the backtracker gets the nodes
-    left, so at least the other half.
+    Tries orbits of the least triple first, each certified by `_orbit` alone:
+    under (x+1, y+c, z+c^2) mod N for c = 1, q, q^2, the autotopisms of t0,
+    t0dual and omega (c = 1) and of the frob1 (c = q) and frob2 (c = q^2)
+    twists; then, for a valid T, the orbit under a cyclic automorphism that
+    `automorphism.find_cyclic_automorphism` returns.
+    Last comes the exact-cover search `_backtrack_m_subset`.  The two
+    searches share `budget`: the finder counts each propagation as a node,
+    O(Nq) Python steps at most, and may spend half of it; the backtracker
+    gets the nodes left, so at least the other half.
     `third` is the per-point table `validate(T)` fills; T is validated here when
     it is not given.
     """
@@ -263,8 +263,8 @@ def find_m_subset(
         # Imported on first use: no generated input needs it, and it imports this module.
         from .automorphism import find_cyclic_automorphism
 
-        g, nodes = find_cyclic_automorphism(T, third, budget // 2)
-        if g is not None and (found := _orbit(T, least, g, g, g)):
+        found, nodes = find_cyclic_automorphism(T, third, least, budget // 2)
+        if found:
             return found
     return _backtrack_m_subset(T, budget - nodes)
 

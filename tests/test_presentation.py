@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import a2tp
-from a2tp.automorphism import find_cyclic_automorphism, is_cyclic_automorphism
+from a2tp.automorphism import find_cyclic_automorphism
 from a2tp.cli import main, prime_powers_in
 from a2tp.coinv import AnalysisReport, InvalidPresentation, analyze
 from a2tp.gf import BadInput
@@ -686,17 +686,6 @@ def _orbit(g, t, n):
     return frozenset(orbit)
 
 
-def _is_point_regular_cyclic(T, g) -> bool:
-    # Independent of `is_cyclic_automorphism`: N distinct points lead 0 back to 0; T maps into T.
-    walk = [0]
-    for _ in range(T.N):
-        walk.append(g[walk[-1]])
-    triples = T.triples
-    return walk[-1] == 0 and len(set(walk)) == T.N and all(
-        (g[x], g[y], g[z]) in triples for x, y, z in triples
-    )
-
-
 @functools.cache
 def _plane(q):
     return build_plane(q)
@@ -706,17 +695,18 @@ def _plane(q):
 @pytest.mark.parametrize("variant", ["t0", "t0dual"])
 def test_finder_certifies_an_m_subset_of_relabellings(q, variant):
     # Relabelled, the Singer cycle is still a point-regular cyclic automorphism, but no
-    # longer x -> x + 1; the finder finds one within 200 nodes, and within a budget of
-    # twice that many find_m_subset, which gives the finder half, returns its orbit.
+    # longer x -> x + 1; the finder finds an orbit of the least triple within 200 nodes,
+    # and within a budget of twice that many find_m_subset, which gives the finder half,
+    # returns it.
     for seed in (0, 1):
         T = _relabeled({"t0": gen_t0, "t0dual": gen_t0_dual}[variant](_plane(q)), seed)
         assert not is_s_invariant(T)
-        g, nodes = find_cyclic_automorphism(T, validate(T).third, 200)
-        assert g is not None and nodes <= 200
-        assert _is_point_regular_cyclic(T, g)
-        m = find_m_subset(T, 2 * nodes).subset
-        assert m == _orbit(g, min(T.triples), T.N)
-        assert len(m) == T.N and m <= T.triples
+        least = min(T.triples)
+        found, nodes = find_cyclic_automorphism(T, validate(T).third, least, 200)
+        assert found is not None and nodes <= 200
+        assert find_m_subset(T, 2 * nodes) == found
+        m = found.subset
+        assert least in m and len(m) == T.N and m <= T.triples
         assert all(c == 3 for c in m_subset_occurrences(T, m))
 
 
@@ -774,10 +764,10 @@ def test_finder_nodes_count_against_the_budget(q):
     # backtracker gets the nodes left.
     T = _relabeled(gen_variant(_plane(q), "frob1"), {2: 3, 3: 5}[q])
     assert not is_s_invariant(T)
-    third = validate(T).third
-    assert find_cyclic_automorphism(T, third, 10**6) == (None, {2: 26, 3: 61}[q])
-    spent = [find_cyclic_automorphism(T, third, b // 2) for b in range(0, 121)]
-    assert all(g is None for g, _ in spent)
+    third, least = validate(T).third, min(T.triples)
+    assert find_cyclic_automorphism(T, third, least, 10**6) == (None, {2: 26, 3: 61}[q])
+    spent = [find_cyclic_automorphism(T, third, least, b // 2) for b in range(0, 121)]
+    assert all(found is None for found, _ in spent)
     assert [n for _, n in spent[:6]] == [0, 0, 1, 1, 2, 2]
     assert spent[-1][1] == {2: 26, 3: 60}[q]  # q = 3: stopped at half of 120, short of its 61
     results = [find_m_subset(T, b) for b in range(0, 121)]
@@ -797,12 +787,33 @@ def test_verify_and_analyze_disagree_on_a_search_out_of_budget(tmp_path, capsys)
     assert "\ncheck m_subset_found: FAIL\n" in capsys.readouterr().out
 
 
-def test_is_cyclic_automorphism_holds_for_point_regular_ones_only(planes):
+def test_orbit_certifies_point_regular_automorphisms_only(planes):
     T = gen_t0(planes[4])  # N = 21: x -> x + k is an automorphism, an N-cycle iff gcd(k, 21) = 1
     shift = [[(x + k) % T.N for x in range(T.N)] for k in range(4)]
-    assert [is_cyclic_automorphism(T, g) for g in shift] == [False, True, True, False]
+    certified = [certified_orbit(T, min(T.triples), g, g, g) is not None for g in shift]
+    assert certified == [False, True, True, False]
     R = _relabeled(T, 0)  # x -> x + 1 is still an N-cycle, but no automorphism of R
-    assert not is_s_invariant(R) and not is_cyclic_automorphism(R, shift[1])
+    assert not is_s_invariant(R)
+    assert certified_orbit(R, min(R.triples), shift[1], shift[1], shift[1]) is None
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_an_orbit_is_returned_only_when_certified(monkeypatch, q):
+    # Soundness rests on `_orbit` alone: with every leaf taken for an automorphism, and
+    # also when handed another relabelling's table, so that most maps h.m it tries are no
+    # automorphisms of T, whatever the finder returns is an M-subset of T.
+    monkeypatch.setattr("a2tp.automorphism.is_automorphism", lambda T, h: True)
+    for variant in ("t0", "t0dual", "frob1"):
+        for seed in (0, 1):
+            T = _relabeled(gen_variant(_plane(q), variant), seed)
+            result = find_m_subset(T, 400)
+            assert result.found or variant == "frob1"
+            other = validate(_relabeled(gen_variant(_plane(q), variant), seed + 2)).third
+            found, _ = find_cyclic_automorphism(T, other, min(T.triples), 200)
+            for m in (result.subset, found and found.subset):
+                if m:
+                    assert len(m) == T.N and m <= T.triples
+                    assert all(c == 3 for c in m_subset_occurrences(T, m))
 
 
 def test_the_finder_is_imported_only_for_an_input_that_needs_it():
@@ -837,8 +848,9 @@ def test_certified_rejects_a_subset_outside_t(planes):
     assert all(c == 3 for c in m_subset_occurrences(T, shifted)) and not shifted <= T.triples
     assert certified_orbit(T, (x, y, z), shift, shift, shift) is None
     assert certified_orbit(T, (x, y, z), *[identity] * 3) is None  # in T, each point once
-    g, _ = find_cyclic_automorphism(T, validate(T).third, 200)
-    assert certified_orbit(T, (x, y, z), g, g, g) == MSubsetResult(_orbit(g, (x, y, z), T.N))
+    found, _ = find_cyclic_automorphism(T, validate(T).third, (x, y, z), 200)
+    assert found is not None and (x, y, z) in found.subset and found.subset <= T.triples
+    assert all(c == 3 for c in m_subset_occurrences(T, found.subset))
 
 
 def test_roundtrip(tmp_path, planes):

@@ -1,5 +1,5 @@
 """The package is pure Python on the standard library, parses as its oldest Python, holds
-no `assert` statement, and exports the names the README lists.
+no `assert` statement, exports the names the README lists, and uses each public definition.
 
 The syntax check is best-effort: it catches syntax newer than `requires-python`,
 not calls to library functions added later.
@@ -87,4 +87,29 @@ def test_every_export_is_used_by_the_program_or_the_benchmark():
             loaded.update(_loaded_names(ast.parse(path.read_text(encoding="utf-8"))))
     workloads = (ROOT / "perfbench" / "workloads.py").read_text(encoding="utf-8")
     unused = [n for n in a2tp.__all__ if n not in loaded and not re.search(rf"\b{n}\b", workloads)]
+    assert unused == []
+
+
+def test_every_public_definition_is_used_by_the_program_or_the_benchmark():
+    # The same rule past the exports: each public module-level function or class is loaded
+    # somewhere in src outside its own definition, or the benchmark's workloads name it.
+    # `main` looks up `cmd_<name>` by name, so a subcommand of `make_parser` uses it.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    loaded = set().union(*map(_loaded_names, trees.values()))
+    parser = next(n for n in trees["cli.py"].body if getattr(n, "name", "") == "make_parser")
+    loaded.update(
+        f"cmd_{node.args[0].value}"
+        for node in ast.walk(parser)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "add_parser"
+    )
+    workloads = (ROOT / "perfbench" / "workloads.py").read_text(encoding="utf-8")
+    unused = [
+        f"{path}:{node.name}"
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in loaded
+        and not re.search(rf"\b{node.name}\b", workloads)
+    ]
     assert unused == []
